@@ -17,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .raster import RasterFormatError
+from .tiff import INTEGER_TYPES, TYPE_ASCII, TYPE_RATIONAL, IfdEntry, read_header, read_ifd
+
 # DJI M30T thermal camera defaults used when EXIF carries no overrides.
 DEFAULT_FOV_DIAG_DEG = 61.0
-DEFAULT_THERMAL_WIDTH_PX = 640
 
 SRTM_VOID = -32768
 
@@ -50,7 +52,6 @@ class FrameMeta:
     lon: float
     alt_ellipsoidal_m: float
     fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG
-    thermal_width_px: int = DEFAULT_THERMAL_WIDTH_PX
 
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat <= 90.0:
@@ -59,8 +60,6 @@ class FrameMeta:
             raise ValueError(f"longitude {self.lon} outside [-180, 180)")
         if not 0.0 < self.fov_diag_deg < 180.0:
             raise ValueError(f"diagonal FOV {self.fov_diag_deg} outside (0, 180)")
-        if self.thermal_width_px < 1:
-            raise ValueError("thermal width must be >= 1 px")
 
 
 def _bilinear(q00: float, q10: float, q01: float, q11: float, fx: float, fy: float) -> float:
@@ -283,41 +282,24 @@ _GPS_LON_REF, _GPS_LON = 3, 4
 _GPS_ALT_REF, _GPS_ALT = 5, 6
 
 
-def _exif_value(buf: bytes, order: str, tiff_base: int, entry_off: int):
-    tag, ftype, count = struct.unpack_from(order + "HHI", buf, entry_off)
-    sizes = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8}
-    if ftype not in sizes:
-        return tag, None
-    total = sizes[ftype] * count
-    if total <= 4:
-        value_off = entry_off + 8
-    else:
-        (rel,) = struct.unpack_from(order + "I", buf, entry_off + 8)
-        value_off = tiff_base + rel
-    if ftype == 2:  # ASCII
-        raw = buf[value_off : value_off + count]
-        return tag, raw.split(b"\0", 1)[0].decode("ascii", "replace")
-    if ftype == 5:  # RATIONAL
-        vals = []
-        for i in range(count):
-            num, den = struct.unpack_from(order + "II", buf, value_off + 8 * i)
-            if den == 0:
-                raise ExifError(f"zero-denominator rational in GPS tag {tag}")
-            vals.append(num / den)
-        return tag, vals
-    code = {1: "B", 3: "H", 4: "I"}[ftype]
-    return tag, list(struct.unpack_from(order + code * count, buf, value_off))
+def _gps_values(gps: dict[int, IfdEntry], tag: int, ftype: int) -> str | list:
+    """Values of a GPS tag, which must be present with field type ``ftype``."""
+    entry = gps.get(tag)
+    if entry is None:
+        raise ExifError(f"no GPS metadata (missing GPS tag {tag})")
+    if entry.type != ftype:
+        raise ExifError(f"GPS tag {tag}: expected field type {ftype}, got {entry.type}")
+    return entry.values
 
 
-def _parse_ifd(buf: bytes, order: str, tiff_base: int, ifd_off: int) -> dict[int, object]:
-    (n,) = struct.unpack_from(order + "H", buf, tiff_base + ifd_off)
-    out = {}
-    for i in range(n):
-        entry_off = tiff_base + ifd_off + 2 + 12 * i
-        tag, value = _exif_value(buf, order, tiff_base, entry_off)
-        if value is not None:
-            out[tag] = value
-    return out
+def _rationals(gps: dict[int, IfdEntry], tag: int) -> list[float]:
+    """A GPS tag's rationals as floats; at least one, none with a zero denominator."""
+    pairs = _gps_values(gps, tag, TYPE_RATIONAL)
+    if not pairs:
+        raise ExifError(f"GPS tag {tag} holds no values")
+    if any(den == 0 for _, den in pairs):
+        raise ExifError(f"zero-denominator rational in GPS tag {tag}")
+    return [num / den for num, den in pairs]
 
 
 def _dms_to_degrees(dms: list[float], ref: str) -> float:
@@ -327,17 +309,14 @@ def _dms_to_degrees(dms: list[float], ref: str) -> float:
     return -deg if ref in ("S", "W") else deg
 
 
-def parse_exif_gps(
-    jpeg: str | Path,
-    *,
-    fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG,
-    thermal_width_px: int = DEFAULT_THERMAL_WIDTH_PX,
-) -> FrameMeta:
+def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG) -> FrameMeta:
     """Extract GPS position and altitude from a JPEG's Exif APP1 segment.
 
     Altitude sign follows GPSAltitudeRef (1 = below the reference surface).
-    Camera FOV and thermal width come from the keyword defaults since the GPS
-    IFD does not carry them.
+    Camera FOV comes from the keyword default since the GPS IFD does not
+    carry it. Raises only ExifError for content it cannot use: no JPEG, no
+    Exif or GPS block, a malformed or truncated IFD, a missing or mistyped
+    GPS tag, a zero denominator, or a position FrameMeta rejects.
     """
     buf = Path(jpeg).read_bytes()
     if buf[:2] != b"\xff\xd8":
@@ -362,36 +341,24 @@ def parse_exif_gps(
     if tiff_base is None:
         raise ExifError("no APP1 Exif segment found")
 
-    byte_order = buf[tiff_base : tiff_base + 2]
-    if byte_order == b"II":
-        order = "<"
-    elif byte_order == b"MM":
-        order = ">"
-    else:
-        raise ExifError(f"bad TIFF byte order in Exif: {byte_order!r}")
-    magic, ifd0_off = struct.unpack_from(order + "HI", buf, tiff_base + 2)
-    if magic != 42:
-        raise ExifError(f"bad TIFF magic in Exif: {magic}")
-
-    ifd0 = _parse_ifd(buf, order, tiff_base, ifd0_off)
-    gps_ptr = ifd0.get(_GPS_IFD_POINTER)
-    if not gps_ptr:
-        raise ExifError("no GPS metadata (missing GPS IFD)")
-    gps = _parse_ifd(buf, order, tiff_base, int(gps_ptr[0]))
-
     try:
-        lat = _dms_to_degrees(gps[_GPS_LAT], str(gps[_GPS_LAT_REF]))
-        lon = _dms_to_degrees(gps[_GPS_LON], str(gps[_GPS_LON_REF]))
-        alt = float(gps[_GPS_ALT][0])
-    except KeyError as exc:
-        raise ExifError(f"no GPS metadata (missing GPS tag {exc.args[0]})") from exc
-    alt_ref = gps.get(_GPS_ALT_REF, [0])
-    if alt_ref and alt_ref[0] == 1:
+        order, ifd0_off = read_header(buf, tiff_base)
+        ifd0 = read_ifd(buf, order, tiff_base, ifd0_off)
+        gps_ptr = ifd0.get(_GPS_IFD_POINTER)
+        if gps_ptr is None or not gps_ptr.values:
+            raise ExifError("no GPS metadata (missing GPS IFD)")
+        if gps_ptr.type not in INTEGER_TYPES:
+            raise ExifError(f"GPS IFD pointer has non-integer field type {gps_ptr.type}")
+        gps = read_ifd(buf, order, tiff_base, gps_ptr.values[0])
+    except RasterFormatError as exc:
+        raise ExifError(f"malformed Exif block: {exc}") from exc
+
+    lat = _dms_to_degrees(_rationals(gps, _GPS_LAT), _gps_values(gps, _GPS_LAT_REF, TYPE_ASCII))
+    lon = _dms_to_degrees(_rationals(gps, _GPS_LON), _gps_values(gps, _GPS_LON_REF, TYPE_ASCII))
+    alt = _rationals(gps, _GPS_ALT)[0]
+    if _GPS_ALT_REF in gps and gps[_GPS_ALT_REF].values[:1] == [1]:
         alt = -alt
-    return FrameMeta(
-        lat=lat,
-        lon=lon,
-        alt_ellipsoidal_m=alt,
-        fov_diag_deg=fov_diag_deg,
-        thermal_width_px=thermal_width_px,
-    )
+    try:
+        return FrameMeta(lat=lat, lon=lon, alt_ellipsoidal_m=alt, fov_diag_deg=fov_diag_deg)
+    except ValueError as exc:
+        raise ExifError(f"unusable GPS metadata: {exc}") from exc

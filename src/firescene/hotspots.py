@@ -218,40 +218,21 @@ def extract_hotspots(
     return out
 
 
-def hotspot_pixels(raster: ThermalRaster, params: HotspotParams | None = None) -> dict[int, np.ndarray]:
-    """Map component id -> (N, 2) pixel coordinates for valid hotspots only.
-
-    Companion to extract_hotspots for callers that need the pixel sets (the
-    hottest-pixel search); recomputed rather than stored to keep Hotspot light.
-    """
-    params = params or HotspotParams()
-    mask = hot_mask(raster, params.temp_threshold_c)
-    return dict(enumerate(connected_components(mask)))
-
-
 def hottest_location(raster: ThermalRaster, hotspots: list[Hotspot], params: HotspotParams | None = None) -> str:
     """Region label of the hottest pixel within the valid hotspot mask.
 
     Returns "No hotspots" when no valid hotspot exists. The frame's middle
     third in both axes is "Center"; everything else falls to the quadrant by
     image midlines, with midline pixels owned by the right/bottom side. Peak
-    ties resolve to the first pixel in row-major order.
+    ties resolve to the first pixel in row-major order. Each hotspot's
+    ``peak_px`` is already the first row-major argmax of its component, so
+    the hottest pixel is the latest peak by (temperature, -y, -x). ``params``
+    is unused and accepted for callers that pass it.
     """
     if not hotspots:
         return REGION_NO_HOTSPOTS
-    params = params or HotspotParams()
-    pixel_sets = hotspot_pixels(raster, params)
-
-    best: tuple[float, int, int] | None = None  # (temp, y, x) with row-major tie-break
-    for spot in hotspots:
-        coords = pixel_sets[spot.id]
-        temps = raster.temps[coords[:, 0], coords[:, 1]]
-        k = int(np.argmax(temps))
-        cand = (float(temps[k]), int(coords[k, 0]), int(coords[k, 1]))
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
-            best = cand
-    assert best is not None
-    _, y, x = best
+    best = max(hotspots, key=lambda h: (h.peak_temp_c, -h.peak_px[1], -h.peak_px[0]))
+    x, y = best.peak_px
     return locate_pixel(x, y, raster.width, raster.height)
 
 

@@ -10,14 +10,14 @@ the same raster, metadata, and parameters always yield bit-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import hotspots as hs
 from . import spatial as sp
 from .geodesy import FrameMeta, altitude_bin
-from .raster import RadiometricSummary, ThermalRaster, coverage_fraction, summarize
-from .questions import DETERMINISTIC_IDS, QUESTIONS, validate_option
+from .raster import RadiometricSummary, ThermalRaster, summarize
+from .questions import QUESTIONS, validate_option
 
 SCHEMA_VERSION = 1
 
@@ -188,17 +188,11 @@ def analyze_frame(
     """
     hotspot_params = hotspot_params or hs.HotspotParams()
     if meta is not None and meta.fov_diag_deg != hotspot_params.fov_diag_deg:
-        hotspot_params = hs.HotspotParams(
-            temp_threshold_c=hotspot_params.temp_threshold_c,
-            r_min_m=hotspot_params.r_min_m,
-            n_min_px=hotspot_params.n_min_px,
-            fov_diag_deg=meta.fov_diag_deg,
-        )
+        hotspot_params = replace(hotspot_params, fov_diag_deg=meta.fov_diag_deg)
     spatial_params = spatial_params or sp.SpatialParams()
 
     summ = summarize(raster)
-    p200 = coverage_fraction(raster, 200.0)
-    p400 = coverage_fraction(raster, 400.0)
+    p200, p400 = summ.pct_above_200, summ.pct_above_400
 
     errors: dict[str, str] = {}
     if agl_m is None or agl_m <= 0:

@@ -245,18 +245,15 @@ def intensity_consistency(
     params = params or SpatialParams()
     if not hotspots:
         return IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS
-    peaks = np.array([h.peak_temp_c for h in hotspots], dtype=np.float64)
-    med = float(np.median(peaks))
-    mad = float(np.median(np.abs(peaks - med)))
-    rcv = 1.4826 * mad / max(med, params.epsilon)
-    delta = float(peaks.max() - peaks.min())
-    if rcv <= params.tau_sim or delta <= params.delta_t_sim_c:
+    peaks = [h.peak_temp_c for h in hotspots]
+    rcv = robust_cv(peaks, params.epsilon)
+    if rcv <= params.tau_sim or max(peaks) - min(peaks) <= params.delta_t_sim_c:
         return IntensityConsistencyLabel.SIMILAR
     return IntensityConsistencyLabel.CLEARLY_DIFFERENT
 
 
 def robust_cv(peaks: list[float], epsilon: float = 1e-6) -> float:
-    """Robust coefficient of variation of a peak list (exposed for audits)."""
+    """Robust coefficient of variation of a peak list: 1.4826 * MAD / max(median, epsilon)."""
     arr = np.asarray(peaks, dtype=np.float64)
     med = float(np.median(arr))
     mad = float(np.median(np.abs(arr - med)))

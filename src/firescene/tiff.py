@@ -10,13 +10,18 @@ Tag subset: ImageWidth (256), ImageLength (257), BitsPerSample (258),
 Compression (259), StripOffsets (273), SamplesPerPixel (277),
 StripByteCounts (279), SampleFormat (339). RowsPerStrip is not needed:
 strips are decoded in listed order and validated against the pixel count.
+Other tags are ignored, and entries of field types the reader does not
+decode are skipped. Deflate output is capped at the size the dimensions
+declare. ``read_ifd`` is also the Exif reader's bounds-checked IFD walk.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,29 +43,72 @@ COMPRESSION_DEFLATE_OLD = 32946
 SAMPLEFORMAT_UINT = 1
 SAMPLEFORMAT_IEEEFP = 3
 
-# TIFF field types we accept, with element size in bytes.
-_TYPE_SIZES = {1: 1, 3: 2, 4: 4}
-_TYPE_CODES = {1: "B", 3: "H", 4: "I"}
+TYPE_BYTE, TYPE_ASCII, TYPE_SHORT, TYPE_LONG, TYPE_RATIONAL = 1, 2, 3, 4, 5
+INTEGER_TYPES = (TYPE_BYTE, TYPE_SHORT, TYPE_LONG)
+# Field types the IFD reader decodes: struct code and size in bytes of one value.
+_FIELD_TYPES = {TYPE_BYTE: ("B", 1), TYPE_ASCII: ("B", 1), TYPE_SHORT: ("H", 2),
+                TYPE_LONG: ("I", 4), TYPE_RATIONAL: ("I", 8)}
 
 
-def _read_entry_values(buf: bytes, order: str, entry_off: int) -> tuple[int, list[int]]:
-    """Decode one 12-byte IFD entry, following the offset for spilled values."""
-    tag, ftype, count = struct.unpack_from(order + "HHI", buf, entry_off)
-    if ftype not in _TYPE_SIZES:
-        raise RasterFormatError(
-            f"unsupported field type {ftype}", offset=entry_off, tag=tag
-        )
-    size = _TYPE_SIZES[ftype] * count
-    if size <= 4:
-        value_off = entry_off + 8
+class IfdEntry(NamedTuple):
+    offset: int  # of the 12-byte entry in the buffer
+    type: int
+    values: str | list
+
+
+def read_header(buf: bytes, base: int = 0) -> tuple[str, int]:
+    """Byte order (``"<"`` or ``">"``) and first IFD offset of the TIFF header at ``base``."""
+    if base + 8 > len(buf):
+        raise RasterFormatError("file too short for a TIFF header", offset=base)
+    byte_order = buf[base : base + 2]
+    if byte_order == b"II":
+        order = "<"
+    elif byte_order == b"MM":
+        order = ">"
     else:
-        (value_off,) = struct.unpack_from(order + "I", buf, entry_off + 8)
-        if value_off + size > len(buf):
-            raise RasterFormatError(
-                "value offset past end of file", offset=entry_off, tag=tag
-            )
-    values = list(struct.unpack_from(order + _TYPE_CODES[ftype] * count, buf, value_off))
-    return tag, values
+        raise RasterFormatError(f"not a TIFF: byte order mark {byte_order!r}", offset=base)
+    magic, ifd_off = struct.unpack_from(order + "HI", buf, base + 2)
+    if magic != 42:
+        raise RasterFormatError(f"not a classic TIFF: magic {magic}", offset=base + 2)
+    return order, ifd_off
+
+
+def read_ifd(buf: bytes, order: str, base: int, ifd_off: int) -> dict[int, IfdEntry]:
+    """Decode the IFD at ``base + ifd_off`` into tag -> entry.
+
+    ``base`` is where the TIFF header starts (0 for a TIFF file); the IFD
+    offset and spilled-value offsets are relative to it. Values are a str
+    (up to the first NUL) for ASCII, (numerator, denominator) pairs for
+    RATIONAL and ints for BYTE, SHORT and LONG; entries of other field types
+    are skipped.
+    """
+    start = base + ifd_off
+    if start + 2 > len(buf):
+        raise RasterFormatError("IFD offset past end of file", offset=start)
+    (n_entries,) = struct.unpack_from(order + "H", buf, start)
+    if start + 2 + 12 * n_entries > len(buf):
+        raise RasterFormatError("IFD truncated", offset=start)
+
+    ifd: dict[int, IfdEntry] = {}
+    for entry_off in range(start + 2, start + 2 + 12 * n_entries, 12):
+        tag, ftype, count = struct.unpack_from(order + "HHI", buf, entry_off)
+        if ftype not in _FIELD_TYPES:
+            continue
+        code, size = _FIELD_TYPES[ftype]
+        value_off = entry_off + 8
+        if size * count > 4:
+            value_off = base + struct.unpack_from(order + "I", buf, entry_off + 8)[0]
+            if value_off + size * count > len(buf):
+                raise RasterFormatError("value offset past end of file", offset=entry_off, tag=tag)
+        if ftype == TYPE_ASCII:
+            values = buf[value_off : value_off + count].split(b"\0", 1)[0].decode("ascii", "replace")
+        else:
+            n_items = 2 * count if ftype == TYPE_RATIONAL else count
+            values = list(struct.unpack_from(f"{order}{n_items}{code}", buf, value_off))
+            if ftype == TYPE_RATIONAL:
+                values = list(zip(values[::2], values[1::2]))
+        ifd[tag] = IfdEntry(entry_off, ftype, values)
+    return ifd
 
 
 def load_thermal_tiff(
@@ -78,53 +126,38 @@ def load_thermal_tiff(
     become invalid.
     """
     buf = Path(path).read_bytes()
-    if len(buf) < 8:
-        raise RasterFormatError("file too short for a TIFF header", offset=0)
-    byte_order = buf[0:2]
-    if byte_order == b"II":
-        order = "<"
-    elif byte_order == b"MM":
-        order = ">"
-    else:
-        raise RasterFormatError(f"not a TIFF: byte order mark {byte_order!r}", offset=0)
-    magic, ifd_off = struct.unpack_from(order + "HI", buf, 2)
-    if magic != 42:
-        raise RasterFormatError(f"not a classic TIFF: magic {magic}", offset=2)
-    if ifd_off + 2 > len(buf):
-        raise RasterFormatError("IFD offset past end of file", offset=4)
+    order, ifd_off = read_header(buf)
+    ifd = read_ifd(buf, order, 0, ifd_off)
 
-    (n_entries,) = struct.unpack_from(order + "H", buf, ifd_off)
-    if ifd_off + 2 + 12 * n_entries > len(buf):
-        raise RasterFormatError("IFD truncated", offset=ifd_off)
+    def _offset_of(tag: int) -> int:
+        return ifd[tag].offset if tag in ifd else ifd_off
 
-    tags: dict[int, list[int]] = {}
-    entry_offsets: dict[int, int] = {}
-    for i in range(n_entries):
-        entry_off = ifd_off + 2 + 12 * i
-        tag, values = _read_entry_values(buf, order, entry_off)
-        tags[tag] = values
-        entry_offsets[tag] = entry_off
+    def _ints(tag: int, name: str, default: int | None = None) -> list[int]:
+        """Values of an integer tag; ``default`` stands in for an absent optional one."""
+        if tag not in ifd:
+            if default is None:
+                raise RasterFormatError(f"missing required tag {name}", offset=ifd_off, tag=tag)
+            return [default]
+        entry = ifd[tag]
+        if entry.type not in INTEGER_TYPES or not entry.values:
+            raise RasterFormatError(f"{name} is not an integer field", offset=entry.offset, tag=tag)
+        return entry.values
 
-    def _require(tag: int, name: str) -> list[int]:
-        if tag not in tags:
-            raise RasterFormatError(f"missing required tag {name}", offset=ifd_off, tag=tag)
-        return tags[tag]
-
-    width = _require(TAG_IMAGE_WIDTH, "ImageWidth")[0]
-    height = _require(TAG_IMAGE_LENGTH, "ImageLength")[0]
+    width = _ints(TAG_IMAGE_WIDTH, "ImageWidth")[0]
+    height = _ints(TAG_IMAGE_LENGTH, "ImageLength")[0]
     if width < 1 or height < 1:
         raise RasterFormatError(f"degenerate dimensions {width}x{height}", offset=ifd_off)
 
-    samples = tags.get(TAG_SAMPLES_PER_PIXEL, [1])[0]
+    samples = _ints(TAG_SAMPLES_PER_PIXEL, "SamplesPerPixel", 1)[0]
     if samples != 1:
         raise RasterFormatError(
             f"multi-band unsupported (SamplesPerPixel={samples})",
-            offset=entry_offsets.get(TAG_SAMPLES_PER_PIXEL, ifd_off),
+            offset=_offset_of(TAG_SAMPLES_PER_PIXEL),
             tag=TAG_SAMPLES_PER_PIXEL,
         )
 
-    bits = _require(TAG_BITS_PER_SAMPLE, "BitsPerSample")[0]
-    fmt = tags.get(TAG_SAMPLE_FORMAT, [SAMPLEFORMAT_UINT])[0]
+    bits = _ints(TAG_BITS_PER_SAMPLE, "BitsPerSample")[0]
+    fmt = _ints(TAG_SAMPLE_FORMAT, "SampleFormat", SAMPLEFORMAT_UINT)[0]
     if (bits, fmt) == (32, SAMPLEFORMAT_IEEEFP):
         sample_dtype = np.dtype(order + "f4")
     elif (bits, fmt) == (16, SAMPLEFORMAT_UINT):
@@ -132,54 +165,66 @@ def load_thermal_tiff(
     else:
         raise RasterFormatError(
             f"unsupported sample layout: {bits}-bit, SampleFormat={fmt}",
-            offset=entry_offsets.get(TAG_BITS_PER_SAMPLE, ifd_off),
+            offset=_offset_of(TAG_BITS_PER_SAMPLE),
             tag=TAG_BITS_PER_SAMPLE,
         )
 
-    compression = tags.get(TAG_COMPRESSION, [COMPRESSION_NONE])[0]
+    compression = _ints(TAG_COMPRESSION, "Compression", COMPRESSION_NONE)[0]
     if compression not in (COMPRESSION_NONE, COMPRESSION_DEFLATE_ADOBE, COMPRESSION_DEFLATE_OLD):
         raise RasterFormatError(
             f"unsupported compression {compression}",
-            offset=entry_offsets.get(TAG_COMPRESSION, ifd_off),
+            offset=_offset_of(TAG_COMPRESSION),
             tag=TAG_COMPRESSION,
         )
 
-    strip_offsets = _require(TAG_STRIP_OFFSETS, "StripOffsets")
-    strip_counts = _require(TAG_STRIP_BYTE_COUNTS, "StripByteCounts")
+    strip_offsets = _ints(TAG_STRIP_OFFSETS, "StripOffsets")
+    strip_counts = _ints(TAG_STRIP_BYTE_COUNTS, "StripByteCounts")
     if len(strip_offsets) != len(strip_counts):
         raise RasterFormatError(
             f"{len(strip_offsets)} strip offsets vs {len(strip_counts)} byte counts",
-            offset=entry_offsets[TAG_STRIP_BYTE_COUNTS],
+            offset=_offset_of(TAG_STRIP_BYTE_COUNTS),
             tag=TAG_STRIP_BYTE_COUNTS,
         )
 
+    expected = width * height * sample_dtype.itemsize
+    if expected >= sys.maxsize:  # the Deflate output cap below must fit a C ssize_t
+        raise RasterFormatError(f"dimensions {width}x{height} too large", offset=ifd_off)
+    # Strips stop being decoded once they hold more than the dimensions declare.
     chunks: list[bytes] = []
+    decoded = 0
     for strip_off, strip_len in zip(strip_offsets, strip_counts):
         if strip_off + strip_len > len(buf):
             raise RasterFormatError(
                 "strip extends past end of file", offset=strip_off, tag=TAG_STRIP_OFFSETS
             )
-        raw = buf[strip_off : strip_off + strip_len]
-        if compression == COMPRESSION_NONE:
-            chunks.append(raw)
-        else:
+        chunk = buf[strip_off : strip_off + strip_len]
+        if compression != COMPRESSION_NONE:
+            inflater = zlib.decompressobj()
             try:
-                chunks.append(zlib.decompress(raw))
+                chunk = inflater.decompress(chunk, expected - decoded + 1)
             except zlib.error as exc:
                 raise RasterFormatError(
                     f"bad Deflate strip: {exc}", offset=strip_off, tag=TAG_COMPRESSION
                 ) from exc
-
-    data = b"".join(chunks)
-    expected = width * height * sample_dtype.itemsize
-    if len(data) != expected:
+            if not inflater.eof and decoded + len(chunk) <= expected:
+                raise RasterFormatError(
+                    "bad Deflate strip: incomplete or truncated stream",
+                    offset=strip_off,
+                    tag=TAG_COMPRESSION,
+                )
+        chunks.append(chunk)
+        decoded += len(chunk)
+        if decoded > expected:
+            break
+    if decoded != expected:
         raise RasterFormatError(
-            f"dimension/strip mismatch: decoded {len(data)} bytes, "
+            f"dimension/strip mismatch: decoded {decoded} bytes, "
             f"expected {expected} for {width}x{height}",
-            offset=entry_offsets[TAG_STRIP_OFFSETS],
+            offset=_offset_of(TAG_STRIP_OFFSETS),
             tag=TAG_STRIP_OFFSETS,
         )
 
+    data = b"".join(chunks)
     raw_samples = np.frombuffer(data, dtype=sample_dtype).reshape(height, width)
     valid = np.ones(raw_samples.shape, dtype=bool)
     if nodata is not None:

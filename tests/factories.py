@@ -1,8 +1,11 @@
-"""Hand-construction helpers for domain objects used across test modules."""
+"""Hand-construction helpers for domain objects, and a Hypothesis strategy for
+corrupt files, used across test modules."""
 
 from __future__ import annotations
 
 import math
+
+from hypothesis import strategies as st
 
 from firescene.hotspots import Hotspot
 
@@ -34,3 +37,14 @@ def make_hotspot(
 
 def disk_area(radius_m: float) -> float:
     return math.pi * radius_m * radius_m
+
+
+@st.composite
+def corrupted(draw, blob: bytes) -> bytes:
+    """``blob`` cut at a drawn length, or with one to four drawn bytes flipped."""
+    if draw(st.booleans()):
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    buf = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        buf[draw(st.integers(0, len(buf) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(buf)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exifutil import build_gps_jpeg
+from factories import corrupted
 from firescene.geodesy import (
     SRTM_VOID,
     AltitudeBin,
@@ -62,7 +64,6 @@ class TestFrameMeta:
     def test_defaults(self):
         m = FrameMeta(lat=34.2, lon=-118.5, alt_ellipsoidal_m=250.0)
         assert m.fov_diag_deg == 61.0
-        assert m.thermal_width_px == 640
 
 
 class TestExifGps:
@@ -116,9 +117,41 @@ class TestExifGps:
     def test_camera_default_overrides(self, tmp_path):
         p = tmp_path / "f.jpg"
         p.write_bytes(build_gps_jpeg())
-        meta = parse_exif_gps(p, fov_diag_deg=82.9, thermal_width_px=1280)
+        meta = parse_exif_gps(p, fov_diag_deg=82.9)
         assert meta.fov_diag_deg == 82.9
-        assert meta.thermal_width_px == 1280
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lat_dms": (95.0, 0.0, 0.0)}, {"lon_dms": (180.0, 0.0, 0.0), "lon_ref": "E"}],
+        ids=["lat-95N", "lon-180E"],
+    )
+    def test_out_of_range_position(self, tmp_path, kwargs):
+        p = tmp_path / "f.jpg"
+        p.write_bytes(build_gps_jpeg(**kwargs))
+        with pytest.raises(ExifError, match="outside"):
+            parse_exif_gps(p)
+
+    def test_non_integer_gps_pointer(self, tmp_path):
+        blob = bytearray(build_gps_jpeg())
+        # The TIFF block starts at byte 12 and IFD0's one entry, the GPS
+        # pointer, 10 bytes into it; the entry's bytes 2-3 hold its field
+        # type. Retype it from LONG to RATIONAL.
+        struct.pack_into("<H", blob, 12 + 10 + 2, 5)
+        p = tmp_path / "f.jpg"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ExifError, match="non-integer"):
+            parse_exif_gps(p)
+
+    @pytest.mark.parametrize("endian", ["little", "big"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_jpeg_raises_only_exif_error(self, tmp_path_factory, endian, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz.jpg"
+        p.write_bytes(data.draw(corrupted(build_gps_jpeg(endian=endian))))
+        try:
+            parse_exif_gps(p)
+        except ExifError:
+            pass
 
 
 class TestGeoidUndulation:

@@ -276,6 +276,27 @@ class TestHottestLocation:
         spots = extract_hotspots(r, 60.0)
         assert hottest_location(r, spots) == "Bottom-right"
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force_argmax_over_kept_pixels(self, seed):
+        # Few temperature levels, so the hottest pixel ties within and across components.
+        rng = np.random.default_rng(seed)
+        h, w = (int(n) for n in rng.integers(6, 40, size=2))
+        arr = rng.choice([20.0, 210.0, 300.0, 450.0], size=(h, w), p=[0.55, 0.25, 0.1, 0.1])
+        r = _raster(arr)
+        params = HotspotParams()
+        spots = extract_hotspots(r, 12.0, params)
+        comps = connected_components(hot_mask(r, params.temp_threshold_c))
+        kept = np.zeros(arr.shape, dtype=bool)
+        for s in spots:
+            kept[comps[s.id][:, 0], comps[s.id][:, 1]] = True
+        if not spots:
+            expected = "No hotspots"
+        else:
+            # np.argmax returns the first row-major maximum.
+            y, x = np.unravel_index(np.argmax(np.where(kept, arr, -np.inf)), arr.shape)
+            expected = locate_pixel(int(x), int(y), w, h)
+        assert hottest_location(r, spots, params) == expected
+
     @pytest.mark.parametrize(
         "x,y,expected",
         [

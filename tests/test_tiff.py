@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factories import corrupted
 from firescene.raster import RasterFormatError
 from firescene.tiff import load_thermal_tiff
 from tiffutil import write_tiff
@@ -120,3 +127,69 @@ def test_unsupported_sample_layout(tmp_path):
     write_tiff(path, np.zeros((2, 2), dtype=np.uint16), sample_format=3)
     with pytest.raises(RasterFormatError, match="unsupported sample layout"):
         load_thermal_tiff(path)
+
+
+@pytest.mark.parametrize("endian", ["little", "big"])
+def test_unneeded_baseline_tags_accepted(tmp_path, endian):
+    data = np.arange(12, dtype=np.float32).reshape(3, 4)
+    path = tmp_path / "sw.tif"
+    software = list(b"thermal camera 1.2\0")
+    write_tiff(
+        path,
+        data,
+        endian=endian,
+        extra_entries=[(282, 5, 1, [72, 1]), (305, 2, len(software), software)],
+    )
+    assert np.array_equal(load_thermal_tiff(path).temps, data.astype(np.float64))
+
+
+def test_deflate_strip_inflating_past_raster_rejected_early(tmp_path):
+    # 64 MiB of zeros deflate to about 65 KB; the file declares a 2x2 raster (16 bytes).
+    packer = zlib.compressobj(9)
+    bomb = b"".join(packer.compress(bytes(1 << 20)) for _ in range(64)) + packer.flush()
+    path = tmp_path / "bomb.tif"
+    write_tiff(path, np.zeros((2, 2), dtype=np.float32), compression=8, strips=[bomb])
+    tracemalloc.start()
+    try:
+        with pytest.raises(RasterFormatError, match="dimension/strip mismatch"):
+            load_thermal_tiff(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_truncated_deflate_strip_rejected(tmp_path):
+    path = tmp_path / "cut.tif"
+    strip = zlib.compress(np.zeros((2, 2), dtype=np.float32).tobytes())
+    write_tiff(path, np.zeros((2, 2), dtype=np.float32), compression=8, strips=[strip[:-4]])
+    with pytest.raises(RasterFormatError, match="bad Deflate strip"):
+        load_thermal_tiff(path)
+
+
+def test_dimensions_past_addressable_size_rejected(tmp_path):
+    path = tmp_path / "huge.tif"
+    write_tiff(path, np.zeros((2, 2), dtype=np.float32), compression=8)
+    buf = bytearray(path.read_bytes())
+    for entry_off in range(10, 10 + 12 * struct.unpack_from("<H", buf, 8)[0], 12):
+        if struct.unpack_from("<H", buf, entry_off)[0] in (256, 257):  # ImageWidth, ImageLength
+            struct.pack_into("<I", buf, entry_off + 8, 0xFFFFFFFF)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(RasterFormatError, match="too large"):
+        load_thermal_tiff(path)
+
+
+@pytest.mark.parametrize(
+    "layout", [{"endian": "little"}, {"endian": "big", "compression": 8}], ids=["le-raw", "be-deflate"]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupt_tiff_raises_only_raster_format_error(tmp_path_factory, layout, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tif"
+    pixels = np.linspace(-20.0, 600.0, 30, dtype=np.float32).reshape(6, 5)
+    write_tiff(path, pixels, rows_per_strip=2, **layout)
+    path.write_bytes(data.draw(corrupted(path.read_bytes())))
+    try:
+        load_thermal_tiff(path)
+    except RasterFormatError:
+        pass

@@ -12,26 +12,30 @@ import zlib
 
 import numpy as np
 
+_TYPE_ASCII = 2
 _TYPE_SHORT = 3
 _TYPE_LONG = 4
+_TYPE_RATIONAL = 5
+# Per field type: struct code and size in bytes of one value. A RATIONAL
+# value is two LONGs, so its values list alternates numerator and denominator.
+_CODE = {_TYPE_ASCII: "B", _TYPE_SHORT: "H", _TYPE_LONG: "I", _TYPE_RATIONAL: "II"}
+_SIZE = {_TYPE_ASCII: 1, _TYPE_SHORT: 2, _TYPE_LONG: 4, _TYPE_RATIONAL: 8}
 
 
 def _entries_bytes(order: str, entries: list[tuple[int, int, int, list[int]]], spill_base: int):
     """Pack IFD entries; values wider than 4 bytes spill after the IFD."""
     packed = []
     spill = b""
-    code = {_TYPE_SHORT: "H", _TYPE_LONG: "I"}
-    size = {_TYPE_SHORT: 2, _TYPE_LONG: 4}
     for tag, ftype, count, values in entries:
-        total = size[ftype] * count
+        total = _SIZE[ftype] * count
         if total <= 4:
-            raw = struct.pack(order + code[ftype] * count, *values)
+            raw = struct.pack(order + _CODE[ftype] * count, *values)
             raw += b"\0" * (4 - len(raw))
             packed.append(struct.pack(order + "HHI", tag, ftype, count) + raw)
         else:
             off = spill_base + len(spill)
             packed.append(struct.pack(order + "HHII", tag, ftype, count, off))
-            spill += struct.pack(order + code[ftype] * count, *values)
+            spill += struct.pack(order + _CODE[ftype] * count, *values)
     return b"".join(packed), spill
 
 
@@ -46,11 +50,15 @@ def write_tiff(
     sample_format: int | None = None,
     bits: int | None = None,
     magic: int = 42,
+    extra_entries: list[tuple[int, int, int, list[int]]] | tuple = (),
+    strips: list[bytes] | None = None,
 ) -> None:
     """Write ``data`` (2D float32 or uint16) as a single-band TIFF fixture.
 
     ``samples_per_pixel``, ``sample_format``, ``bits`` and ``magic`` can be
-    forced to wrong values to produce corrupt files.
+    forced to wrong values to produce corrupt files. ``extra_entries`` are
+    (tag, field type, count, values) entries the reader does not need, such
+    as Software or XResolution. ``strips`` replaces the encoded strips.
     """
     order = "<" if endian == "little" else ">"
     data = np.asarray(data)
@@ -67,10 +75,11 @@ def write_tiff(
 
     if rows_per_strip is None:
         rows_per_strip = height
-    strips = []
-    for y0 in range(0, height, rows_per_strip):
-        raw = np.ascontiguousarray(data[y0 : y0 + rows_per_strip].astype(sample_dtype)).tobytes()
-        strips.append(zlib.compress(raw) if compression in (8, 32946) else raw)
+    if strips is None:
+        strips = []
+        for y0 in range(0, height, rows_per_strip):
+            raw = np.ascontiguousarray(data[y0 : y0 + rows_per_strip].astype(sample_dtype)).tobytes()
+            strips.append(zlib.compress(raw) if compression in (8, 32946) else raw)
 
     entries = [
         (256, _TYPE_LONG, 1, [width]),
@@ -80,17 +89,19 @@ def write_tiff(
         (277, _TYPE_SHORT, 1, [samples_per_pixel]),
         (278, _TYPE_LONG, 1, [rows_per_strip]),
         (339, _TYPE_SHORT, 1, [fmt]),
+        *extra_entries,
     ]
 
     header = struct.pack(order + "2sHI", b"II" if endian == "little" else b"MM", magic, 8)
     n_entries = len(entries) + 2  # + StripOffsets, StripByteCounts
+    extra_size = sum(_SIZE[t] * n for _, t, n, _ in extra_entries if _SIZE[t] * n > 4)
     ifd_off = 8
     entries_end = ifd_off + 2 + 12 * n_entries + 4
     strip_type = _TYPE_LONG
     offsets_size = 4 * len(strips) if len(strips) > 1 else 0
     counts_size = 4 * len(strips) if len(strips) > 1 else 0
     spill_base = entries_end
-    data_base = entries_end + offsets_size + counts_size
+    data_base = entries_end + offsets_size + counts_size + extra_size
 
     # Spill arrays for multi-strip offset/count lists precede the pixel data.
     strip_offsets = []
@@ -106,7 +117,7 @@ def write_tiff(
     ]
     all_entries.sort(key=lambda e: e[0])
     packed, spill = _entries_bytes(order, all_entries, spill_base)
-    assert len(spill) == offsets_size + counts_size
+    assert len(spill) == offsets_size + counts_size + extra_size
 
     out = bytearray()
     out += header
