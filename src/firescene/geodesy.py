@@ -83,31 +83,43 @@ class GeoidGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.spacing_deg <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not 0 < self.spacing_deg < math.inf:  # NaN fails too
+            raise ValueError("grid spacing must be positive and finite")
+        if not (math.isfinite(self.origin_lat) and math.isfinite(self.origin_lon)):
+            raise ValueError("grid origin must be finite")
         if self.values.ndim != 2 or min(self.values.shape) < 2:
             raise ValueError("geoid grid needs at least 2x2 nodes")
         self.values.setflags(write=False)
 
     @classmethod
     def from_json(cls, path: str | Path) -> GeoidGrid:
-        """Load a grid from JSON; values inline or in a sidecar binary file."""
+        """Load a grid from JSON; values inline or in a sidecar binary file.
+
+        A malformed grid raises GeodesyError; a missing file raises OSError.
+        """
         path = Path(path)
-        doc = json.loads(path.read_text())
-        nrows, ncols = int(doc["nrows"]), int(doc["ncols"])
-        if "values" in doc:
-            values = np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols)
-        else:
-            endian = "<" if doc.get("endian", "little") == "little" else ">"
-            blob = (path.parent / doc["data"]).read_bytes()
-            values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
-            values = values.reshape(nrows, ncols)
-        return cls(
-            origin_lat=float(doc["origin_lat"]),
-            origin_lon=float(doc["origin_lon"]),
-            spacing_deg=float(doc["spacing_deg"]),
-            values=values,
-        )
+        try:
+            doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise GeodesyError(f"{path.name}: geoid grid is not a JSON object")
+            nrows, ncols = int(doc["nrows"]), int(doc["ncols"])
+            if nrows < 1 or ncols < 1:  # reshape would infer a -1 dimension
+                raise GeodesyError(f"{path.name}: geoid grid shape {nrows}x{ncols}")
+            if "values" in doc:
+                values = np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols)
+            else:
+                endian = "<" if doc.get("endian", "little") == "little" else ">"
+                blob = (path.parent / doc["data"]).read_bytes()
+                values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
+                values = values.reshape(nrows, ncols)
+            return cls(
+                origin_lat=float(doc["origin_lat"]),
+                origin_lon=float(doc["origin_lon"]),
+                spacing_deg=float(doc["spacing_deg"]),
+                values=values,
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise GeodesyError(f"{path.name}: malformed geoid grid: {exc}") from exc
 
     def _fractional_index(self, lat: float, lon: float) -> tuple[int, int, float, float]:
         nrows, ncols = self.values.shape

@@ -166,6 +166,9 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
     ``scale``/``offset`` (applied as ``value * scale + offset``) and ``data``
     (blob filename relative to the sidecar). ``data`` as an argument overrides
     the sidecar entry.
+
+    A malformed sidecar or blob raises RasterFormatError; a missing file
+    raises OSError.
     """
     base_dir = Path(".")
     if not isinstance(header, dict):
@@ -173,24 +176,41 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
         base_dir = sidecar_path.parent
         try:
             header = json.loads(sidecar_path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or undecodable text
             raise RasterFormatError(f"unreadable sidecar {sidecar_path}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise RasterFormatError(f"sidecar {sidecar_path} is not a JSON object")
 
-    width = int(header["width"])
-    height = int(header["height"])
-    dtype_name = str(header["dtype"])
-    endian = str(header.get("endian", "little"))
-    if dtype_name not in _RAW_DTYPES:
-        raise RasterFormatError(f"unknown element type {dtype_name!r}")
-    if endian not in _ENDIAN_PREFIX:
-        raise RasterFormatError(f"unknown endianness {endian!r}")
+    try:
+        width = int(header["width"])
+        height = int(header["height"])
+        dtype_name = str(header["dtype"])
+        endian = str(header.get("endian", "little"))
+        if dtype_name not in _RAW_DTYPES:
+            raise RasterFormatError(f"unknown element type {dtype_name!r}")
+        if endian not in _ENDIAN_PREFIX:
+            raise RasterFormatError(f"unknown endianness {endian!r}")
+        dtype = np.dtype(_ENDIAN_PREFIX[endian] + _RAW_DTYPES[dtype_name])
+        nodata = header.get("nodata")
+        if nodata is not None:
+            nodata = np.asarray(nodata, dtype=dtype)
+            if nodata.ndim:
+                raise RasterFormatError(f"nodata {header['nodata']!r} is not a number")
+        scale = header.get("scale")
+        offset = header.get("offset")
+        rescale = scale is not None or offset is not None
+        scale = float(scale if scale is not None else 1.0)
+        offset = float(offset or 0.0)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise RasterFormatError(f"malformed sidecar field: {exc}") from exc
+    if width < 1 or height < 1:
+        raise RasterFormatError(f"raster dimensions must be >= 1, got {width}x{height}")
     if data is None:
         if "data" not in header:
             raise RasterFormatError("sidecar declares no data file and none was supplied")
         data = base_dir / str(header["data"])
 
     blob = Path(data).read_bytes()
-    dtype = np.dtype(_ENDIAN_PREFIX[endian] + _RAW_DTYPES[dtype_name])
     expected = width * height * dtype.itemsize
     if len(blob) != expected:
         raise RasterFormatError(
@@ -200,15 +220,12 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
 
     raw = np.frombuffer(blob, dtype=dtype).reshape(height, width)
     valid = np.ones(raw.shape, dtype=bool)
-    nodata = header.get("nodata")
     if nodata is not None:
-        valid &= raw != np.asarray(nodata, dtype=dtype)
+        valid &= raw != nodata
 
     temps = raw.astype(np.float64)
-    scale = header.get("scale")
-    offset = header.get("offset")
-    if scale is not None or offset is not None:
-        temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
+    if rescale:
+        temps = temps * scale + offset
     return ThermalRaster.from_array(temps, valid)
 
 

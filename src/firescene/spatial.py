@@ -5,6 +5,10 @@ distances; the largest-area cluster is the main fire. The frame-level labels
 are the spatial distribution (linearity via PCA of centroids, then a
 compactness test against the equivalent radius of the combined area) and the
 intensity consistency (robust coefficient of variation of per-hotspot peaks).
+
+Clustering, isolation and the extent all read one dense matrix of centroid
+ground distances, so each takes O(n^2) time and memory for n hotspots: at
+most two n x n float64 arrays at once, 64 MB at 2000 hotspots.
 """
 
 from __future__ import annotations
@@ -104,6 +108,20 @@ def centroid_distance(a: Hotspot, b: Hotspot, gsd: float) -> float:
     return math.hypot(dx, dy)
 
 
+def _distances(a: list[Hotspot], b: list[Hotspot], gsd: float) -> np.ndarray:
+    """|a| x |b| matrix of centroid ground distances, ``centroid_distance`` in bulk.
+
+    Built in place, so at most two |a| x |b| float64 arrays are alive at once.
+    """
+    pa = np.array([h.centroid_px for h in a], dtype=np.float64).reshape(-1, 2)
+    pb = np.array([h.centroid_px for h in b], dtype=np.float64).reshape(-1, 2)
+    dx = np.subtract.outer(pa[:, 0], pb[:, 0])
+    dx *= gsd
+    dy = np.subtract.outer(pa[:, 1], pb[:, 1])
+    dy *= gsd
+    return np.hypot(dx, dy, out=dx)
+
+
 def single_linkage_clusters(
     hotspots: list[Hotspot], gsd: float, params: SpatialParams | None = None
 ) -> ClusterSet:
@@ -113,32 +131,23 @@ def single_linkage_clusters(
     if n == 0:
         return ClusterSet(clusters=(), main_index=None, total_area_m2=())
 
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if centroid_distance(hotspots[i], hotspots[j], gsd) <= params.d_merge_m:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    near = _distances(hotspots, hotspots, gsd) <= params.d_merge_m
+    seen = np.zeros(n, dtype=bool)
+    clusters = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontiers = [np.array([start])]
+        while frontiers[-1].size:
+            frontier = np.flatnonzero(near[frontiers[-1]].any(axis=0) & ~seen)
+            seen[frontier] = True
+            frontiers.append(frontier)
+        clusters.append(tuple(np.sort(np.concatenate(frontiers)).tolist()))
 
     totals = tuple(sum(hotspots[i].area_m2 for i in c) for c in clusters)
-    main = 0
-    for k in range(1, len(clusters)):
-        if totals[k] > totals[main]:  # strict: ties stay with the lowest id
-            main = k
-    return ClusterSet(clusters=clusters, main_index=main, total_area_m2=totals)
+    main = totals.index(max(totals))  # ties stay with the lowest id
+    return ClusterSet(clusters=tuple(clusters), main_index=main, total_area_m2=totals)
 
 
 def isolated_heat_sources(
@@ -157,22 +166,15 @@ def isolated_heat_sources(
         return IsolationVerdict.NO_FIRE
     assert clusters.main_index is not None
     main_members = clusters.clusters[clusters.main_index]
+    outside = np.setdiff1d(np.arange(len(hotspots)), main_members)
+    to_main = np.zeros(len(hotspots))
+    to_main[outside] = _distances(
+        [hotspots[i] for i in outside], [hotspots[j] for j in main_members], gsd
+    ).min(axis=1)
     for k, members in enumerate(clusters.clusters):
-        if k == clusters.main_index:
-            continue
-        min_dist = min(
-            centroid_distance(hotspots[i], hotspots[j], gsd)
-            for i in members
-            for j in main_members
-        )
-        if min_dist >= params.isolation_m:
+        if k != clusters.main_index and to_main[list(members)].min() >= params.isolation_m:
             return IsolationVerdict.YES
     return IsolationVerdict.NO
-
-
-def _ground_points(hotspots: list[Hotspot], gsd: float) -> np.ndarray:
-    pts = np.array([h.centroid_px for h in hotspots], dtype=np.float64)
-    return pts * gsd
 
 
 def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
@@ -184,7 +186,7 @@ def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
     """
     if len(hotspots) < 2:
         raise ValueError("linearity needs at least 2 hotspots")
-    pts = _ground_points(hotspots, gsd)
+    pts = np.array([h.centroid_px for h in hotspots], dtype=np.float64) * gsd
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     lam = np.linalg.eigvalsh(cov)  # ascending
@@ -195,13 +197,6 @@ def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
     # Flush float dust on the minor axis so collinear layouts score exactly 1.
     minor = 0.0 if lam[0] <= 1e-12 * lam[1] else float(lam[0])
     return float(lam[1]) / (float(lam[1]) + minor)
-
-
-def _max_pairwise_distance(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
 def classify_distribution(
@@ -220,8 +215,7 @@ def classify_distribution(
     if n == 0:
         return SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
-    pts = _ground_points(hotspots, gsd)
-    d_max = _max_pairwise_distance(pts)
+    d_max = float(_distances(hotspots, hotspots, gsd).max())
     if n >= 2 and d_max > params.d_lin_m:
         if n == 2 or linearity_score(hotspots, gsd) >= params.tau_lin:
             return SpatialDistributionLabel.LINEAR

@@ -39,6 +39,17 @@ def _grid(values, origin=(34.0, -119.0), spacing=0.5) -> GeoidGrid:
     )
 
 
+_GRID_DOC = {
+    "origin_lat": 34.0,
+    "origin_lon": -119.0,
+    "spacing_deg": 0.25,
+    "nrows": 2,
+    "ncols": 2,
+    "values": [1.0, 2.0, 3.0, 4.0],
+}
+_SIDECAR_DOC = {k: v for k, v in _GRID_DOC.items() if k != "values"} | {"endian": "little"}
+
+
 def _flat_tile_bytes(n: int, elevation: int) -> bytes:
     return np.full((n, n), elevation, dtype=">i2").tobytes()
 
@@ -175,27 +186,81 @@ class TestGeoidUndulation:
             geoid_undulation(g, 36.0, -119.0)
 
     def test_from_json_inline_and_binary(self, tmp_path):
-        doc = {
-            "origin_lat": 34.0,
-            "origin_lon": -119.0,
-            "spacing_deg": 0.25,
-            "nrows": 2,
-            "ncols": 2,
-            "values": [1.0, 2.0, 3.0, 4.0],
-        }
         p = tmp_path / "geoid.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(_GRID_DOC))
         g = GeoidGrid.from_json(p)
         assert geoid_undulation(g, 34.0, -118.75) == 2.0
 
         blob = np.array([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()
         (tmp_path / "geoid.bin").write_bytes(blob)
-        doc2 = {k: v for k, v in doc.items() if k != "values"}
-        doc2.update({"data": "geoid.bin", "endian": "little"})
         p2 = tmp_path / "geoid2.json"
-        p2.write_text(json.dumps(doc2))
+        p2.write_text(json.dumps({**_SIDECAR_DOC, "data": "geoid.bin"}))
         g2 = GeoidGrid.from_json(p2)
         assert geoid_undulation(g2, 34.25, -119.0) == 3.0
+
+    @pytest.mark.parametrize(
+        "text, blob",
+        [
+            ('{"origin_lat": 34.0, "nrows": 2, "nc', None),
+            ('{"origin_lat": 0, "origin_lon": 0, "nrows": 2, "ncols": 2, "values": [1, 2, 3, 4]}', None),
+            ("[1, 2, 3, 4]", None),
+            (json.dumps({**_GRID_DOC, "values": [1.0, 2.0, 3.0]}), None),
+            (json.dumps({**_GRID_DOC, "spacing_deg": 0.0}), None),
+            (json.dumps({**_GRID_DOC, "spacing_deg": math.nan}), None),
+            (json.dumps({**_GRID_DOC, "origin_lat": math.nan}), None),
+            (json.dumps({**_GRID_DOC, "nrows": -1}), None),
+            (json.dumps({**_SIDECAR_DOC, "data": "g.bin"}), b"\0" * 10),
+        ],
+        ids=[
+            "truncated",
+            "no-spacing",
+            "array",
+            "short-values",
+            "zero-spacing",
+            "nan-spacing",
+            "nan-origin",
+            "negative-rows",
+            "short-sidecar",
+        ],
+    )
+    def test_from_json_malformed_raises_geodesy_error(self, tmp_path, text, blob):
+        p = tmp_path / "geoid.json"
+        p.write_text(text)
+        if blob is not None:
+            (tmp_path / "g.bin").write_bytes(blob)
+        with pytest.raises(GeodesyError, match="geoid grid"):
+            GeoidGrid.from_json(p)
+
+    def test_from_json_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            GeoidGrid.from_json(tmp_path / "absent.json")
+        p = tmp_path / "geoid.json"
+        p.write_text(json.dumps({**_SIDECAR_DOC, "data": "absent.bin"}))
+        with pytest.raises(FileNotFoundError):
+            GeoidGrid.from_json(p)
+
+    @pytest.mark.parametrize("target", ["inline", "sidecar-json", "sidecar-data"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_grid_raises_only_geodesy_error(self, tmp_path_factory, target, data):
+        d = tmp_path_factory.getbasetemp()
+        p, blob_path = d / "fuzz-geoid.json", d / "fuzz-geoid.bin"
+        doc = _GRID_DOC if target == "inline" else {**_SIDECAR_DOC, "data": blob_path.name}
+        text = json.dumps(doc).encode()
+        blob = np.arange(4, dtype="<f4").tobytes()
+        if target == "sidecar-data":
+            blob = data.draw(corrupted(blob))
+        else:
+            text = data.draw(corrupted(text))
+        p.write_bytes(text)
+        blob_path.write_bytes(blob)
+        try:
+            GeoidGrid.from_json(p)
+        except GeodesyError:
+            pass
+        except FileNotFoundError:
+            # A flipped byte in the data file's name names a file that is not there.
+            assert target == "sidecar-json"
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -241,6 +306,16 @@ class TestDemElevation:
         (tmp_path / "N10E010.hgt").write_bytes(b"\0" * 100)
         with pytest.raises(GeodesyError, match="unexpected size"):
             DemTile.from_hgt(tmp_path / "N10E010.hgt")
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_tile_raises_only_geodesy_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "N34W119.hgt"
+        p.write_bytes(data.draw(corrupted(_flat_tile_bytes(1201, 120))))
+        try:
+            DemTile.from_hgt(p)
+        except GeodesyError:
+            pass
 
     def test_southern_western_anchor_parse(self, tmp_path):
         (tmp_path / "S05W072.hgt").write_bytes(_flat_tile_bytes(1201, 42))

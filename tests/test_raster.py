@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factories import corrupted
 from firescene.raster import (
     EmptyRasterError,
     RasterFormatError,
@@ -171,6 +172,40 @@ class TestRawFixtureFormat:
         r = load_raw_raster(header, tmp_path / "t.bin")
         assert r.temps[0, 0] == 11829 * 0.04 - 273.15
         assert r.temps[0, 0] == pytest.approx(200.01, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"height": 1, "dtype": "float32"},
+            {"width": "x", "height": 1, "dtype": "float32"},
+            {"width": 2, "height": 1, "dtype": "float32", "nodata": "abc"},
+            {"width": 2, "height": 1, "dtype": "float32", "nodata": [1.0, 2.0]},
+            {"width": 2, "height": 1, "dtype": "float32", "scale": [2.0]},
+            {"width": -2, "height": -1, "dtype": "float32"},
+            [2, 1, "float32"],
+        ],
+        ids=["no-width", "text-width", "text-nodata", "list-nodata", "list-scale", "negative", "array"],
+    )
+    def test_malformed_sidecar_raises_format_error(self, tmp_path, header):
+        (tmp_path / "t.bin").write_bytes(b"\0" * 8)
+        sidecar = tmp_path / "t.json"
+        sidecar.write_text(json.dumps(header))
+        with pytest.raises(RasterFormatError):
+            load_raw_raster(sidecar, tmp_path / "t.bin")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_sidecar_raises_only_format_error(self, tmp_path_factory, data):
+        sidecar = tmp_path_factory.getbasetemp() / "fuzz.json"
+        write_raw_raster(_raster([[12.5, 300.25, np.nan], [0.0, 1.0, 2.0]]), sidecar)
+        sidecar.write_bytes(data.draw(corrupted(sidecar.read_bytes())))
+        try:
+            load_raw_raster(sidecar)
+        except RasterFormatError:
+            pass
+        except FileNotFoundError:
+            # A flipped byte in the data file's name names a file that is not there.
+            assert json.loads(sidecar.read_text())["data"] != "fuzz.bin"
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factories import disk_area, make_hotspot
@@ -297,6 +298,99 @@ class TestIntensityConsistency:
         rcv = robust_cv(peaks)
         identity = 1.4826 * (b - a) / (2 * ((a + b) / 2))
         assert rcv == pytest.approx(identity, rel=1e-12)
+
+
+# Pixel offsets of pairs planted exactly 10, 20 and 30 m apart at a GSD of 1 m.
+_PLANTED_OFFSETS_M = [(6, 8), (8, -6), (0, 10), (12, 16), (20, 0), (18, 24), (-24, 18), (0, 30)]
+
+
+@st.composite
+def _integer_layouts(draw):
+    """1-40 hotspots on an integer pixel grid, some 10, 20 or 30 m from the first.
+
+    A span of 0 puts every unplanted hotspot on the first one's pixel, so that
+    the planted offsets alone set the extent, which then can sit exactly on d_lin.
+    """
+    gsd = draw(st.sampled_from([1.0, 0.5]))
+    scale = round(1.0 / gsd)  # pixels per meter
+    coord = st.integers(0, draw(st.sampled_from([0, 15, 60])) * scale)
+    n = draw(st.integers(1, 40))
+    points = [(draw(coord), draw(coord))]
+    while len(points) < n:
+        if draw(st.booleans()):
+            dx, dy = draw(st.sampled_from(_PLANTED_OFFSETS_M))
+            points.append((points[0][0] + dx * scale, points[0][1] + dy * scale))
+        else:
+            points.append((draw(coord), draw(coord)))
+    areas = [draw(st.sampled_from([0.5, 2.0, 7.0, 30.0])) for _ in points]
+    return gsd, [make_hotspot(i, x, y, area_m2=a, gsd=gsd) for i, ((x, y), a) in enumerate(zip(points, areas))]
+
+
+def _brute_clusters(spots, gsd, p):
+    """Single linkage by relaxing the smallest reachable index over every pair."""
+    root = list(range(len(spots)))
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(spots):
+            for j, b in enumerate(spots):
+                if centroid_distance(a, b, gsd) <= p.d_merge_m and root[i] < root[j]:
+                    root[j] = root[i]
+                    changed = True
+    clusters = [tuple(j for j in range(len(spots)) if root[j] == r) for r in sorted(set(root))]
+    totals = [sum(spots[i].area_m2 for i in c) for c in clusters]
+    return clusters, totals.index(max(totals))
+
+
+def _brute_isolated(spots, gsd, clusters, main, p):
+    return any(
+        min(centroid_distance(spots[i], spots[j], gsd) for i in c for j in clusters[main]) >= p.isolation_m
+        for k, c in enumerate(clusters)
+        if k != main
+    )
+
+
+def _brute_distribution(spots, gsd, p):
+    d_max = max(centroid_distance(a, b, gsd) for a in spots for b in spots)
+    if len(spots) >= 2 and d_max > p.d_lin_m:
+        if len(spots) == 2 or linearity_score(spots, gsd) >= p.tau_lin:
+            return SpatialDistributionLabel.LINEAR
+    r_eq = math.sqrt(sum(h.area_m2 for h in spots) / math.pi)
+    if d_max <= p.alpha * r_eq:
+        return SpatialDistributionLabel.CONCENTRATED
+    return SpatialDistributionLabel.SCATTERED
+
+
+class TestDistanceMatrixOracle:
+    @given(_integer_layouts())
+    @example((1.0, spots_at([(0, 0), (6, 8), (40, 0)])))  # merge distance exactly 10 m
+    @example((0.5, spots_at([(10, 10), (10, 5), (28, 34)], gsd=0.5)))  # isolation exactly 30 m
+    @example((1.0, spots_at([(0, 0), (0, 0), (20, 0)])))  # extent exactly d_lin
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pair_loop_over_centroid_distance(self, layout):
+        gsd, spots = layout
+        p = SpatialParams()
+        clusters, main = _brute_clusters(spots, gsd, p)
+        cs = single_linkage_clusters(spots, gsd, p)
+        assert cs.clusters == tuple(clusters)
+        assert cs.main_index == main
+        got = isolated_heat_sources(cs, spots, gsd, p)
+        want = _brute_isolated(spots, gsd, clusters, main, p)
+        assert got == (IsolationVerdict.YES if want else IsolationVerdict.NO)
+        assert classify_distribution(spots, gsd, p) == _brute_distribution(spots, gsd, p)
+
+    @pytest.mark.parametrize("classifier", [classify_distribution, single_linkage_clusters])
+    def test_peak_memory_at_most_two_and_a_half_matrices(self, classifier):
+        n = 1500
+        rng = np.random.default_rng(5)
+        spots = [make_hotspot(i, x, y, gsd=0.2) for i, (x, y) in enumerate(rng.uniform(0, 600, size=(n, 2)))]
+        tracemalloc.start()
+        try:
+            classifier(spots, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
 
 
 class TestClusterSetSerialization:
