@@ -4,6 +4,10 @@ A hotspot is a maximal 8-connected region of pixels at or above the activity
 threshold (200 C by default) whose ground-projected equivalent radius and
 pixel count both clear the validity minimums. Pixel counts convert to ground
 area through the field-of-view based ground sampling distance.
+
+Components come from one run-labeling pass over the whole mask (``_label``);
+sizes, centroids, peaks and the filters are then computed for all components
+at once, and a ``Hotspot`` is built only for each one kept.
 """
 
 from __future__ import annotations
@@ -92,26 +96,53 @@ def hot_mask(raster: ThermalRaster, threshold: float) -> np.ndarray:
     return raster.valid_mask & (raster.temps >= threshold)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: list[int] = []
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected labeling of a 2-D boolean mask, in numpy calls only.
 
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
+    Returns the component id of each foreground pixel, in ``np.flatnonzero``
+    order, and the number of components. Ids follow the first-encounter
+    row-major scan.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Rows are cut into runs of consecutive foreground pixels. A run touches
+    a run of the previous row when their column spans, each widened by one
+    for the diagonal, overlap; on row-offset keys ``y * (W + 1) + x`` the
+    touching runs form one index range that two searchsorted calls find.
+    Touching runs merge by hooking the larger root under the smaller, with
+    full path compression after each round, so every component's root is
+    its first run in scan order.
+    """
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = np.diff(padded, axis=1)
+    ys, x0 = np.nonzero(edges == 1)  # run covers columns [x0, x1) of row ys
+    x1 = np.nonzero(edges == -1)[1]
+    row = ys * (width + 1)
+    prev = row - (width + 1)
+    # Runs lo[i]:hi[i] of the previous row end at or after x0 and start at or before x1.
+    lo = np.searchsorted(row + x1, prev + x0, side="left")
+    hi = np.searchsorted(row + x0, prev + x1, side="right")
+    touches = hi - lo
+    # One edge (a, b) per touching pair: run a and previous-row run b.
+    a = np.repeat(np.arange(len(x0)), touches)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(touches) - touches - lo, touches)
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    parent = np.arange(len(x0))
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent = hop
+
+    roots, run_comp = np.unique(parent, return_inverse=True)
+    return np.repeat(run_comp, x1 - x0), len(roots)
 
 
 def connected_components(mask: np.ndarray) -> list[np.ndarray]:
@@ -122,48 +153,18 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     component id, its list index at call sites that track rejects) follows the
     first-encounter row-major scan.
 
-    Implemented as run-based two-pass labeling with union-find: rows are cut
-    into runs of consecutive foreground pixels; runs touching (with at most a
-    one-column diagonal gap, for 8-connectivity) a run in the previous row
-    merge into the same component.
+    Implemented as run labeling: rows are cut into runs of consecutive
+    foreground pixels, and runs touching (with at most a one-column diagonal
+    gap, for 8-connectivity) a run in the previous row merge into the same
+    component.
     """
     mask = np.asarray(mask, dtype=bool)
-    height, width = mask.shape
-    uf = _UnionFind()
-    run_labels: list[list[tuple[int, int, int]]] = []  # per row: (x0, x1, label)
-
-    padded = np.zeros(width + 2, dtype=np.int8)
-    prev_runs: list[tuple[int, int, int]] = []
-    for y in range(height):
-        padded[1:-1] = mask[y]
-        d = np.diff(padded)
-        starts = np.nonzero(d == 1)[0]
-        ends = np.nonzero(d == -1)[0]
-        runs = []
-        for x0, x1 in zip(starts, ends):  # run covers columns [x0, x1)
-            label = uf.make()
-            for px0, px1, plabel in prev_runs:
-                # 8-connectivity: diagonal contact extends each run by one.
-                if x0 < px1 + 1 and px0 < x1 + 1:
-                    uf.union(label, plabel)
-            runs.append((int(x0), int(x1), label))
-        run_labels.append(runs)
-        prev_runs = runs
-
-    # Assign component ids in first-encounter row-major order of the roots.
-    component_of_root: dict[int, int] = {}
-    pixels: list[list[np.ndarray]] = []
-    for y, runs in enumerate(run_labels):
-        for x0, x1, label in runs:
-            root = uf.find(label)
-            comp = component_of_root.setdefault(root, len(component_of_root))
-            if comp == len(pixels):
-                pixels.append([])
-            coords = np.empty((x1 - x0, 2), dtype=np.int64)
-            coords[:, 0] = y
-            coords[:, 1] = np.arange(x0, x1)
-            pixels[comp].append(coords)
-    return [np.concatenate(chunks, axis=0) for chunks in pixels]
+    comp, n = _label(mask)
+    if n == 0:
+        return []
+    pixels = np.flatnonzero(mask)[np.argsort(comp, kind="stable")]
+    coords = np.stack(np.divmod(pixels, mask.shape[1]), axis=1)
+    return np.split(coords, np.cumsum(np.bincount(comp))[:-1])
 
 
 def gsd(agl_m: float, fov_diag_deg: float, width_px: int) -> float:
@@ -189,33 +190,28 @@ def extract_hotspots(
     params = params or HotspotParams()
     g = gsd(agl_m, params.fov_diag_deg, raster.width)
     mask = hot_mask(raster, params.temp_threshold_c)
-    components = connected_components(mask)
+    comp, n_comp = _label(mask)
+    pixels = np.flatnonzero(mask)
+    ys, xs = np.divmod(pixels, raster.width)
+    temps = raster.temps.ravel()[pixels]
 
-    out: list[Hotspot] = []
-    for comp_id, coords in enumerate(components):
-        n = len(coords)
-        area = n * g * g
-        radius = math.sqrt(area / math.pi)
-        if radius < params.r_min_m or n < params.n_min_px:
-            continue
-        ys = coords[:, 0].astype(np.float64)
-        xs = coords[:, 1].astype(np.float64)
-        cx, cy = float(xs.mean()), float(ys.mean())
-        temps = raster.temps[coords[:, 0], coords[:, 1]]
-        k = int(np.argmax(temps))  # coords are row-major, so ties go to the first pixel
-        out.append(
-            Hotspot(
-                id=comp_id,
-                pixel_count=n,
-                centroid_px=(cx, cy),
-                centroid_m=(cx * g, cy * g),
-                area_m2=area,
-                radius_m=radius,
-                peak_temp_c=float(temps[k]),
-                peak_px=(int(coords[k, 1]), int(coords[k, 0])),
-            )
-        )
-    return out
+    counts = np.bincount(comp, minlength=n_comp)
+    area = counts * g * g
+    radius = np.sqrt(area / math.pi)
+    kept = np.flatnonzero((radius >= params.r_min_m) & (counts >= params.n_min_px))
+    # Integer coordinate sums are exact in float64, so sum / count equals the mean.
+    cx = np.bincount(comp, weights=xs, minlength=n_comp) / counts
+    cy = np.bincount(comp, weights=ys, minlength=n_comp) / counts
+    # Stable sort: within a component the first row-major pixel wins peak ties.
+    peak = np.lexsort((-temps, comp))[np.cumsum(counts) - counts]
+
+    p = peak[kept]
+    columns = (kept, counts[kept], cx[kept], cy[kept], area[kept], radius[kept], temps[p], xs[p], ys[p])
+    return [
+        Hotspot(id=k, pixel_count=n, centroid_px=(x, y), centroid_m=(x * g, y * g),
+                area_m2=a, radius_m=r, peak_temp_c=t, peak_px=(px, py))
+        for k, n, x, y, a, r, t, px, py in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def hottest_location(raster: ThermalRaster, hotspots: list[Hotspot], params: HotspotParams | None = None) -> str:

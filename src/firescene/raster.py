@@ -153,8 +153,8 @@ def summarize(raster: ThermalRaster) -> RadiometricSummary:
         max_c=float(vals.max()),
         mean_c=float(vals.mean()),
         std_c=float(vals.std(ddof=0)),
-        pct_above_200=coverage_fraction(raster, 200.0),
-        pct_above_400=coverage_fraction(raster, 400.0),
+        pct_above_200=100.0 * np.count_nonzero(vals >= 200.0) / vals.size,
+        pct_above_400=100.0 * np.count_nonzero(vals >= 400.0) / vals.size,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from firescene.hotspots import (
     Hotspot,
     HotspotParams,
+    _label,
     connected_components,
     extract_hotspots,
     gsd,
@@ -134,6 +135,88 @@ def test_component_oracle_bulk_sweep():
         assert [len(c) for c in comps] == [len(c) for c in oracle]
         for got, want in zip(comps, oracle):
             assert {(int(y), int(x)) for y, x in got} == want
+
+
+def _oracle_masks() -> dict[str, np.ndarray]:
+    h, w = 512, 640
+    rng = np.random.default_rng(20260418)
+    embers = np.zeros(h * w, dtype=bool)
+    embers[rng.choice(h * w, size=h * w // 100, replace=False)] = True
+    stripes = np.zeros((h, w), dtype=bool)
+    stripes[:, ::2] = True
+    stripes[-1] = True
+    snake = np.zeros((h, w), dtype=bool)  # one path up and down every other column
+    snake[:, ::2] = True
+    snake[0, 1::4] = True
+    snake[-1, 3::4] = True
+    return {
+        "speckle-30": rng.random((h, w)) < 0.3,
+        "speckle-50": rng.random((h, w)) < 0.5,
+        "embers-1": embers.reshape(h, w),
+        "stripes-joined-at-bottom": stripes,
+        "column-snake": snake,
+        "all-true": np.ones((h, w), dtype=bool),
+    }
+
+
+class TestLabel:
+    @pytest.mark.parametrize("name", list(_oracle_masks()))
+    def test_matches_scipy_scan_order_labels(self, name):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        mask = _oracle_masks()[name]
+        comp, n = _label(mask)
+        labels, count = ndimage.label(mask, np.ones((3, 3)))
+        assert n == count
+        assert np.array_equal(comp, labels[mask] - 1)  # boolean indexing is np.flatnonzero order
+
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (6, 9)])
+    def test_no_foreground_gives_no_components(self, shape):
+        comp, n = _label(np.zeros(shape, dtype=bool))
+        assert n == 0 and comp.size == 0
+        assert connected_components(np.zeros(shape, dtype=bool)) == []
+
+    @pytest.mark.parametrize("arr", [np.full((6, 9), 25.0), np.full((6, 9), np.nan)], ids=["cold", "all-invalid"])
+    def test_extract_on_empty_mask(self, arr):
+        assert extract_hotspots(ThermalRaster.from_array(arr), 50.0) == []
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 36),
+        st.integers(1, 36),
+        st.floats(2.0, 60.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hotspot_fields_match_flood_fill_oracle(self, seed, h, w, agl):
+        # Few temperature levels, so peaks tie within and across components.
+        rng = np.random.default_rng(seed)
+        arr = rng.choice([20.0, 210.0, 300.0, 450.0], size=(h, w), p=[0.5, 0.3, 0.1, 0.1])
+        r = _raster(arr)
+        params = HotspotParams()
+        g = gsd(agl, params.fov_diag_deg, w)
+        expected = []
+        for comp_id, comp in enumerate(flood_fill_components(hot_mask(r, params.temp_threshold_c))):
+            pixels = sorted(comp)  # row-major
+            n = len(pixels)
+            area = n * g * g
+            radius = math.sqrt(area / math.pi)
+            if radius < params.r_min_m or n < params.n_min_px:
+                continue
+            cy, cx = (float(c.mean()) for c in np.array(pixels, dtype=np.float64).T)
+            temps = [float(arr[p]) for p in pixels]
+            py, px = pixels[temps.index(max(temps))]  # first row-major maximum
+            expected.append(
+                Hotspot(
+                    id=comp_id,
+                    pixel_count=n,
+                    centroid_px=(cx, cy),
+                    centroid_m=(cx * g, cy * g),
+                    area_m2=area,
+                    radius_m=radius,
+                    peak_temp_c=max(temps),
+                    peak_px=(px, py),
+                )
+            )
+        assert extract_hotspots(r, agl, params) == expected
 
 
 class TestGsd:
