@@ -1,7 +1,11 @@
 """Brute-force Hamming matching with Lowe's ratio test.
 
 Distances are computed blockwise on uint64 views with hardware popcount, so
-full 8000x8000 comparisons stay well inside the per-pair time budget.
+full 8000x8000 comparisons stay well inside the per-pair time budget. Each
+block of A rows accumulates into its uint16 output one descriptor word at a
+time: the XOR and popcount of one word against every B row is a 2-D array, so
+no block x Nb x words intermediate is built and summed. A 256-bit distance is
+at most 256, well inside uint16.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ def hamming_matrix(desc_a: np.ndarray, desc_b: np.ndarray) -> np.ndarray:
         raise ValueError("descriptor arrays must be (N, 32) with matching width")
     a = np.ascontiguousarray(desc_a).view(np.uint64)
     b = np.ascontiguousarray(desc_b).view(np.uint64)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.uint16)
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.uint16)
     for row in range(0, a.shape[0], _BLOCK_ROWS):
-        block = a[row : row + _BLOCK_ROWS]
-        xor = block[:, None, :] ^ b[None, :, :]
-        out[row : row + _BLOCK_ROWS] = np.bitwise_count(xor).sum(axis=2, dtype=np.uint16)
+        block = out[row : row + _BLOCK_ROWS]
+        for word in range(a.shape[1]):
+            block += np.bitwise_count(a[row : row + _BLOCK_ROWS, word, None] ^ b[:, word])
     return out
 
 

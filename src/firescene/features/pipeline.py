@@ -6,7 +6,7 @@ A pair of frames counts as near-duplicates when RANSAC confirms at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .describe import describe

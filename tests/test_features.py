@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imagefix import noise_image, rigid_points, synthetic_texture, warp_rigid
 from firescene.features import (
@@ -25,8 +28,10 @@ from firescene.features import (
     write_pgm,
     write_ppm,
 )
+from firescene.features import ransac
 from firescene.features.describe import hamming_distance
 from firescene.features.detect import ImageTooSmallError, Keypoint, _intensity_centroid_angle
+from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
 
 
@@ -181,6 +186,27 @@ class TestHammingMetric:
             i, j, k = rng.integers(0, 40, size=3)
             assert m[i, k] <= m[i, j] + m[j, k]
 
+    @pytest.mark.parametrize(
+        "na, nb",
+        [(2 * _BLOCK_ROWS + 3, 5), (_BLOCK_ROWS + 1, 1), (0, 4), (4, 0), (0, 0)],
+        ids=["na-not-block-multiple", "nb-one", "zero-a-rows", "zero-b-rows", "both-empty"],
+    )
+    def test_matches_pairwise_distance_loop(self, na, nb):
+        rng = np.random.default_rng(na * 31 + nb)
+        a = rng.integers(0, 256, size=(na, 32), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(nb, 32), dtype=np.uint8)
+        m = hamming_matrix(a, b)
+        assert m.dtype == np.uint16 and m.shape == (na, nb)
+        want = [[hamming_distance(a[i], b[j]) for j in range(nb)] for i in range(na)]
+        assert np.array_equal(m, np.array(want, dtype=np.int64).reshape(na, nb))
+
+    def test_all_bits_differing_reach_256(self):
+        a = np.zeros((_BLOCK_ROWS + 2, 32), dtype=np.uint8)
+        b = np.full((3, 32), 0xFF, dtype=np.uint8)
+        m = hamming_matrix(a, b)
+        assert m.dtype == np.uint16
+        assert np.all(m == 256) and hamming_distance(a[0], b[0]) == 256
+
 
 class TestMatch:
     def test_identity_self_match(self):
@@ -275,15 +301,16 @@ class TestRansac:
     def test_minimal_fit_reproduces_correspondences(self):
         src = np.array([(10.0, 20.0), (400.0, 35.0), (380.0, 450.0), (25.0, 300.0)])
         dst = _similarity(src, 12.0, 1.3, (40.0, -25.0))
-        h = _dlt(src, dst)
-        proj = np.hstack([src, np.ones((4, 1))]) @ h.T
+        h = _dlt(src[None], dst[None])
+        assert h.shape == (1, 3, 3)
+        proj = np.hstack([src, np.ones((4, 1))]) @ h[0].T
         errs = np.hypot(proj[:, 0] / proj[:, 2] - dst[:, 0], proj[:, 1] / proj[:, 2] - dst[:, 1])
         assert errs.max() < 1e-9
 
     def test_minimal_fit_three_collinear_rejected(self):
         src = np.array([(0.0, 0.0), (100.0, 100.0), (250.0, 250.0), (30.0, 400.0)])
         dst = _similarity(src, 5.0, 1.0, (3.0, 4.0))
-        assert _dlt(src, dst) is None
+        assert _dlt(src[None], dst[None]).shape == (0, 3, 3)
 
     def test_refit_on_thousands_of_exact_correspondences(self):
         rng = np.random.default_rng(8)
@@ -321,6 +348,234 @@ class TestRansac:
         dst = _similarity(src, 3.0, 1.1, (5.0, 5.0))
         res = ransac_homography(src, dst)
         assert res.homography[2, 2] == pytest.approx(1.0)
+
+
+def _loop_dlt(src, dst):
+    """One normalized DLT fit on (m, 2) points, or None: the per-sample fit the stacked one replaced."""
+
+    def normalization(pts):
+        centroid = pts.mean(axis=0)
+        dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+        scale = np.sqrt(2.0) / dist if dist > 0 else 1.0
+        return np.array(
+            [[scale, 0.0, -scale * centroid[0]], [0.0, scale, -scale * centroid[1]], [0.0, 0.0, 1.0]]
+        )
+
+    t_src, t_dst = normalization(src), normalization(dst)
+    ones = np.ones((len(src), 1))
+    s = (np.hstack([src, ones]) @ t_src.T)[:, :2]
+    d = (np.hstack([dst, ones]) @ t_dst.T)[:, :2]
+    a = np.zeros((2 * len(src), 9))
+    a[0::2, 0:2] = s
+    a[0::2, 2] = 1.0
+    a[0::2, 6:8] = -s * d[:, 0:1]
+    a[0::2, 8] = -d[:, 0]
+    a[1::2, 3:5] = s
+    a[1::2, 5] = 1.0
+    a[1::2, 6:8] = -s * d[:, 1:2]
+    a[1::2, 8] = -d[:, 1]
+    if len(a) < 9:
+        a = np.vstack([a, np.zeros((9 - len(a), 9))])
+    try:
+        _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    if sv[-2] <= 1e-12 * sv[0]:
+        return None
+    h = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
+    if abs(h[2, 2]) < 1e-12:
+        return None
+    return h / h[2, 2]
+
+
+def _loop_any_three_collinear(pts):
+    span = np.abs(pts).max() + 1.0
+    tol = 1e-9 * span * span
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for k in range(j + 1, len(pts)):
+                v1, v2 = pts[j] - pts[i], pts[k] - pts[i]
+                if abs(v1[0] * v2[1] - v1[1] * v2[0]) <= tol:
+                    return True
+    return False
+
+
+def _loop_inliers(h, src, dst, threshold):
+    proj = np.hstack([src, np.ones((len(src), 1))]) @ h.T
+    w = proj[:, 2]
+    errors = np.full(len(src), np.inf)
+    ok = np.abs(w) > 1e-12
+    errors[ok] = np.sqrt((proj[ok, 0] / w[ok] - dst[ok, 0]) ** 2 + (proj[ok, 1] / w[ok] - dst[ok, 1]) ** 2)
+    return errors < threshold
+
+
+def loop_ransac(src, dst, *, reproj_threshold=20.0, iterations=2000, seed=0):
+    """Independent oracle: one sample, fit and score per Python iteration, as RANSAC ran before batching."""
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
+    n = len(src)
+    if n < 4:
+        raise RansacError(f"insufficient correspondences: {n} < 4")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best_mask, best_count, best_h, produced_model = None, 0, None, False
+    for _ in range(iterations):
+        idx = rng.choice(n, size=4, replace=False)
+        if _loop_any_three_collinear(src[idx]) or _loop_any_three_collinear(dst[idx]):
+            continue
+        h = _loop_dlt(src[idx], dst[idx])
+        if h is None:
+            continue
+        produced_model = True
+        mask = _loop_inliers(h, src, dst, reproj_threshold)
+        if int(mask.sum()) > best_count:
+            best_count, best_mask, best_h = int(mask.sum()), mask, h
+    if not produced_model:
+        raise DegenerateSamplesError("all sampled minimal sets were degenerate")
+    refit = _loop_dlt(src[best_mask], dst[best_mask]) if best_count >= 4 else None
+    if refit is not None:
+        mask = _loop_inliers(refit, src, dst, reproj_threshold)
+        if int(mask.sum()) >= 4:
+            return ransac.RansacResult(homography=refit, inlier_mask=mask, inlier_count=int(mask.sum()))
+    return ransac.RansacResult(homography=best_h, inlier_mask=best_mask, inlier_count=best_count)
+
+
+def _outcome(estimator, src, dst, **kwargs):
+    """What an estimator returns, as bytes, or the RANSAC error type it raises."""
+    try:
+        res = estimator(src, dst, **kwargs)
+    except RansacError as exc:
+        return type(exc)
+    return res.inlier_count, res.inlier_mask.tobytes(), res.homography.tobytes()
+
+
+@st.composite
+def _planted_correspondences(draw):
+    """4-300 correspondences of a planted similarity with noise and a planted outlier share."""
+    n = draw(st.integers(4, 300))
+    outlier_share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    noise_px = draw(st.sampled_from([0.0, 2.0, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.uniform(0, 640, size=(n, 2))
+    if draw(st.booleans()):  # a coarse grid: duplicated points and collinear samples
+        src = np.round(src / 80.0) * 80.0
+    dst = _similarity(src, rng.uniform(-30, 30), rng.uniform(0.8, 1.25), rng.uniform(-40, 40, size=2))
+    dst += rng.normal(0.0, noise_px, size=(n, 2))
+    outliers = rng.random(n) < outlier_share
+    dst[outliers] = rng.uniform(0, 640, size=(int(outliers.sum()), 2))
+    return src, dst
+
+
+class TestBatchedRansacOracle:
+    @given(_planted_correspondences(), st.integers(1, 200), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_iteration_loop(self, pairs, iterations, seed):
+        src, dst = pairs
+        want = _outcome(loop_ransac, src, dst, iterations=iterations, seed=seed)
+        assert _outcome(ransac_homography, src, dst, iterations=iterations, seed=seed) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
+    def test_collinear_test_matches_triple_loop(self):
+        # One point off the line through two others by 0.5-2x the
+        # 1e-9 * span^2 tolerance, duplicates, and non-finite coordinates.
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(0, 640, size=(400, 4, 2))
+        for k in range(0, 300, 3):
+            i, j, moved = rng.permutation(4)[:3]
+            p, q = pts[k, i], pts[k, j]
+            pts[k, moved] = p + rng.uniform(-0.5, 1.5) * (q - p)
+            span = np.abs(pts[k]).max() + 1.0
+            offset = rng.choice([0.5, 0.99, 1.01, 2.0]) * 1e-9 * span * span / np.hypot(*(q - p))
+            pts[k, moved] += offset * np.array([p[1] - q[1], q[0] - p[0]]) / np.hypot(*(q - p))
+        pts[300:320, 3] = pts[300:320, 1]
+        pts[320:340, 2, 0] = [np.nan, np.inf, -np.inf, 1e308] * 5
+        want = [_loop_any_three_collinear(sample) for sample in pts]
+        assert 40 < sum(want) < 360
+        assert ransac._collinear(pts).tolist() == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
+    @pytest.mark.parametrize("m", [4, 5, 60])
+    def test_stacked_dlt_matches_per_sample_fit(self, m):
+        rng = np.random.default_rng(m)
+        src = rng.uniform(0, 640, size=(300, m, 2))
+        dst = _similarity(src.reshape(-1, 2), 9.0, 1.1, (5.0, -3.0)).reshape(src.shape)
+        dst += rng.normal(0.0, 3.0, size=dst.shape)
+        src[10:20, 2] = src[10:20, 1]  # rank-deficient
+        src[20:30, :3, 1] = 50.0  # three collinear points
+        src[30:40, 0, 0] = np.nan
+        dst[40:50, 1, 1] = np.inf
+        fits = [fit for fit in map(_loop_dlt, src, dst) if fit is not None]
+        assert 150 < len(fits) < 300
+        assert _dlt(src, dst).tobytes() == np.array(fits).tobytes()
+
+    def test_duplicated_points_give_collinear_samples(self):
+        base = np.array([(10.0, 20.0), (400.0, 35.0), (380.0, 450.0), (25.0, 300.0), (200.0, 210.0)])
+        src = np.repeat(base, 3, axis=0)
+        dst = _similarity(src, 7.0, 1.1, (12.0, -5.0))
+        want = _outcome(loop_ransac, src, dst, iterations=300, seed=2)
+        assert want != DegenerateSamplesError
+        assert _outcome(ransac_homography, src, dst, iterations=300, seed=2) == want
+
+    @pytest.mark.parametrize("models_per_chunk", [1, 2, 3, 7, None])
+    def test_tied_counts_across_chunk_boundaries(self, monkeypatch, models_per_chunk):
+        # Two planted groups of 12 under different transforms: every clean
+        # sample of either group holds exactly 12 inliers, so the best count
+        # ties between models that land in different chunks. With seed 1 the
+        # first such model (iteration 3) fits group B, the last (186) group A.
+        rng = np.random.default_rng(21)
+        group_a = rng.uniform(0, 640, size=(12, 2))
+        group_b = rng.uniform(0, 640, size=(12, 2))
+        src = np.vstack([group_a, group_b])
+        dst = np.vstack([group_a + (200.0, 0.0), _similarity(group_b, 90.0, 1.0, (0.0, 300.0))])
+        if models_per_chunk is not None:
+            monkeypatch.setattr(ransac, "_CHUNK_MODEL_POINTS", models_per_chunk * len(src))
+        want = _outcome(loop_ransac, src, dst, iterations=200, seed=1)
+        assert want[:2] == (12, np.repeat([False, True], 12).tobytes())
+        assert _outcome(ransac_homography, src, dst, iterations=200, seed=1) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_non_finite_coordinates(self, value, side):
+        rng = np.random.default_rng(9)
+        src = rng.uniform(0, 640, size=(30, 2))
+        dst = _similarity(src, 4.0, 1.0, (10.0, 10.0))
+        bad = src if side == "src" else dst
+        bad[[3, 11, 17], [0, 1, 0]] = value
+        want = _outcome(loop_ransac, src, dst, iterations=300, seed=1)
+        assert want != DegenerateSamplesError
+        assert _outcome(ransac_homography, src, dst, iterations=300, seed=1) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
+    def test_all_nan_degenerate(self):
+        src = np.full((6, 2), np.nan)
+        assert _outcome(loop_ransac, src, src, iterations=20) == DegenerateSamplesError
+        assert _outcome(ransac_homography, src, src, iterations=20) == DegenerateSamplesError
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_fewest_iterations(self, iterations):
+        rng = np.random.default_rng(10)
+        src = rng.uniform(0, 640, size=(25, 2))
+        dst = _similarity(src, -6.0, 0.95, (30.0, 8.0))
+        want = _outcome(loop_ransac, src, dst, iterations=iterations, seed=3)
+        assert (want == DegenerateSamplesError) == (iterations == 0)
+        assert _outcome(ransac_homography, src, dst, iterations=iterations, seed=3) == want
+
+    def test_peak_memory_on_8000_correspondences(self):
+        # Scoring chunks are sized by models x correspondences; fixed 128-model
+        # chunks peak near 49 MiB here.
+        rng = np.random.default_rng(12)
+        src = rng.uniform(0, 640, size=(8000, 2))
+        dst = _similarity(src, 10.0, 1.0, (20.0, 0.0))
+        outliers = rng.random(8000) < 0.5
+        dst[outliers] = rng.uniform(0, 640, size=(int(outliers.sum()), 2))
+        tracemalloc.start()
+        try:
+            res = ransac_homography(src, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.inlier_count >= int((~outliers).sum())
+        assert peak <= 16 * 2**20
 
 
 class TestMatchImages:
