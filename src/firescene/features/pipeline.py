@@ -59,8 +59,10 @@ class MatchResult:
         }
 
 
-def _empty_result() -> MatchResult:
-    return MatchResult(putative=0, survivors=0, inliers=0, homography=None, near_duplicate=False)
+def _unverified(putative: int = 0, survivors: int = 0) -> MatchResult:
+    return MatchResult(
+        putative=putative, survivors=survivors, inliers=0, homography=None, near_duplicate=False
+    )
 
 
 def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) -> MatchResult:
@@ -69,19 +71,17 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
     kps_a = detect(a, config.max_features, config.fast_threshold)
     kps_b = detect(b, config.max_features, config.fast_threshold)
     if not kps_a or not kps_b:
-        return _empty_result()
+        return _unverified()
     desc_a, kept_a = describe(a, kps_a)
     desc_b, kept_b = describe(b, kps_b)
     if len(kept_a) == 0 or len(kept_b) == 0:
-        return _empty_result()
+        return _unverified()
 
     pairs, _ = match(desc_a, desc_b, config.ratio)
     putative = len(desc_a)
     survivors = len(pairs)
     if survivors < 4:
-        return MatchResult(
-            putative=putative, survivors=survivors, inliers=0, homography=None, near_duplicate=False
-        )
+        return _unverified(putative, survivors)
 
     src = np.array([(kept_a[i].x, kept_a[i].y) for i in pairs[:, 0]])
     dst = np.array([(kept_b[j].x, kept_b[j].y) for j in pairs[:, 1]])
@@ -94,9 +94,7 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
             seed=config.seed,
         )
     except RansacError:
-        return MatchResult(
-            putative=putative, survivors=survivors, inliers=0, homography=None, near_duplicate=False
-        )
+        return _unverified(putative, survivors)
 
     hom = None
     if result.homography is not None and result.inlier_count >= 4:

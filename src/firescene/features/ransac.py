@@ -144,7 +144,8 @@ def ransac_homography(
     An inlier has forward reprojection error strictly below the threshold.
     The best minimal model by inlier count (first found wins ties) is refit
     on all of its inliers; if the refit holds at least 4 inliers it becomes
-    the final model, otherwise the minimal fit stands.
+    the final model, otherwise the minimal fit stands. It raises
+    ``RansacError`` when no sampled model holds an inlier.
     """
     src = np.asarray(src_pts, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst_pts, dtype=np.float64).reshape(-1, 2)
@@ -173,7 +174,8 @@ def ransac_homography(
         j = int(counts.argmax())
         if counts[j] > best_count:
             best_count, best_mask, best_h = int(counts[j]), masks[j].copy(), models[start + j]
-    assert best_h is not None and best_mask is not None
+    if best_h is None:
+        raise RansacError("no sampled model holds an inlier")
 
     if best_count >= 4:
         refit = _dlt(src[best_mask][None], dst[best_mask][None])

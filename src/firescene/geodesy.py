@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .questions import bin_option
 from .raster import RasterFormatError
 from .tiff import INTEGER_TYPES, TYPE_ASCII, TYPE_RATIONAL, IfdEntry, read_header, read_ifd
 
@@ -24,8 +25,6 @@ from .tiff import INTEGER_TYPES, TYPE_ASCII, TYPE_RATIONAL, IfdEntry, read_heade
 DEFAULT_FOV_DIAG_DEG = 61.0
 
 SRTM_VOID = -32768
-
-ALTITUDE_BIN_LABELS = ("0–50 m", "50–100 m", "100–150 m", ">150 m")
 
 
 class GeodesyError(Exception):
@@ -269,21 +268,13 @@ class AltitudeBin:
 
 
 def altitude_bin(agl_m: float) -> AltitudeBin:
-    """Bin AGL into half-open categories [0,50), [50,100), [100,150), [150,inf).
+    """Bin AGL into the FP2 categories, half-open at ``questions.BIN_EDGES["FP2"]``.
 
     Negative AGL maps to the lowest bin with ``suspect`` set.
     """
     if not math.isfinite(agl_m):
         raise ValueError(f"AGL must be finite, got {agl_m}")
-    if agl_m < 0:
-        return AltitudeBin(ALTITUDE_BIN_LABELS[0], suspect=True)
-    if agl_m < 50.0:
-        return AltitudeBin(ALTITUDE_BIN_LABELS[0])
-    if agl_m < 100.0:
-        return AltitudeBin(ALTITUDE_BIN_LABELS[1])
-    if agl_m < 150.0:
-        return AltitudeBin(ALTITUDE_BIN_LABELS[2])
-    return AltitudeBin(ALTITUDE_BIN_LABELS[3])
+    return AltitudeBin(bin_option("FP2", agl_m), suspect=agl_m < 0)
 
 
 # --- EXIF GPS extraction ----------------------------------------------------

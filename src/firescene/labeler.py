@@ -17,7 +17,7 @@ from . import hotspots as hs
 from . import spatial as sp
 from .geodesy import FrameMeta, altitude_bin
 from .raster import RadiometricSummary, ThermalRaster, summarize
-from .questions import QUESTIONS, validate_option
+from .questions import QUESTIONS, bin_option, validate_option
 
 SCHEMA_VERSION = 1
 
@@ -29,8 +29,8 @@ PROVENANCE_EXTERNAL = "external"
 class FrameAnalysis:
     """Full deterministic output for one frame.
 
-    GSD-dependent fields (hotspots onward) are None, with a reason recorded
-    in ``errors``, when no usable AGL was supplied.
+    GSD-dependent fields (``gsd_m`` to ``hottest_region``) keep their None
+    defaults, with a reason in ``errors``, when no usable AGL was supplied.
     """
 
     frame_id: str
@@ -38,13 +38,13 @@ class FrameAnalysis:
     p200: float
     p400: float
     agl_m: float | None
-    gsd_m: float | None
-    hotspots: list[hs.Hotspot] | None
-    clusters: sp.ClusterSet | None
-    sdl: sp.SpatialDistributionLabel | None
-    hicl: sp.IntensityConsistencyLabel | None
-    isolated: sp.IsolationVerdict | None
-    hottest_region: str | None
+    gsd_m: float | None = None
+    hotspots: list[hs.Hotspot] | None = None
+    clusters: sp.ClusterSet | None = None
+    sdl: sp.SpatialDistributionLabel | None = None
+    hicl: sp.IntensityConsistencyLabel | None = None
+    isolated: sp.IsolationVerdict | None = None
+    hottest_region: str | None = None
     agl_suspect: bool = False
     errors: dict[str, str] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -194,28 +194,11 @@ def analyze_frame(
     summ = summarize(raster)
     p200, p400 = summ.pct_above_200, summ.pct_above_400
 
-    errors: dict[str, str] = {}
     if agl_m is None or agl_m <= 0:
-        reason = (
-            "AGL unavailable: ground-projected fields disabled"
-            if agl_m is None
-            else f"AGL {agl_m} not positive: ground-projected fields disabled"
-        )
-        errors["hotspots"] = reason
+        reason = "AGL unavailable" if agl_m is None else f"AGL {agl_m} not positive"
+        errors = {"hotspots": f"{reason}: ground-projected fields disabled"}
         return FrameAnalysis(
-            frame_id=frame_id,
-            summary=summ,
-            p200=p200,
-            p400=p400,
-            agl_m=agl_m,
-            gsd_m=None,
-            hotspots=None,
-            clusters=None,
-            sdl=None,
-            hicl=None,
-            isolated=None,
-            hottest_region=None,
-            errors=errors,
+            frame_id=frame_id, summary=summ, p200=p200, p400=p400, agl_m=agl_m, errors=errors
         )
 
     g = hs.gsd(agl_m, hotspot_params.fov_diag_deg, raster.width)
@@ -246,50 +229,25 @@ def bin_p400(p: float) -> str:
     """DS7 coverage bin. "None" means literally zero qualifying pixels."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentage {p} outside [0, 100]")
-    if p == 0.0:
-        return "None"
-    if p < 2.0:
-        return "<2%"
-    if p < 4.0:
-        return "2–4%"
-    if p < 6.0:
-        return "4–6%"
-    return ">6%"
+    return "None" if p == 0.0 else bin_option("DS7", p)
 
 
 def bin_p200(p: float) -> str:
-    """DS8 coverage bin, edges at 5/10/15 with the lower edge inclusive."""
+    """DS8 coverage bin, lower-inclusive at the DS8 edges; "None" as for DS7."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentage {p} outside [0, 100]")
-    if p == 0.0:
-        return "None"
-    if p < 5.0:
-        return "<5%"
-    if p < 10.0:
-        return "5–10%"
-    if p < 15.0:
-        return "10–15%"
-    return ">15%"
+    return "None" if p == 0.0 else bin_option("DS8", p)
 
 
 def bin_peak_temp(analysis: FrameAnalysis) -> str:
-    """CMR4 bin of the hottest hotspot peak, lower-inclusive at 200/300/400/500.
+    """CMR4 bin of the hottest hotspot peak, lower-inclusive at the CMR4 edges.
 
     The 100-200 option is unreachable when hotspots require >= 200 C; it is
     kept only so hand-made sheets with nonstandard thresholds stay expressible.
     """
     if not analysis.hotspots:
         return "No hotspots"
-    peak = max(h.peak_temp_c for h in analysis.hotspots)
-    if peak < 200.0:
-        return "100–200"
-    if peak < 300.0:
-        return "200–300"
-    if peak < 400.0:
-        return "300–400"
-    if peak < 500.0:
-        return "400–500"
-    return ">500"
+    return bin_option("CMR4", max(h.peak_temp_c for h in analysis.hotspots))
 
 
 _DS3_WORDING = {
@@ -307,9 +265,9 @@ def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:
     """
     sheet = AnswerSheet(frame_id=analysis.frame_id)
 
-    def put(qid: str, option: str) -> None:
+    def put(qid: str, option: str, note: str | None = None) -> None:
         validate_option(qid, option)
-        sheet.answers[qid] = Answer(option=option, provenance=PROVENANCE_DETERMINISTIC)
+        sheet.answers[qid] = Answer(option=option, provenance=PROVENANCE_DETERMINISTIC, note=note)
 
     def missing(qid: str, why: str) -> None:
         sheet.answers[qid] = Answer(option=None, provenance=PROVENANCE_DETERMINISTIC, note=why)
@@ -329,15 +287,11 @@ def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:
         put("LD1", analysis.hottest_region)
         put("CMR4", bin_peak_temp(analysis))
 
-    if analysis.agl_m is not None and analysis.agl_m >= 0:
-        put("FP2", altitude_bin(analysis.agl_m).label)
-    elif analysis.agl_m is not None:
-        ab = altitude_bin(analysis.agl_m)
-        sheet.answers["FP2"] = Answer(
-            option=ab.label, provenance=PROVENANCE_DETERMINISTIC, note="negative AGL, suspect"
-        )
-    else:
+    if analysis.agl_m is None:
         missing("FP2", "AGL unavailable")
+    else:
+        fp2 = altitude_bin(analysis.agl_m)
+        put("FP2", fp2.label, note="negative AGL, suspect" if fp2.suspect else None)
 
     _assert_forced_consistency(sheet)
     return sheet

@@ -3,9 +3,12 @@
 Every answer written into a sheet must be drawn verbatim from the canonical
 choice list of its question; the consistency rules reference the same
 strings. Region options are spelled out in full (Top-left rather than TL).
+The bin edges of the sensor-driven slots live here too, in ``BIN_EDGES``.
 """
 
 from __future__ import annotations
+
+import bisect
 
 YES_NO = ("Yes", "No")
 _REGIONS = ("Top-left", "Top-right", "Bottom-left", "Bottom-right", "Center")
@@ -141,6 +144,14 @@ QUESTIONS: dict[str, tuple[str, tuple[str, ...]]] = {
 #: slots this library answers from sensor data; everything else is external
 DETERMINISTIC_IDS = ("PD1", "PD7", "DS1", "DS3", "DS7", "DS8", "LD1", "CMR4", "FP2")
 
+#: binned question id -> lower-inclusive option edges; later options are null options
+BIN_EDGES: dict[str, tuple[float, ...]] = {
+    "DS7": (2.0, 4.0, 6.0),
+    "DS8": (5.0, 10.0, 15.0),
+    "CMR4": (200.0, 300.0, 400.0, 500.0),
+    "FP2": (50.0, 100.0, 150.0),
+}
+
 
 def choices(question_id: str) -> tuple[str, ...]:
     if question_id not in QUESTIONS:
@@ -154,3 +165,8 @@ def validate_option(question_id: str, option: str) -> None:
         raise ValueError(
             f"{option!r} is not a canonical choice for {question_id}; allowed: {list(allowed)}"
         )
+
+
+def bin_option(question_id: str, value: float) -> str:
+    """Option k + 1 of ``question_id`` from its edge k on; below edge 0, option 0."""
+    return choices(question_id)[bisect.bisect_right(BIN_EDGES[question_id], value)]

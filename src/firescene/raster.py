@@ -3,6 +3,8 @@
 A thermal raster is a single-band grid where every pixel holds an absolute
 temperature in degrees Celsius. Pixels outside the physically plausible range
 or equal to a declared no-data value are flagged invalid, never clamped.
+Both file readers, ``load_raw_raster`` and ``tiff.load_thermal_tiff``, decode
+their samples through ``ThermalRaster.from_samples``.
 """
 
 from __future__ import annotations
@@ -95,6 +97,23 @@ class ThermalRaster:
         else:
             valid_mask = np.asarray(valid_mask, dtype=bool) & plausible
         return cls(width=width, height=height, temps=temps, valid_mask=np.ascontiguousarray(valid_mask))
+
+    @classmethod
+    def from_samples(
+        cls, raw: np.ndarray, nodata: float | None, scale: float | None, offset: float | None
+    ) -> ThermalRaster:
+        """Decode a 2D array of raw sensor samples into a raster.
+
+        ``nodata`` (cast to the sample dtype) marks pixels invalid; a given
+        ``scale`` or ``offset`` maps samples to ``raw * scale + offset``.
+        """
+        valid = np.ones(raw.shape, dtype=bool)
+        if nodata is not None:
+            valid &= raw != np.asarray(nodata, dtype=raw.dtype)
+        temps = raw.astype(np.float64)
+        if scale is not None or offset is not None:
+            temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
+        return cls.from_array(temps, valid)
 
     @property
     def valid_count(self) -> int:
@@ -198,9 +217,8 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
                 raise RasterFormatError(f"nodata {header['nodata']!r} is not a number")
         scale = header.get("scale")
         offset = header.get("offset")
-        rescale = scale is not None or offset is not None
-        scale = float(scale if scale is not None else 1.0)
-        offset = float(offset or 0.0)
+        if scale is not None or offset is not None:
+            scale, offset = float(scale if scale is not None else 1.0), float(offset or 0.0)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RasterFormatError(f"malformed sidecar field: {exc}") from exc
     if width < 1 or height < 1:
@@ -219,14 +237,7 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
         )
 
     raw = np.frombuffer(blob, dtype=dtype).reshape(height, width)
-    valid = np.ones(raw.shape, dtype=bool)
-    if nodata is not None:
-        valid &= raw != nodata
-
-    temps = raw.astype(np.float64)
-    if rescale:
-        temps = temps * scale + offset
-    return ThermalRaster.from_array(temps, valid)
+    return ThermalRaster.from_samples(raw, nodata, scale, offset)
 
 
 def write_raw_raster(

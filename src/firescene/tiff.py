@@ -13,6 +13,7 @@ strips are decoded in listed order and validated against the pixel count.
 Other tags are ignored, and entries of field types the reader does not
 decode are skipped. Deflate output is capped at the size the dimensions
 declare. ``read_ifd`` is also the Exif reader's bounds-checked IFD walk.
+Samples are decoded by ``ThermalRaster.from_samples``, as raw fixtures are.
 """
 
 from __future__ import annotations
@@ -224,13 +225,5 @@ def load_thermal_tiff(
             tag=TAG_STRIP_OFFSETS,
         )
 
-    data = b"".join(chunks)
-    raw_samples = np.frombuffer(data, dtype=sample_dtype).reshape(height, width)
-    valid = np.ones(raw_samples.shape, dtype=bool)
-    if nodata is not None:
-        valid &= raw_samples != np.asarray(nodata, dtype=sample_dtype)
-
-    temps = raw_samples.astype(np.float64)
-    if scale is not None or offset is not None:
-        temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
-    return ThermalRaster.from_array(temps, valid)
+    raw_samples = np.frombuffer(b"".join(chunks), dtype=sample_dtype).reshape(height, width)
+    return ThermalRaster.from_samples(raw_samples, nodata, scale, offset)

@@ -431,6 +431,8 @@ def loop_ransac(src, dst, *, reproj_threshold=20.0, iterations=2000, seed=0):
             best_count, best_mask, best_h = int(mask.sum()), mask, h
     if not produced_model:
         raise DegenerateSamplesError("all sampled minimal sets were degenerate")
+    if best_h is None:
+        raise RansacError("no sampled model holds an inlier")
     refit = _loop_dlt(src[best_mask], dst[best_mask]) if best_count >= 4 else None
     if refit is not None:
         mask = _loop_inliers(refit, src, dst, reproj_threshold)
@@ -551,6 +553,14 @@ class TestBatchedRansacOracle:
         assert _outcome(loop_ransac, src, src, iterations=20) == DegenerateSamplesError
         assert _outcome(ransac_homography, src, src, iterations=20) == DegenerateSamplesError
 
+    def test_no_consensus_raises(self):
+        # A zero threshold admits no inlier, so every fitted model holds none.
+        rng = np.random.default_rng(14)
+        src = rng.uniform(0, 640, size=(30, 2))
+        want = _outcome(loop_ransac, src, src + 5, reproj_threshold=0.0, iterations=20)
+        assert want == RansacError
+        assert _outcome(ransac_homography, src, src + 5, reproj_threshold=0.0, iterations=20) == want
+
     @pytest.mark.parametrize("iterations", [0, 1])
     def test_fewest_iterations(self, iterations):
         rng = np.random.default_rng(10)
@@ -626,6 +636,12 @@ class TestMatchImages:
     def test_result_funnel_invariant(self):
         with pytest.raises(ValueError):
             MatchResult(putative=5, survivors=9, inliers=2, homography=None, near_duplicate=False)
+
+    def test_no_consensus_reports_zero_inliers(self, texture):
+        warped = warp_rigid(texture, 10.0, (20.0, 0.0))
+        res = match_images(texture, warped, MatchConfig(reproj_threshold_px=0.0))
+        assert res.survivors >= 4
+        assert (res.inliers, res.homography, res.near_duplicate) == (0, None, False)
 
     def test_uniform_images_empty_result(self):
         img = GrayImage.from_array(np.full((64, 64), 50, dtype=np.uint8))

@@ -17,7 +17,14 @@ from firescene.labeler import (
     bin_peak_temp,
     rag_summary,
 )
-from firescene.questions import DETERMINISTIC_IDS, QUESTIONS, validate_option
+from firescene.questions import (
+    BIN_EDGES,
+    DETERMINISTIC_IDS,
+    QUESTIONS,
+    bin_option,
+    choices,
+    validate_option,
+)
 from firescene.raster import ThermalRaster
 from firescene.spatial import SpatialDistributionLabel
 
@@ -89,7 +96,24 @@ class TestAnalyzeFrame:
             FrameAnalysis.from_dict(d)
 
 
+# Options after the last bin of each binned slot: the null options only.
+_BIN_NULL_OPTIONS = {"DS7": ("None",), "DS8": ("None",), "CMR4": ("No hotspots",), "FP2": ()}
+
+
 class TestBins:
+    def test_binned_slots(self):
+        assert sorted(BIN_EDGES) == sorted(_BIN_NULL_OPTIONS)
+        assert set(BIN_EDGES) <= set(DETERMINISTIC_IDS)
+
+    @pytest.mark.parametrize("qid", sorted(_BIN_NULL_OPTIONS))
+    def test_bin_edge_table(self, qid):
+        edges, options = BIN_EDGES[qid], choices(qid)
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+        for k, edge in enumerate(edges):
+            assert bin_option(qid, edge) == options[k + 1]
+            assert bin_option(qid, math.nextafter(edge, -math.inf)) == options[k]
+        assert options[len(edges) + 1 :] == _BIN_NULL_OPTIONS[qid]
+
     @pytest.mark.parametrize(
         "p,expected",
         [
@@ -186,6 +210,20 @@ class TestAnswerSheet:
         r, _ = collinear_scene
         a = analyze_frame(r, agl_m=110.0, frame_id="alt")
         assert answer_sheet(a).get("FP2") == "100–150 m"
+
+    @pytest.mark.parametrize(
+        "agl,want",
+        [
+            (-5.0, ("0–50 m", "deterministic", "negative AGL, suspect")),
+            (0.0, ("0–50 m", "deterministic", None)),
+            (-0.0, ("0–50 m", "deterministic", None)),
+            (None, (None, "deterministic", "AGL unavailable")),
+        ],
+    )
+    def test_fp2_without_positive_agl(self, agl, want):
+        a = analyze_frame(_raster(np.full((16, 16), 20.0)), agl_m=agl, frame_id="fp2")
+        fp2 = answer_sheet(a).answers["FP2"]
+        assert (fp2.option, fp2.provenance, fp2.note) == want
 
     def test_all_filled_options_canonical(self, collinear_scene):
         r, agl = collinear_scene

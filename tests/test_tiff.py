@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import struct
 import tracemalloc
 import zlib
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import corrupted
-from firescene.raster import RasterFormatError
+from firescene.raster import RasterFormatError, load_raw_raster
 from firescene.tiff import load_thermal_tiff
 from tiffutil import write_tiff
 
@@ -54,6 +55,34 @@ def test_nodata_matched_on_raw_value(tmp_path):
     write_tiff(path, np.array([[0, 7000], [7100, 7200]], dtype=np.uint16))
     r = load_thermal_tiff(path, scale=0.01, offset=-40.0, nodata=0)
     assert r.valid_mask.tolist() == [[False, True], [True, True]]
+
+
+@pytest.mark.parametrize("endian", ["little", "big"])
+@pytest.mark.parametrize(
+    "dtype,nodata,scale,offset",
+    [("uint16", 0, 0.04, -273.15), ("float32", -9999.0, None, None)],
+)
+def test_tiff_and_raw_sidecar_decode_alike(tmp_path, endian, dtype, nodata, scale, offset):
+    rng = np.random.default_rng(5)
+    if dtype == "uint16":
+        samples = rng.integers(0, 2**16, size=(24, 32), dtype=np.uint16)
+    else:
+        samples = rng.uniform(-150.0, 2100.0, size=(24, 32)).astype(np.float32)
+        samples[3, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    samples[5, 5:9] = nodata
+    write_tiff(tmp_path / "s.tif", samples, endian=endian)
+    order = "<" if endian == "little" else ">"
+    (tmp_path / "s.bin").write_bytes(samples.astype(samples.dtype.newbyteorder(order)).tobytes())
+    sidecar = dict(width=32, height=24, dtype=dtype, endian=endian, nodata=nodata, data="s.bin")
+    if scale is not None:
+        sidecar.update(scale=scale, offset=offset)
+    (tmp_path / "s.json").write_text(json.dumps(sidecar))
+
+    from_tiff = load_thermal_tiff(tmp_path / "s.tif", scale=scale, offset=offset, nodata=nodata)
+    from_raw = load_raw_raster(tmp_path / "s.json")
+    assert not from_tiff.valid_mask[5, 5:9].any()
+    assert from_tiff.temps.tobytes() == from_raw.temps.tobytes()
+    assert from_tiff.valid_mask.tobytes() == from_raw.valid_mask.tobytes()
 
 
 def test_deflate_compression(tmp_path):
