@@ -7,8 +7,8 @@ A pair of frames counts as near-duplicates when RANSAC confirms at least
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
+from ..records import Record
 from .describe import describe
 from .detect import detect
 from .image import GrayImage
@@ -30,7 +30,7 @@ class MatchConfig:
 
 
 @dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Record):
     """Funnel counts for one image pair plus the verified transform.
 
     ``putative`` counts nearest-neighbor candidates (one per query
@@ -48,15 +48,6 @@ class MatchResult:
     def __post_init__(self) -> None:
         if not (self.inliers <= self.survivors <= self.putative):
             raise ValueError("match funnel must satisfy inliers <= survivors <= putative")
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "putative": self.putative,
-            "survivors": self.survivors,
-            "inliers": self.inliers,
-            "homography": None if self.homography is None else list(self.homography),
-            "near_duplicate": self.near_duplicate,
-        }
 
 
 def _unverified(putative: int = 0, survivors: int = 0) -> MatchResult:

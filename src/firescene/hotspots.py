@@ -13,13 +13,15 @@ at once, and a ``Hotspot`` is built only for each one kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .questions import choices
 from .raster import ThermalRaster
+from .records import Record
 
-REGION_NO_HOTSPOTS = "No hotspots"
+REGION_NO_HOTSPOTS = choices("LD1")[-1]
 REGION_CENTER = "Center"
 
 
@@ -33,13 +35,13 @@ class HotspotParams:
     fov_diag_deg: float = 61.0
 
     def __post_init__(self) -> None:
-        for name in ("temp_threshold_c", "r_min_m", "n_min_px", "fov_diag_deg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
-class Hotspot:
+class Hotspot(Record):
     """One valid thermally active connected component.
 
     ``id`` is the component index in first-encounter row-major order over the
@@ -62,33 +64,9 @@ class Hotspot:
             raise ValueError("hotspot must contain at least one pixel")
         if self.area_m2 <= 0 or self.radius_m <= 0:
             raise ValueError("hotspot area and radius must be positive")
-        if abs(self.radius_m**2 * math.pi - self.area_m2) > 1e-9 * self.area_m2:
+        # r * r, not r**2: a float product overflows to inf, where ** raises OverflowError.
+        if abs(self.radius_m * self.radius_m * math.pi - self.area_m2) > 1e-9 * self.area_m2:
             raise ValueError("radius inconsistent with area (r^2 * pi != A)")
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "pixel_count": self.pixel_count,
-            "centroid_px": list(self.centroid_px),
-            "centroid_m": list(self.centroid_m),
-            "area_m2": self.area_m2,
-            "radius_m": self.radius_m,
-            "peak_temp_c": self.peak_temp_c,
-            "peak_px": list(self.peak_px),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Hotspot:
-        return cls(
-            id=d["id"],
-            pixel_count=d["pixel_count"],
-            centroid_px=tuple(d["centroid_px"]),
-            centroid_m=tuple(d["centroid_m"]),
-            area_m2=d["area_m2"],
-            radius_m=d["radius_m"],
-            peak_temp_c=d["peak_temp_c"],
-            peak_px=tuple(d["peak_px"]),
-        )
 
 
 def hot_mask(raster: ThermalRaster, threshold: float) -> np.ndarray:

@@ -9,24 +9,26 @@ the same raster, metadata, and parameters always yield bit-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from . import hotspots as hs
 from . import spatial as sp
 from .geodesy import FrameMeta, altitude_bin
 from .raster import RadiometricSummary, ThermalRaster, summarize
-from .questions import QUESTIONS, bin_option, validate_option
+from .questions import QUESTIONS, bin_option, choices, validate_option
+from .records import Record
 
 SCHEMA_VERSION = 1
 
 PROVENANCE_DETERMINISTIC = "deterministic"
 PROVENANCE_EXTERNAL = "external"
 
+# Slots that PD1 = "No" forces to their null options.
+_HOTSPOT_FAMILY = ("PD7", "DS1", "DS3", "LD1", "CMR4")
+
 
 @dataclass(frozen=True)
-class FrameAnalysis:
+class FrameAnalysis(Record):
     """Full deterministic output for one frame.
 
     GSD-dependent fields (``gsd_m`` to ``hottest_region``) keep their None
@@ -61,64 +63,16 @@ class FrameAnalysis:
             if (self.hottest_region == hs.REGION_NO_HOTSPOTS) != empty:
                 raise ValueError("hottest region 'No hotspots' must coincide with an empty list")
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "frame_id": self.frame_id,
-            "summary": self.summary.as_dict(),
-            "p200": self.p200,
-            "p400": self.p400,
-            "agl_m": self.agl_m,
-            "gsd_m": self.gsd_m,
-            "agl_suspect": self.agl_suspect,
-            "hotspots": None if self.hotspots is None else [h.as_dict() for h in self.hotspots],
-            "clusters": None if self.clusters is None else self.clusters.as_dict(),
-            "sdl": None if self.sdl is None else self.sdl.value,
-            "hicl": None if self.hicl is None else self.hicl.value,
-            "isolated": None if self.isolated is None else self.isolated.value,
-            "hottest_region": self.hottest_region,
-            "errors": dict(self.errors),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> FrameAnalysis:
-        return cls(
-            frame_id=d["frame_id"],
-            summary=RadiometricSummary(**d["summary"]),
-            p200=d["p200"],
-            p400=d["p400"],
-            agl_m=d["agl_m"],
-            gsd_m=d["gsd_m"],
-            agl_suspect=d.get("agl_suspect", False),
-            hotspots=None
-            if d["hotspots"] is None
-            else [hs.Hotspot.from_dict(x) for x in d["hotspots"]],
-            clusters=None if d["clusters"] is None else sp.ClusterSet.from_dict(d["clusters"]),
-            sdl=None if d["sdl"] is None else sp.SpatialDistributionLabel(d["sdl"]),
-            hicl=None if d["hicl"] is None else sp.IntensityConsistencyLabel(d["hicl"]),
-            isolated=None if d["isolated"] is None else sp.IsolationVerdict(d["isolated"]),
-            hottest_region=d["hottest_region"],
-            errors=dict(d.get("errors", {})),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> FrameAnalysis:
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class Answer:
+class Answer(Record):
     option: str | None = None
     provenance: str = PROVENANCE_EXTERNAL
     note: str | None = None
 
 
 @dataclass
-class AnswerSheet:
+class AnswerSheet(Record):
     """Question id -> chosen option, with per-slot provenance.
 
     Deterministic slots are filled only by this module; external slots accept
@@ -142,34 +96,6 @@ class AnswerSheet:
 
     def filled(self) -> dict[str, str]:
         return {q: a.option for q, a in self.answers.items() if a.option is not None}
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "frame_id": self.frame_id,
-            "answers": {
-                q: {"option": a.option, "provenance": a.provenance, "note": a.note}
-                for q, a in sorted(self.answers.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> AnswerSheet:
-        sheet = cls(frame_id=d["frame_id"], schema_version=d.get("schema_version", SCHEMA_VERSION))
-        for qid, a in d["answers"].items():
-            sheet.answers[qid] = Answer(
-                option=a.get("option"),
-                provenance=a.get("provenance", PROVENANCE_EXTERNAL),
-                note=a.get("note"),
-            )
-        return sheet
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> AnswerSheet:
-        return cls.from_dict(json.loads(text))
 
 
 def analyze_frame(
@@ -229,14 +155,14 @@ def bin_p400(p: float) -> str:
     """DS7 coverage bin. "None" means literally zero qualifying pixels."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentage {p} outside [0, 100]")
-    return "None" if p == 0.0 else bin_option("DS7", p)
+    return choices("DS7")[-1] if p == 0.0 else bin_option("DS7", p)
 
 
 def bin_p200(p: float) -> str:
     """DS8 coverage bin, lower-inclusive at the DS8 edges; "None" as for DS7."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentage {p} outside [0, 100]")
-    return "None" if p == 0.0 else bin_option("DS8", p)
+    return choices("DS8")[-1] if p == 0.0 else bin_option("DS8", p)
 
 
 def bin_peak_temp(analysis: FrameAnalysis) -> str:
@@ -246,7 +172,7 @@ def bin_peak_temp(analysis: FrameAnalysis) -> str:
     kept only so hand-made sheets with nonstandard thresholds stay expressible.
     """
     if not analysis.hotspots:
-        return "No hotspots"
+        return choices("CMR4")[-1]
     return bin_option("CMR4", max(h.peak_temp_c for h in analysis.hotspots))
 
 
@@ -277,7 +203,7 @@ def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:
 
     if analysis.hotspots is None:
         why = analysis.errors.get("hotspots", "hotspot analysis unavailable")
-        for qid in ("PD1", "PD7", "DS1", "DS3", "LD1", "CMR4"):
+        for qid in ("PD1",) + _HOTSPOT_FAMILY:
             missing(qid, why)
     else:
         put("PD1", "Yes" if analysis.hotspots else "No")
@@ -299,17 +225,10 @@ def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:
 
 def _assert_forced_consistency(sheet: AnswerSheet) -> None:
     """Cold frames force the whole hotspot question family to its null options."""
-    if sheet.get("PD1") == "No":
-        forced = {
-            "PD7": "No fire",
-            "DS1": "No active hotspots",
-            "DS3": "No active hotspots",
-            "LD1": "No hotspots",
-            "CMR4": "No hotspots",
-        }
-        for qid, want in forced.items():
+    if sheet.get("PD1") == choices("PD1")[-1]:
+        for qid in _HOTSPOT_FAMILY:
             got = sheet.get(qid)
-            if got is not None and got != want:
+            if got is not None and got != choices(qid)[-1]:
                 raise AssertionError(f"forced-consistency breach: PD1=No but {qid}={got!r}")
 
 

@@ -144,6 +144,9 @@ QUESTIONS: dict[str, tuple[str, tuple[str, ...]]] = {
 #: slots this library answers from sensor data; everything else is external
 DETERMINISTIC_IDS = ("PD1", "PD7", "DS1", "DS3", "DS7", "DS8", "LD1", "CMR4", "FP2")
 
+# The last option of PD1, PD7, DS1, DS3, DS7, DS8, LD1 and CMR4 is its
+# no-hotspot or zero answer; code that needs it reads ``choices(qid)[-1]``.
+
 #: binned question id -> lower-inclusive option edges; later options are null options
 BIN_EDGES: dict[str, tuple[float, ...]] = {
     "DS7": (2.0, 4.0, 6.0),

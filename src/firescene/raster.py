@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import Record
+
 # Plausible radiometric range for wildfire scenes; anything outside is sensor
 # garbage and gets masked out.
 TEMP_MIN_C = -100.0
@@ -124,7 +126,7 @@ class ThermalRaster:
 
 
 @dataclass(frozen=True)
-class RadiometricSummary:
+class RadiometricSummary(Record):
     """Per-frame temperature statistics over valid pixels.
 
     ``std_c`` is the population standard deviation. Percentages use the
@@ -137,16 +139,6 @@ class RadiometricSummary:
     std_c: float
     pct_above_200: float
     pct_above_400: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "min_c": self.min_c,
-            "max_c": self.max_c,
-            "mean_c": self.mean_c,
-            "std_c": self.std_c,
-            "pct_above_200": self.pct_above_200,
-            "pct_above_400": self.pct_above_400,
-        }
 
 
 def coverage_fraction(raster: ThermalRaster, tau: float) -> float:

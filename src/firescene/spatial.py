@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .hotspots import Hotspot
+from .records import Record
 
 
 class SpatialDistributionLabel(enum.Enum):
@@ -55,24 +56,15 @@ class SpatialParams:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in (
-            "d_merge_m",
-            "isolation_m",
-            "tau_lin",
-            "d_lin_m",
-            "alpha",
-            "tau_sim",
-            "delta_t_sim_c",
-            "epsilon",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if not 0.5 < self.tau_lin <= 1.0:
             raise ValueError("tau_lin must lie in (0.5, 1]")
 
 
 @dataclass(frozen=True)
-class ClusterSet:
+class ClusterSet(Record):
     """Partition of hotspot list positions into proximity clusters.
 
     ``clusters[k]`` holds indices into the hotspot list passed to the
@@ -84,21 +76,6 @@ class ClusterSet:
     clusters: tuple[tuple[int, ...], ...]
     main_index: int | None
     total_area_m2: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "clusters": [list(c) for c in self.clusters],
-            "main_index": self.main_index,
-            "total_area_m2": list(self.total_area_m2),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ClusterSet:
-        return cls(
-            clusters=tuple(tuple(c) for c in d["clusters"]),
-            main_index=d["main_index"],
-            total_area_m2=tuple(d["total_area_m2"]),
-        )
 
 
 def centroid_distance(a: Hotspot, b: Hotspot, gsd: float) -> float:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firescene.hotspots import REGION_NO_HOTSPOTS, locate_pixel
 from firescene.labeler import (
+    _DS3_WORDING,
     AnswerSheet,
     FrameAnalysis,
     analyze_frame,
@@ -26,7 +28,7 @@ from firescene.questions import (
     validate_option,
 )
 from firescene.raster import ThermalRaster
-from firescene.spatial import SpatialDistributionLabel
+from firescene.spatial import IntensityConsistencyLabel, IsolationVerdict, SpatialDistributionLabel
 
 
 def _raster(arr) -> ThermalRaster:
@@ -275,6 +277,28 @@ class TestQuestionTable:
         assert len(by_cat["LD"]) == 4
         assert len(by_cat["CMR"]) == 4
         assert len(by_cat["FP"]) == 4
+
+    @pytest.mark.parametrize(
+        ("qid", "labels", "null"),
+        [
+            ("DS1", [e.value for e in SpatialDistributionLabel], SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS.value),
+            ("PD7", [e.value for e in IsolationVerdict], IsolationVerdict.NO_FIRE.value),
+            ("DS3", list(_DS3_WORDING.values()), _DS3_WORDING[IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS]),
+            (
+                "LD1",
+                [*{locate_pixel(x, y, w, h) for w, h in ((9, 9), (10, 7)) for x in range(w) for y in range(h)},
+                 REGION_NO_HOTSPOTS],
+                REGION_NO_HOTSPOTS,
+            ),
+        ],
+    )
+    def test_labels_are_their_slots_options(self, qid, labels, null):
+        # Each slot's null answer is its last option.
+        assert sorted(labels) == sorted(choices(qid))
+        assert null == choices(qid)[-1]
+
+    def test_ds3_wording_covers_every_intensity_label(self):
+        assert set(_DS3_WORDING) == set(IntensityConsistencyLabel)
 
     def test_unknown_question_rejected(self):
         with pytest.raises(KeyError):

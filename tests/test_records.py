@@ -1,0 +1,186 @@
+"""The record codec: round trips of every record type, older documents, and
+malformed or corrupted documents, which raise only ``ValueError``."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factories import corrupted, make_hotspot
+from firescene.features import MatchResult
+from firescene.hotspots import Hotspot
+from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
+from firescene.raster import RadiometricSummary, ThermalRaster
+from firescene.spatial import ClusterSet
+
+
+def _scene() -> ThermalRaster:
+    """Three hot disks, two of them close: hotspots, two clusters and every label set."""
+    temps = np.full((64, 64), 25.0)
+    yy, xx = np.mgrid[0:64, 0:64]
+    for cx, cy, peak in ((12, 12, 450.0), (20, 14, 320.0), (50, 48, 610.0)):
+        temps[(yy - cy) ** 2 + (xx - cx) ** 2 <= 9] = peak
+    return ThermalRaster.from_array(temps)
+
+
+def _analysis(agl_m: float | None = 40.0) -> FrameAnalysis:
+    return analyze_frame(_scene(), agl_m=agl_m, frame_id="scene")
+
+
+def _sheet() -> AnswerSheet:
+    sheet = answer_sheet(_analysis())
+    sheet.set_external("PD2", "Yes")
+    return sheet
+
+
+RECORDS = {
+    "hotspot": lambda: make_hotspot(3, 10.5, 20.25, area_m2=4.0, peak_c=512.5),
+    "clusters": lambda: ClusterSet(clusters=((0, 1), (2,)), main_index=0, total_area_m2=(8.0, 3.5)),
+    "clusters-empty": lambda: ClusterSet(clusters=(), main_index=None, total_area_m2=()),
+    "summary": lambda: RadiometricSummary(20.0, 610.0, 31.5, 40.25, 2.5, 1.0),
+    "match": lambda: MatchResult(
+        putative=40, survivors=30, inliers=20, homography=tuple(float(v) for v in range(9)), near_duplicate=True
+    ),
+    "match-unverified": lambda: MatchResult(
+        putative=40, survivors=3, inliers=0, homography=None, near_duplicate=False
+    ),
+    "analysis": _analysis,
+    "analysis-no-agl": lambda: _analysis(agl_m=None),
+    "analysis-cold": lambda: analyze_frame(ThermalRaster.from_array(np.full((16, 16), 20.0)), agl_m=50.0),
+    "answer": lambda: Answer(option="Yes", provenance="deterministic", note="checked"),
+    "sheet": _sheet,
+}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_dict_and_json_round_trip(self, name):
+        rec = RECORDS[name]()
+        cls = type(rec)
+        assert cls.from_dict(rec.as_dict()) == rec
+        text = rec.to_json()
+        assert cls.from_json(text) == rec
+        assert cls.from_json(text).to_json() == text
+        assert cls.from_json(text.encode()) == rec
+
+    def test_fixture_shapes(self):
+        a, no_agl, cold = RECORDS["analysis"](), RECORDS["analysis-no-agl"](), RECORDS["analysis-cold"]()
+        assert len(a.hotspots) == 3 and len(a.clusters.clusters) == 2
+        assert no_agl.hotspots is None and no_agl.clusters is None and no_agl.errors
+        assert cold.clusters == RECORDS["clusters-empty"]()
+
+    def test_json_form(self):
+        d = json.loads(RECORDS["analysis"]().to_json())
+        assert (d["sdl"], d["hicl"], d["isolated"]) == ("Linear", "Clearly different", "Yes")
+        assert d["summary"]["max_c"] == 610.0
+        assert d["hotspots"][0]["peak_px"] == [12, 9]
+        assert d["clusters"]["clusters"] == [[0, 1], [2]]
+        assert json.loads(RECORDS["match"]().to_json())["homography"] == list(range(9))
+
+    def test_as_dict_shares_no_record(self):
+        a = RECORDS["analysis"]()
+        d = a.as_dict()
+        assert isinstance(d["summary"], dict) and isinstance(d["hotspots"][0], dict)
+        assert d["hotspots"][0]["centroid_px"] == a.hotspots[0].centroid_px
+
+
+class TestOlderDocuments:
+    def test_v1_analysis_without_optional_keys(self):
+        a = RECORDS["analysis"]()
+        d = json.loads(a.to_json())
+        for key in ("agl_suspect", "errors", "schema_version"):
+            del d[key]
+        back = FrameAnalysis.from_dict(d)
+        assert back.agl_suspect is False and back.errors == {} and back.schema_version == SCHEMA_VERSION
+        assert back == a
+
+    def test_sheet_without_schema_version_or_answer_keys(self):
+        d = json.loads(_sheet().to_json())
+        del d["schema_version"]
+        d["answers"] = {"PD2": {"option": "Yes"}}
+        sheet = AnswerSheet.from_dict(d)
+        assert sheet.schema_version == SCHEMA_VERSION
+        assert sheet.answers["PD2"] == Answer(option="Yes")
+        assert sheet.answers["PD1"] == Answer()
+
+
+def _mutations():
+    def unknown(d):
+        d["frame_jd"] = d.pop("frame_id")
+
+    def missing(d):
+        del d["summary"]
+
+    def text_for_float(d):
+        d["p200"] = "0.5"
+
+    def bool_for_int(d):
+        d["hotspots"][0]["pixel_count"] = True
+
+    def float_for_int(d):
+        d["hotspots"][0]["id"] = 1.5
+
+    def short_tuple(d):
+        d["hotspots"][0]["centroid_px"] = [1.0]
+
+    def object_for_array(d):
+        d["hotspots"] = {"0": d["hotspots"][0]}
+
+    def array_for_object(d):
+        d["summary"] = list(d["summary"].values())
+
+    def bad_enum(d):
+        d["sdl"] = "Sideways"
+
+    def null_record(d):
+        d["summary"] = None
+
+    return [unknown, missing, text_for_float, bool_for_int, float_for_int, short_tuple,
+            object_for_array, array_for_object, bad_enum, null_record]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("mutate", _mutations(), ids=lambda f: f.__name__)
+    def test_malformed_analysis_raises_value_error(self, mutate):
+        d = json.loads(RECORDS["analysis"]().to_json())
+        mutate(d)
+        with pytest.raises(ValueError):
+            FrameAnalysis.from_dict(d)
+
+    @pytest.mark.parametrize("doc", [[], "x", 3, None, {"frame_id": "f", "answers": []}])
+    def test_wrong_shape_sheet_raises_value_error(self, doc):
+        with pytest.raises(ValueError, match="malformed"):
+            AnswerSheet.from_json(json.dumps(doc))
+
+    def test_invariants_still_apply(self):
+        d = RECORDS["analysis"]().as_dict()
+        d["hotspots"] = []
+        with pytest.raises(ValueError, match="SDL NoActiveHotspots"):
+            FrameAnalysis.from_dict(d)
+
+    def test_huge_radius_raises_value_error(self):
+        d = RECORDS["hotspot"]().as_dict()
+        d["area_m2"] = d["radius_m"] = 1e200
+        with pytest.raises(ValueError, match="radius inconsistent"):
+            Hotspot.from_dict(d)
+
+
+_DOCUMENTS = {
+    "analysis": (FrameAnalysis, RECORDS["analysis"]().to_json().encode()),
+    "sheet": (AnswerSheet, _sheet().to_json().encode()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCUMENTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupt_document_raises_only_value_error(kind, data):
+    cls, blob = _DOCUMENTS[kind]
+    try:
+        cls.from_json(data.draw(corrupted(blob)))
+    except ValueError:
+        pass
