@@ -27,6 +27,11 @@ PROVENANCE_EXTERNAL = "external"
 _HOTSPOT_FAMILY = ("PD7", "DS1", "DS3", "LD1", "CMR4")
 
 
+def _check_schema_version(version: int) -> None:
+    if not 1 <= version <= SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version} outside 1..{SCHEMA_VERSION}")
+
+
 @dataclass(frozen=True)
 class FrameAnalysis(Record):
     """Full deterministic output for one frame.
@@ -52,6 +57,7 @@ class FrameAnalysis(Record):
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        _check_schema_version(self.schema_version)
         if self.p400 > self.p200:
             raise ValueError("p400 cannot exceed p200")
         if self.hotspots is not None:
@@ -70,6 +76,10 @@ class Answer(Record):
     provenance: str = PROVENANCE_EXTERNAL
     note: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.provenance not in (PROVENANCE_DETERMINISTIC, PROVENANCE_EXTERNAL):
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+
 
 @dataclass
 class AnswerSheet(Record):
@@ -77,6 +87,8 @@ class AnswerSheet(Record):
 
     Deterministic slots are filled only by this module; external slots accept
     answers through ``set_external`` which enforces the canonical choice list.
+    A sheet is built, or read back, only with known question ids and
+    canonical options.
     """
 
     frame_id: str
@@ -84,6 +96,12 @@ class AnswerSheet(Record):
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        _check_schema_version(self.schema_version)
+        for qid, answer in self.answers.items():
+            if qid not in QUESTIONS:
+                raise ValueError(f"unknown question id {qid!r}")
+            if answer.option is not None:
+                validate_option(qid, answer.option)
         for qid in QUESTIONS:
             self.answers.setdefault(qid, Answer())
 

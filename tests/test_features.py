@@ -30,7 +30,24 @@ from firescene.features import (
 )
 from firescene.features import ransac
 from firescene.features.describe import hamming_distance
-from firescene.features.detect import ImageTooSmallError, Keypoint, _intensity_centroid_angle
+from firescene.features.detect import (
+    BORDER_MARGIN,
+    CIRCLE,
+    FAST_ARC,
+    HARRIS_K,
+    HARRIS_WINDOW,
+    ORIENTATION_RADIUS,
+    ImageTooSmallError,
+    Keypoint,
+    _box_sum,
+    _fast_corner_mask,
+    _harris_response,
+    _HARRIS_SUM_BOUND,
+    _intensity_centroid_angle,
+    _moments,
+    _nms_first_wins,
+    _sobel,
+)
 from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
 
@@ -123,6 +140,238 @@ class TestDetect:
     def test_deterministic(self):
         img = synthetic_texture(128, 128, 9)
         assert detect(img) == detect(img)
+
+
+def _roll_fast_corner_mask(img, threshold, margin):
+    """Oracle: the segment test as 16 boolean planes and np.roll copies, as detect ran it before circle words."""
+    h, w = img.shape
+
+    def interior(dx, dy):
+        return img[margin + dy : h - margin + dy, margin + dx : w - margin + dx].astype(np.int16)
+
+    center = interior(0, 0)
+    bright = np.empty((16,) + center.shape, dtype=bool)
+    dark = np.empty_like(bright)
+    for i, (dx, dy) in enumerate(CIRCLE):
+        ring = interior(dx, dy)
+        bright[i] = ring >= center + threshold
+        dark[i] = ring <= center - threshold
+
+    def has_arc(flags):
+        run = flags.copy()
+        for k in range(1, FAST_ARC):
+            run &= np.roll(flags, -k, axis=0)
+        return run.any(axis=0)
+
+    return has_arc(bright) | has_arc(dark)
+
+
+def _float_sobel(img):
+    """Oracle: edge-padded Sobel gradients from six float64 shifted copies."""
+    f = img.astype(np.float64)
+    padded = np.pad(f, 1, mode="edge")
+    h, w = f.shape
+
+    def shift(dy, dx):
+        return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+
+    gx = shift(-1, 1) + 2 * shift(0, 1) + shift(1, 1) - shift(-1, -1) - 2 * shift(0, -1) - shift(1, -1)
+    gy = shift(1, -1) + 2 * shift(1, 0) + shift(1, 1) - shift(-1, -1) - 2 * shift(-1, 0) - shift(-1, 1)
+    return gx, gy
+
+
+def _cumsum_box_sum(arr, size):
+    """Oracle: edge-padded window sums from a float64 summed-area table."""
+    r = size // 2
+    padded = np.pad(arr, r + 1, mode="edge")
+    c = padded.cumsum(axis=0).cumsum(axis=1)
+    h, w = arr.shape
+    return c[size : size + h, size : size + w] - c[:h, size : size + w] - c[size : size + h, :w] + c[:h, :w]
+
+
+def _float_harris_response(img):
+    gx, gy = _float_sobel(img)
+    sxx = _cumsum_box_sum(gx * gx, HARRIS_WINDOW)
+    syy = _cumsum_box_sum(gy * gy, HARRIS_WINDOW)
+    sxy = _cumsum_box_sum(gx * gy, HARRIS_WINDOW)
+    det = sxx * syy - sxy * sxy
+    trace = sxx + syy
+    return det - HARRIS_K * trace * trace
+
+
+def _loop_angle(img, y, x):
+    """Oracle: one keypoint's intensity-centroid angle from float64 patch moments."""
+    r = ORIENTATION_RADIUS
+    ys, xs = np.mgrid[-r : r + 1, -r : r + 1]
+    disc = (xs * xs + ys * ys) <= r * r
+    patch = img[y - r : y + r + 1, x - r : x + r + 1].astype(np.float64)
+    m10 = float((patch * (xs * disc).astype(np.float64)).sum())
+    m01 = float((patch * (ys * disc).astype(np.float64)).sum())
+    return math.atan2(m01, m10)
+
+
+def _oracle_detect(image, max_features, threshold):
+    """detect composed of the oracles above, with its lexsort and per-keypoint loop."""
+    img, m = image.pixels, BORDER_MARGIN
+    if image.width <= 2 * m or image.height <= 2 * m:
+        return []
+    corners = _roll_fast_corner_mask(img, threshold, m)
+    if not corners.any():
+        return []
+    interior = _float_harris_response(img)[m:-m, m:-m]
+    ys, xs = np.nonzero(_nms_first_wins(interior, corners))
+    scores = interior[ys, xs]
+    order = np.lexsort((xs, ys, -scores))[:max_features]
+    return [
+        Keypoint(float(xs[i] + m), float(ys[i] + m), float(scores[i]), _loop_angle(img, int(ys[i]) + m, int(xs[i]) + m))
+        for i in order
+    ]
+
+
+def _bits(keypoints):
+    """Each keypoint's fields as float.hex, which tells -0.0 from 0.0."""
+    return [tuple(map(float.hex, (k.x, k.y, k.response, k.angle))) for k in keypoints]
+
+
+# Full range, the extremes that test the int16 comparisons, and few levels.
+_PALETTES = [tuple(range(256)), (0, 255), (0, 1, 19, 20, 21, 234, 235, 254, 255), (80, 100, 120)]
+
+
+@st.composite
+def _gray_arrays(draw, lo, hi):
+    h, w = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(draw(st.sampled_from(_PALETTES)), dtype=np.uint8), size=(h, w))
+
+
+_THRESHOLDS = [0, 1, 20, 254, 255, 300]
+
+
+def _ring_image(center, ring):
+    """7x7 image of ``center`` with CIRCLE pixel i set to ``ring[i]``: one interior pixel at margin 3."""
+    img = np.full((7, 7), center, dtype=np.uint8)
+    for (dx, dy), value in zip(CIRCLE, ring):
+        img[3 + dy, 3 + dx] = value
+    return img
+
+
+def _checkerboard(h, w, cell):
+    yy, xx = np.mgrid[0:h, 0:w]
+    return np.where((yy // cell + xx // cell) % 2 == 0, 0, 255).astype(np.uint8)
+
+
+def _stripes(h, w):
+    """Vertical 0/255 stripes two pixels wide: |gx| = 4 * 255 off the two edge columns."""
+    row = (np.arange(w) // 2 % 2 * 255).astype(np.uint8)
+    return np.repeat(row[None, :], h, axis=0)
+
+
+HARRIS_IMAGES = {
+    "random-40x57": lambda: np.random.default_rng(0).integers(0, 256, (40, 57), dtype=np.uint8),
+    "random-64x33": lambda: np.random.default_rng(1).integers(0, 256, (64, 33), dtype=np.uint8),
+    "texture": lambda: synthetic_texture(96, 80, 2).pixels,
+    "checker-1": lambda: _checkerboard(48, 52, 1),
+    "checker-2": lambda: _checkerboard(48, 52, 2),
+    "checker-3": lambda: _checkerboard(50, 45, 3),
+    "stripes-vertical": lambda: _stripes(40, 50),
+    "stripes-horizontal": lambda: np.ascontiguousarray(_stripes(50, 40).T),
+    "flat-255": lambda: np.full((33, 33), 255, dtype=np.uint8),
+}
+
+
+class TestDetectOracle:
+    @given(_gray_arrays(33, 64), st.sampled_from(_THRESHOLDS))
+    @settings(max_examples=150, deadline=None)
+    def test_fast_mask_matches_roll_oracle(self, img, threshold):
+        assert np.array_equal(_fast_corner_mask(img, threshold, 3), _roll_fast_corner_mask(img, threshold, 3))
+
+    @pytest.mark.parametrize(
+        "center, ring, corner",
+        [
+            (100, [200] * 8 + [100] * 8, False),  # exactly 8 contiguous
+            (100, [200] * 4 + [100] * 8 + [200] * 4, False),  # 8, wrapping
+            (100, [200] * 5 + [100] * 7 + [200] * 4, True),  # 9, wrapping from index 12 to 4
+            (100, [0] * 5 + [100] * 7 + [0] * 4, True),
+            (100, [200] * 5 + [0] * 4 + [100] * 7, False),  # 9 that differ, not all one way
+            (100, [120] * 9 + [100] * 7, True),  # center + threshold is inclusive
+            (100, [119] * 9 + [100] * 7, False),
+            (100, [80] * 9 + [100] * 7, True),  # center - threshold is inclusive
+            (100, [81] * 9 + [100] * 7, False),
+            (5, [0] * 16, False),  # in uint8, 5 - 20 would wrap to 241
+            (250, [255] * 16, False),  # in uint8, 250 + 20 would wrap to 14
+            (20, [0] * 16, True),
+            (235, [255] * 16, True),
+        ],
+    )
+    def test_fast_hand_cases(self, center, ring, corner):
+        img = _ring_image(center, ring)
+        assert _fast_corner_mask(img, 20, 3).tolist() == [[corner]]
+        assert _roll_fast_corner_mask(img, 20, 3).tolist() == [[corner]]
+
+    @pytest.mark.parametrize("name", sorted(HARRIS_IMAGES))
+    def test_harris_matches_float_oracle(self, name):
+        img = HARRIS_IMAGES[name]()
+        gx, gy = _sobel(img)
+        want_gx, want_gy = _float_sobel(img)
+        assert gx.dtype == gy.dtype == np.int32
+        assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
+        response = _harris_response(img)
+        assert response.dtype == np.float64
+        assert response.tobytes() == _float_harris_response(img).tobytes()
+
+    def test_window_sums_reach_the_int32_bound(self):
+        gx, gy = _sobel(_stripes(40, 50))
+        assert np.all(np.abs(gx[:, 1:-1]) == 4 * 255) and not gy.any()
+        sxx = _box_sum(gx * gx, HARRIS_WINDOW)
+        assert sxx.dtype == np.int32 and sxx.max() == _HARRIS_SUM_BOUND < 2**31
+
+    def test_batched_angles_match_per_keypoint_loop(self):
+        img = noise_image(200, 160, 3).pixels.copy()
+        img[5:45, 5:45] = 90  # uniform: m10 = m01 = 0
+        img[5:45, 50:70], img[5:45, 70:90] = 200, 0  # bright left: m01 = 0, m10 < 0
+        img[5:25, 100:140], img[25:45, 100:140] = 0, 200  # dark top: m10 = 0, m01 > 0
+        img[50:70, 5:45], img[70:90, 5:45] = 200, 0  # dark bottom: m10 = 0, m01 < 0
+        special = {(25, 25): 0.0, (25, 70): math.pi, (25, 120): math.pi / 2, (70, 25): -math.pi / 2}
+        rng = np.random.default_rng(4)
+        r = ORIENTATION_RADIUS
+        ys = np.concatenate([[y for y, _ in special], rng.integers(r, 160 - r, 1300)])
+        xs = np.concatenate([[x for _, x in special], rng.integers(r, 200 - r, 1300)])
+        got = [math.atan2(m01, m10).hex() for m10, m01 in _moments(img, ys, xs).tolist()]
+        assert got == [_loop_angle(img, y, x).hex() for y, x in zip(ys.tolist(), xs.tolist())]
+        for (y, x), angle in special.items():
+            assert _intensity_centroid_angle(img, y, x).hex() == _loop_angle(img, y, x).hex() == angle.hex()
+
+    @given(_gray_arrays(33, 80), st.sampled_from(_THRESHOLDS), st.sampled_from([0, 1, 7, 8000]))
+    @settings(max_examples=80, deadline=None)
+    def test_detect_matches_oracle(self, arr, threshold, max_features):
+        img = GrayImage.from_array(arr)
+        assert _bits(detect(img, max_features, threshold)) == _bits(_oracle_detect(img, max_features, threshold))
+
+    @pytest.mark.parametrize("max_features", [8000, 30])
+    def test_tied_responses_keep_row_major_order(self, max_features):
+        # Four square brightnesses in turn: four groups of equal responses,
+        # interleaved in position, so a sort that is not stable reorders them.
+        arr = np.zeros((160, 160), dtype=np.uint8)
+        for k, (y, x) in enumerate((y, x) for y in range(20, 140, 12) for x in range(20, 140, 12)):
+            arr[y : y + 3, x : x + 3] = (255, 120, 200, 60)[k % 4]
+        img = GrayImage.from_array(arr)
+        want = _oracle_detect(img, max_features, 20)
+        assert len({k.response for k in want}) < len(want)
+        assert _bits(detect(img, max_features)) == _bits(want)
+
+    def test_peak_memory_at_the_feature_cap(self):
+        # A 1280x1024 noise image yields more corners than the 8000 cap. The
+        # boolean segment-test planes and float64 Harris sums peaked at 91.2
+        # MiB here; circle words and int32 sums peak near 51 MiB.
+        img = noise_image(1280, 1024, 5)
+        tracemalloc.start()
+        try:
+            kps = detect(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kps) == 8000
+        assert peak <= 64 * 2**20
 
 
 class TestDescribe:

@@ -4,7 +4,9 @@ Each labeling frame is built here from seeded numpy and run through
 ``analyze_frame``; the test hashes ``FrameAnalysis.to_json()``,
 ``AnswerSheet.to_json()`` and ``rag_summary(...).as_text()``. Each matching
 pair from ``imagefix`` is run through ``match_images`` and its
-``MatchResult.as_dict()`` hashed as canonical JSON.
+``MatchResult.as_dict()`` hashed as canonical JSON, and the keypoints
+``detect`` finds on the texture and on each pair's second image are hashed
+as the ``float.hex`` of their ``(x, y, response, angle)``, in order.
 
 A refactor keeps every digest. A deliberate change of output renews the
 affected digests and says why in CHANGES.md; print the new ones with
@@ -19,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from firescene.features import match_images
+from firescene.features import detect, match_images
 from firescene.labeler import analyze_frame, answer_sheet, rag_summary
 from firescene.raster import ThermalRaster
 from imagefix import noise_image, synthetic_texture, warp_rigid
@@ -181,6 +183,10 @@ PAIRS = {
 }
 
 
+# name -> image
+DETECT_IMAGES = {"texture": _texture} | {name: (lambda make=make: make()[1]) for name, make in PAIRS.items()}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -199,6 +205,11 @@ def frame_digests(name: str) -> tuple[str, str, str]:
 def pair_digest(name: str) -> str:
     a, b = PAIRS[name]()
     return _sha(json.dumps(match_images(a, b).as_dict(), sort_keys=True))
+
+
+def keypoint_digest(name: str) -> str:
+    kps = detect(DETECT_IMAGES[name]())
+    return _sha("\n".join(" ".join(map(float.hex, (k.x, k.y, k.response, k.angle))) for k in kps))
 
 
 # (FrameAnalysis JSON, AnswerSheet JSON, RAG text)
@@ -313,6 +324,15 @@ GOLDEN_PAIRS = {
 }
 
 
+GOLDEN_KEYPOINTS = {
+    "texture": "b6da586e63d91330e1ec1bc3d79b0017a3c6fed674e3a9a4c7b6ab6e4fafb1b6",
+    "rotated": "eeda2e1ceec1b7421be06f949b3e1012d68773227ec6f79d4e77f6e1b726fa93",
+    "shifted": "797adf1b8d5e242f3ed21ef196fabb0984122683c55b1ae0c118b9e47a62bf4f",
+    "unrelated": "a6d35f42c5b35b82fdd344184ed9e878526229f98ab4a4d5955d94c3925a4d80",
+    "noise": "b051d3acad82f0a0b81eedf2cb6a3078bc15f9b429728c3d17e198e2dea52e36",
+}
+
+
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_frame_outputs_unchanged(name):
     assert frame_digests(name) == GOLDEN_FRAMES[name]
@@ -321,6 +341,11 @@ def test_frame_outputs_unchanged(name):
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_match_result_unchanged(name):
     assert pair_digest(name) == GOLDEN_PAIRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DETECT_IMAGES))
+def test_keypoints_unchanged(name):
+    assert keypoint_digest(name) == GOLDEN_KEYPOINTS[name]
 
 
 if __name__ == "__main__":
@@ -333,4 +358,7 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_PAIRS = {")
     for n in PAIRS:
         print(f'    "{n}": "{pair_digest(n)}",')
+    print("}\n\nGOLDEN_KEYPOINTS = {")
+    for n in DETECT_IMAGES:
+        print(f'    "{n}": "{keypoint_digest(n)}",')
     print("}")

@@ -14,6 +14,7 @@ from factories import corrupted, make_hotspot
 from firescene.features import MatchResult
 from firescene.hotspots import Hotspot
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
+from firescene.questions import QUESTIONS, choices
 from firescene.raster import RadiometricSummary, ThermalRaster
 from firescene.spatial import ClusterSet
 
@@ -161,6 +162,47 @@ class TestMalformed:
         d["hotspots"] = []
         with pytest.raises(ValueError, match="SDL NoActiveHotspots"):
             FrameAnalysis.from_dict(d)
+
+    def test_free_text_sheet_rejected(self):
+        doc = {
+            "frame_id": "f",
+            "answers": {"ZZ9": {"option": "on fire"}, "PD1": {"option": "Maybe", "provenance": "whatever"}},
+            "schema_version": 99,
+        }
+        with pytest.raises(ValueError):
+            AnswerSheet.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "answers, match",
+        [
+            ({"ZZ9": {"option": None}}, "unknown question id 'ZZ9'"),
+            ({"ZZ9": {}}, "unknown question id"),
+            ({"PD1": {"option": "Maybe"}}, "not a canonical choice for PD1"),
+            ({"DS8": {"option": "none"}}, "not a canonical choice for DS8"),
+            ({"PD1": {"option": "Yes", "provenance": "whatever"}}, "unknown provenance 'whatever'"),
+            ({"PD1": {"provenance": "Deterministic"}}, "unknown provenance"),
+        ],
+    )
+    def test_sheet_rules(self, answers, match):
+        d = _sheet().as_dict()
+        d["answers"] = answers
+        with pytest.raises(ValueError, match=match):
+            AnswerSheet.from_dict(d)
+
+    @pytest.mark.parametrize("version", [0, -1, SCHEMA_VERSION + 1, 99])
+    @pytest.mark.parametrize("kind", ["analysis", "sheet"])
+    def test_schema_version_outside_known_range(self, kind, version):
+        rec = RECORDS[kind]()
+        d = json.loads(rec.to_json())
+        d["schema_version"] = version
+        with pytest.raises(ValueError, match=f"schema_version {version} outside 1..{SCHEMA_VERSION}"):
+            type(rec).from_dict(d)
+
+    def test_every_known_slot_and_option_accepted(self):
+        d = _sheet().as_dict()
+        d["answers"] = {qid: {"option": choices(qid)[-1], "provenance": "external"} for qid in QUESTIONS}
+        sheet = AnswerSheet.from_dict(d)
+        assert sheet.filled() == {qid: choices(qid)[-1] for qid in QUESTIONS}
 
     def test_huge_radius_raises_value_error(self):
         d = RECORDS["hotspot"]().as_dict()
