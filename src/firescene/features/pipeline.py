@@ -9,13 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..records import Record
+from .brief_pattern import PATCH_RADIUS
 from .describe import describe
-from .detect import detect
+from .detect import BORDER_MARGIN, detect
 from .image import GrayImage
 from .matching import match
 from .ransac import RansacError, ransac_homography
 
 import numpy as np
+
+# describe keeps every keypoint detect returns, so neither list is ever emptied.
+assert BORDER_MARGIN >= PATCH_RADIUS
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,6 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
         return _unverified()
     desc_a, kept_a = describe(a, kps_a)
     desc_b, kept_b = describe(b, kps_b)
-    if len(kept_a) == 0 or len(kept_b) == 0:
-        return _unverified()
 
     pairs, _ = match(desc_a, desc_b, config.ratio)
     putative = len(desc_a)

@@ -177,47 +177,33 @@ class DemTile:
         return cls(anchor_lat=lat, anchor_lon=lon, elevations=grid)
 
 
+def _tile_name(key: tuple[int, int]) -> str:
+    ns = "N" if key[0] >= 0 else "S"
+    ew = "E" if key[1] >= 0 else "W"
+    return f"{ns}{abs(key[0]):02d}{ew}{abs(key[1]):03d}.hgt"
+
+
 class DemTileSet:
-    """Lazy directory-backed collection of SRTM tiles keyed by anchor."""
+    """Lazy directory-backed collection of SRTM tiles keyed by anchor; misses are not cached."""
 
-    def __init__(self, directory: str | Path | None = None, tiles: list[DemTile] | None = None):
-        self._dir = Path(directory) if directory is not None else None
+    def __init__(self, directory: str | Path):
+        self._dir = Path(directory)
         self._tiles: dict[tuple[int, int], DemTile] = {}
-        for t in tiles or []:
-            self._tiles[(t.anchor_lat, t.anchor_lon)] = t
-
-    @staticmethod
-    def _tile_name(key: tuple[int, int]) -> str:
-        ns = "N" if key[0] >= 0 else "S"
-        ew = "E" if key[1] >= 0 else "W"
-        return f"{ns}{abs(key[0]):02d}{ew}{abs(key[1]):03d}.hgt"
-
-    def _lookup(self, key: tuple[int, int]) -> DemTile | None:
-        if key not in self._tiles:
-            if self._dir is None:
-                return None
-            path = self._dir / self._tile_name(key)
-            if not path.exists():
-                return None
-            self._tiles[key] = DemTile.from_hgt(path)
-        return self._tiles[key]
 
     def tile_for(self, lat: float, lon: float) -> DemTile:
         # Tiles share their edge rows/columns, so a query exactly on a tile
         # boundary is also covered by the tile south/west of it.
-        lat_keys = [math.floor(lat)]
-        lon_keys = [math.floor(lon)]
-        if lat == math.floor(lat):
-            lat_keys.append(math.floor(lat) - 1)
-        if lon == math.floor(lon):
-            lon_keys.append(math.floor(lon) - 1)
-        for klat in lat_keys:
-            for klon in lon_keys:
-                tile = self._lookup((klat, klon))
-                if tile is not None:
-                    return tile
-        primary = (math.floor(lat), math.floor(lon))
-        raise OutsideCoverageError(f"missing DEM tile {self._tile_name(primary)}")
+        klat, klon = math.floor(lat), math.floor(lon)
+        lats = (klat, klat - 1) if lat == klat else (klat,)
+        lons = (klon, klon - 1) if lon == klon else (klon,)
+        for key in ((y, x) for y in lats for x in lons):
+            if key not in self._tiles:
+                path = self._dir / _tile_name(key)
+                if not path.exists():
+                    continue
+                self._tiles[key] = DemTile.from_hgt(path)
+            return self._tiles[key]
+        raise OutsideCoverageError(f"missing DEM tile {_tile_name((klat, klon))}")
 
 
 def dem_elevation(tiles: DemTileSet, lat: float, lon: float) -> float:

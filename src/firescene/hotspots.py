@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geodesy import DEFAULT_FOV_DIAG_DEG
 from .questions import choices
 from .raster import ThermalRaster
 from .records import Record
@@ -32,7 +33,7 @@ class HotspotParams:
     temp_threshold_c: float = 200.0
     r_min_m: float = 0.75
     n_min_px: int = 5
-    fov_diag_deg: float = 61.0
+    fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -85,8 +86,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     a run of the previous row when their column spans, each widened by one
     for the diagonal, overlap; on row-offset keys ``y * (W + 1) + x`` the
     touching runs form one index range that two searchsorted calls find.
-    Touching runs merge by hooking the larger root under the smaller, with
-    full path compression after each round, so every component's root is
+    ``components`` merges the touching runs, so each component's id follows
     its first run in scan order.
     """
     height, width = mask.shape
@@ -104,8 +104,19 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     # One edge (a, b) per touching pair: run a and previous-row run b.
     a = np.repeat(np.arange(len(x0)), touches)
     b = np.arange(len(a)) - np.repeat(np.cumsum(touches) - touches - lo, touches)
+    run_comp, n = components(len(x0), a, b)
+    return np.repeat(run_comp, x1 - x0), n
 
-    parent = np.arange(len(x0))
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Components of the undirected graph on nodes 0..n-1 with edges (a[i], b[i]).
+
+    Returns each node's component id, numbered in the order of each
+    component's smallest node, and the number of components. Edges merge by
+    hooking the larger root under the smaller, with full path compression
+    after each round, so every component's root is its smallest node.
+    """
+    parent = np.arange(n)
     while True:
         ra, rb = parent[a], parent[b]
         apart = ra != rb
@@ -118,9 +129,8 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
             if np.array_equal(hop, parent):
                 break
             parent = hop
-
-    roots, run_comp = np.unique(parent, return_inverse=True)
-    return np.repeat(run_comp, x1 - x0), len(roots)
+    roots, ids = np.unique(parent, return_inverse=True)
+    return ids, len(roots)
 
 
 def connected_components(mask: np.ndarray) -> list[np.ndarray]:
@@ -180,10 +190,9 @@ def extract_hotspots(
     # Integer coordinate sums are exact in float64, so sum / count equals the mean.
     cx = np.bincount(comp, weights=xs, minlength=n_comp) / counts
     cy = np.bincount(comp, weights=ys, minlength=n_comp) / counts
-    # Stable sort: within a component the first row-major pixel wins peak ties.
-    peak = np.lexsort((-temps, comp))[np.cumsum(counts) - counts]
-
-    p = peak[kept]
+    # Stable sort of the kept pixels: within a component the first row-major pixel wins peak ties.
+    sel = np.flatnonzero(np.isin(comp, kept))
+    p = sel[np.lexsort((-temps[sel], comp[sel]))][np.cumsum(counts[kept]) - counts[kept]]
     columns = (kept, counts[kept], cx[kept], cy[kept], area[kept], radius[kept], temps[p], xs[p], ys[p])
     return [
         Hotspot(id=k, pixel_count=n, centroid_px=(x, y), centroid_m=(x * g, y * g),

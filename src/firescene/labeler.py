@@ -60,14 +60,14 @@ class FrameAnalysis(Record):
         _check_schema_version(self.schema_version)
         if self.p400 > self.p200:
             raise ValueError("p400 cannot exceed p200")
-        if self.hotspots is not None:
-            empty = len(self.hotspots) == 0
-            if (self.sdl == sp.SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS) != empty:
-                raise ValueError("SDL NoActiveHotspots must coincide with an empty hotspot list")
-            if (self.hicl == sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS) != empty:
-                raise ValueError("HICL NoActiveHotspots must coincide with an empty hotspot list")
-            if (self.hottest_region == hs.REGION_NO_HOTSPOTS) != empty:
-                raise ValueError("hottest region 'No hotspots' must coincide with an empty list")
+        for name, value, null in (
+            ("SDL NoActiveHotspots", self.sdl, sp.SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS),
+            ("HICL NoActiveHotspots", self.hicl, sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS),
+            ("hottest region 'No hotspots'", self.hottest_region, hs.REGION_NO_HOTSPOTS),
+            ("isolation 'No fire'", self.isolated, sp.IsolationVerdict.NO_FIRE),
+        ):
+            if self.hotspots is not None and (value == null) != (len(self.hotspots) == 0):
+                raise ValueError(f"{name} must coincide with an empty hotspot list")
 
 
 @dataclass
@@ -169,18 +169,20 @@ def analyze_frame(
     )
 
 
-def bin_p400(p: float) -> str:
-    """DS7 coverage bin. "None" means literally zero qualifying pixels."""
+def _bin_percentage(qid: str, p: float) -> str:
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentage {p} outside [0, 100]")
-    return choices("DS7")[-1] if p == 0.0 else bin_option("DS7", p)
+    return choices(qid)[-1] if p == 0.0 else bin_option(qid, p)
+
+
+def bin_p400(p: float) -> str:
+    """DS7 coverage bin. "None" means literally zero qualifying pixels."""
+    return _bin_percentage("DS7", p)
 
 
 def bin_p200(p: float) -> str:
     """DS8 coverage bin, lower-inclusive at the DS8 edges; "None" as for DS7."""
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentage {p} outside [0, 100]")
-    return choices("DS8")[-1] if p == 0.0 else bin_option("DS8", p)
+    return _bin_percentage("DS8", p)
 
 
 def bin_peak_temp(analysis: FrameAnalysis) -> str:

@@ -22,12 +22,7 @@ from .records import Record
 TEMP_MIN_C = -100.0
 TEMP_MAX_C = 2000.0
 
-_RAW_DTYPES = {
-    "float32": "f4",
-    "float64": "f8",
-    "uint16": "u2",
-    "int16": "i2",
-}
+_RAW_DTYPES = ("float32", "float64", "uint16", "int16")
 _ENDIAN_PREFIX = {"little": "<", "big": ">"}
 
 
@@ -112,9 +107,10 @@ class ThermalRaster:
         valid = np.ones(raw.shape, dtype=bool)
         if nodata is not None:
             valid &= raw != np.asarray(nodata, dtype=raw.dtype)
-        temps = raw.astype(np.float64)
-        if scale is not None or offset is not None:
-            temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf results are masked invalid
+            temps = raw.astype(np.float64)
+            if scale is not None or offset is not None:
+                temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
         return cls.from_array(temps, valid)
 
     @property
@@ -169,6 +165,15 @@ def summarize(raster: ThermalRaster) -> RadiometricSummary:
     )
 
 
+def _raw_dtype(name: str, endian: str) -> np.dtype:
+    """The numpy dtype of a raw fixture's element type and byte order."""
+    if name not in _RAW_DTYPES:
+        raise RasterFormatError(f"unknown element type {name!r}")
+    if endian not in _ENDIAN_PREFIX:
+        raise RasterFormatError(f"unknown endianness {endian!r}")
+    return np.dtype(name).newbyteorder(_ENDIAN_PREFIX[endian])
+
+
 def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -> ThermalRaster:
     """Load a raster from the raw fixture format (JSON sidecar + flat binary).
 
@@ -196,12 +201,7 @@ def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -
         width = int(header["width"])
         height = int(header["height"])
         dtype_name = str(header["dtype"])
-        endian = str(header.get("endian", "little"))
-        if dtype_name not in _RAW_DTYPES:
-            raise RasterFormatError(f"unknown element type {dtype_name!r}")
-        if endian not in _ENDIAN_PREFIX:
-            raise RasterFormatError(f"unknown endianness {endian!r}")
-        dtype = np.dtype(_ENDIAN_PREFIX[endian] + _RAW_DTYPES[dtype_name])
+        dtype = _raw_dtype(dtype_name, str(header.get("endian", "little")))
         nodata = header.get("nodata")
         if nodata is not None:
             nodata = np.asarray(nodata, dtype=dtype)
@@ -245,13 +245,9 @@ def write_raw_raster(
     Invalid pixels are written as ``nodata``; with the default float64 dtype,
     loading the result back reproduces every valid pixel bit-for-bit.
     """
-    if dtype not in _RAW_DTYPES:
-        raise RasterFormatError(f"unknown element type {dtype!r}")
-    if endian not in _ENDIAN_PREFIX:
-        raise RasterFormatError(f"unknown endianness {endian!r}")
+    np_dtype = _raw_dtype(dtype, endian)
     sidecar = Path(sidecar)
     data_path = sidecar.with_suffix(".bin")
-    np_dtype = np.dtype(_ENDIAN_PREFIX[endian] + _RAW_DTYPES[dtype])
 
     out = raster.temps.copy()
     out[~raster.valid_mask] = nodata

@@ -6,9 +6,11 @@ are the spatial distribution (linearity via PCA of centroids, then a
 compactness test against the equivalent radius of the combined area) and the
 intensity consistency (robust coefficient of variation of per-hotspot peaks).
 
-Clustering, isolation and the extent all read one dense matrix of centroid
-ground distances, so each takes O(n^2) time and memory for n hotspots: at
-most two n x n float64 arrays at once, 64 MB at 2000 hotspots.
+Clusters are the graph components (``hotspots.components``) of the pairs
+within the merge distance. Linkage and the extent still read the dense n x n
+matrix of centroid ground distances, and isolation blocks of it, so each
+takes O(n^2) time and memory for n hotspots: at most two n x n float64
+arrays at once, 64 MB at 2000 hotspots.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hotspots import Hotspot
+from .hotspots import Hotspot, components
 from .records import Record
 
 
@@ -108,23 +110,12 @@ def single_linkage_clusters(
     if n == 0:
         return ClusterSet(clusters=(), main_index=None, total_area_m2=())
 
-    near = _distances(hotspots, hotspots, gsd) <= params.d_merge_m
-    seen = np.zeros(n, dtype=bool)
-    clusters = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontiers = [np.array([start])]
-        while frontiers[-1].size:
-            frontier = np.flatnonzero(near[frontiers[-1]].any(axis=0) & ~seen)
-            seen[frontier] = True
-            frontiers.append(frontier)
-        clusters.append(tuple(np.sort(np.concatenate(frontiers)).tolist()))
-
+    ids, _ = components(n, *np.nonzero(_distances(hotspots, hotspots, gsd) <= params.d_merge_m))
+    order = np.argsort(ids, kind="stable")  # stable: each cluster's members stay ascending
+    clusters = tuple(tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1]))
     totals = tuple(sum(hotspots[i].area_m2 for i in c) for c in clusters)
     main = totals.index(max(totals))  # ties stay with the lowest id
-    return ClusterSet(clusters=tuple(clusters), main_index=main, total_area_m2=totals)
+    return ClusterSet(clusters=clusters, main_index=main, total_area_m2=totals)
 
 
 def isolated_heat_sources(
@@ -142,15 +133,11 @@ def isolated_heat_sources(
     if not hotspots:
         return IsolationVerdict.NO_FIRE
     assert clusters.main_index is not None
-    main_members = clusters.clusters[clusters.main_index]
-    outside = np.setdiff1d(np.arange(len(hotspots)), main_members)
-    to_main = np.zeros(len(hotspots))
-    to_main[outside] = _distances(
-        [hotspots[i] for i in outside], [hotspots[j] for j in main_members], gsd
-    ).min(axis=1)
+    main = [hotspots[j] for j in clusters.clusters[clusters.main_index]]
     for k, members in enumerate(clusters.clusters):
-        if k != clusters.main_index and to_main[list(members)].min() >= params.isolation_m:
-            return IsolationVerdict.YES
+        if k != clusters.main_index:
+            if _distances([hotspots[i] for i in members], main, gsd).min() >= params.isolation_m:
+                return IsolationVerdict.YES
     return IsolationVerdict.NO
 
 

@@ -302,6 +302,29 @@ class TestDemElevation:
         with pytest.raises(OutsideCoverageError, match="missing DEM tile"):
             dem_elevation(dem, 51.0, 7.0)
 
+    # (lat, lon, primary tile, south/west tile): a longitude boundary, and a
+    # corner where both coordinates are integers.
+    BOUNDARIES = [(34.5, -118.0, "N34W118", "N34W119"), (35.0, -118.0, "N35W118", "N34W119")]
+
+    @pytest.mark.parametrize("lat, lon, primary, south_west", BOUNDARIES, ids=["lon-edge", "corner"])
+    def test_boundary_uses_south_west_tile_alone(self, tmp_path, lat, lon, primary, south_west):
+        (tmp_path / f"{south_west}.hgt").write_bytes(_flat_tile_bytes(1201, 120))
+        assert dem_elevation(DemTileSet(tmp_path), lat, lon) == 120.0
+
+    @pytest.mark.parametrize("lat, lon, primary, south_west", BOUNDARIES, ids=["lon-edge", "corner"])
+    def test_boundary_prefers_primary_tile(self, tmp_path, lat, lon, primary, south_west):
+        (tmp_path / f"{south_west}.hgt").write_bytes(_flat_tile_bytes(1201, 120))
+        (tmp_path / f"{primary}.hgt").write_bytes(_flat_tile_bytes(1201, 300))
+        assert dem_elevation(DemTileSet(tmp_path), lat, lon) == 300.0
+
+    @pytest.mark.parametrize("lat, lon, primary, south_west", BOUNDARIES, ids=["lon-edge", "corner"])
+    def test_boundary_miss_names_primary_then_finds_later_tile(self, tmp_path, lat, lon, primary, south_west):
+        dem = DemTileSet(tmp_path)
+        with pytest.raises(OutsideCoverageError, match=f"missing DEM tile {primary}.hgt"):
+            dem_elevation(dem, lat, lon)
+        (tmp_path / f"{south_west}.hgt").write_bytes(_flat_tile_bytes(1201, 120))
+        assert dem_elevation(dem, lat, lon) == 120.0
+
     def test_bad_tile_size(self, tmp_path):
         (tmp_path / "N10E010.hgt").write_bytes(b"\0" * 100)
         with pytest.raises(GeodesyError, match="unexpected size"):

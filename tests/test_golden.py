@@ -21,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from firescene.features import detect, match_images
+from firescene.features import describe, detect, match_images
 from firescene.labeler import analyze_frame, answer_sheet, rag_summary
 from firescene.raster import ThermalRaster
 from imagefix import noise_image, synthetic_texture, warp_rigid
@@ -346,6 +346,16 @@ def test_match_result_unchanged(name):
 @pytest.mark.parametrize("name", sorted(DETECT_IMAGES))
 def test_keypoints_unchanged(name):
     assert keypoint_digest(name) == GOLDEN_KEYPOINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DETECT_IMAGES))
+def test_describe_keeps_every_detected_keypoint(name):
+    # detect's border margin covers describe's patch radius, so match_images
+    # never sees an empty descriptor set after a non-empty keypoint list.
+    image = DETECT_IMAGES[name]()
+    kps = detect(image)
+    desc, kept = describe(image, kps)
+    assert kps and kept == kps and len(desc) == len(kps)
 
 
 if __name__ == "__main__":

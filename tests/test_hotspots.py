@@ -12,6 +12,7 @@ from firescene.hotspots import (
     Hotspot,
     HotspotParams,
     _label,
+    components,
     connected_components,
     extract_hotspots,
     gsd,
@@ -190,33 +191,106 @@ class TestLabel:
         # Few temperature levels, so peaks tie within and across components.
         rng = np.random.default_rng(seed)
         arr = rng.choice([20.0, 210.0, 300.0, 450.0], size=(h, w), p=[0.5, 0.3, 0.1, 0.1])
-        r = _raster(arr)
-        params = HotspotParams()
-        g = gsd(agl, params.fov_diag_deg, w)
-        expected = []
-        for comp_id, comp in enumerate(flood_fill_components(hot_mask(r, params.temp_threshold_c))):
-            pixels = sorted(comp)  # row-major
-            n = len(pixels)
-            area = n * g * g
-            radius = math.sqrt(area / math.pi)
-            if radius < params.r_min_m or n < params.n_min_px:
-                continue
-            cy, cx = (float(c.mean()) for c in np.array(pixels, dtype=np.float64).T)
-            temps = [float(arr[p]) for p in pixels]
-            py, px = pixels[temps.index(max(temps))]  # first row-major maximum
-            expected.append(
-                Hotspot(
-                    id=comp_id,
-                    pixel_count=n,
-                    centroid_px=(cx, cy),
-                    centroid_m=(cx * g, cy * g),
-                    area_m2=area,
-                    radius_m=radius,
-                    peak_temp_c=max(temps),
-                    peak_px=(px, py),
-                )
+        assert extract_hotspots(_raster(arr), agl, HotspotParams()) == _oracle_hotspots(arr, agl, HotspotParams())
+
+    @pytest.mark.parametrize("agl", [12.0, 60.0], ids=["disks-kept", "speckle-kept"])
+    def test_speckle_plateau_frame_matches_flood_fill_oracle(self, agl):
+        # 30% speckle on two levels around disks clipped at one temperature, so
+        # plateau peaks tie within every component; at the higher AGL many speckle
+        # components pass the filters too.
+        rng = np.random.default_rng(20261018)
+        h, w = 96, 128
+        arr = np.where(rng.random((h, w)) < 0.3, rng.choice([210.0, 250.0], size=(h, w)), 20.0)
+        yy, xx = np.mgrid[0:h, 0:w]
+        for cy, cx in ((20, 24), (70, 30), (30, 96), (75, 100)):
+            d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+            arr[d2 <= 81] = np.minimum(600.0 - 4.0 * d2[d2 <= 81], 450.0)
+        spots = extract_hotspots(_raster(arr), agl, HotspotParams())
+        assert spots == _oracle_hotspots(arr, agl, HotspotParams())
+        assert len(spots) >= 4 and sum(s.peak_temp_c == 450.0 for s in spots) == 4
+
+
+def _oracle_hotspots(arr: np.ndarray, agl: float, params: HotspotParams) -> list[Hotspot]:
+    """Hotspots of ``arr`` from the flood-fill components, field by field."""
+    g = gsd(agl, params.fov_diag_deg, arr.shape[1])
+    expected = []
+    for comp_id, comp in enumerate(flood_fill_components(hot_mask(_raster(arr), params.temp_threshold_c))):
+        pixels = sorted(comp)  # row-major
+        n = len(pixels)
+        area = n * g * g
+        radius = math.sqrt(area / math.pi)
+        if radius < params.r_min_m or n < params.n_min_px:
+            continue
+        cy, cx = (float(c.mean()) for c in np.array(pixels, dtype=np.float64).T)
+        temps = [float(arr[p]) for p in pixels]
+        py, px = pixels[temps.index(max(temps))]  # first row-major maximum
+        expected.append(
+            Hotspot(
+                id=comp_id,
+                pixel_count=n,
+                centroid_px=(cx, cy),
+                centroid_m=(cx * g, cy * g),
+                area_m2=area,
+                radius_m=radius,
+                peak_temp_c=max(temps),
+                peak_px=(px, py),
             )
-        assert extract_hotspots(r, agl, params) == expected
+        )
+    return expected
+
+
+def _bfs_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Independent BFS oracle: component ids numbered from the smallest node up."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    ids = [-1] * n
+    count = 0
+    for start in range(n):
+        if ids[start] < 0:
+            ids[start] = count
+            queue = deque([start])
+            while queue:
+                for v in adjacent[queue.popleft()]:
+                    if ids[v] < 0:
+                        ids[v] = count
+                        queue.append(v)
+            count += 1
+    return ids
+
+
+@st.composite
+def _graphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """Up to 60 nodes; edges with self-loops, duplicates and reversed copies."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    edges += draw(st.lists(node.map(lambda v: (v, v)), max_size=4))
+    repeated = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, edges + repeated + [(v, u) for u, v in repeated]
+
+
+class TestComponents:
+    @given(_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bfs_oracle(self, graph):
+        n, edges = graph
+        a = np.array([u for u, _ in edges], dtype=np.intp)
+        b = np.array([v for _, v in edges], dtype=np.intp)
+        ids, count = components(n, a, b)
+        assert ids.tolist() == _bfs_components(n, edges)
+        assert count == len(set(ids.tolist()))
+        # Ids increase with each component's smallest node.
+        firsts = np.unique(ids, return_index=True)[1]
+        assert np.array_equal(ids[firsts], np.arange(count)) and np.all(np.diff(firsts) > 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_no_edges_gives_singletons(self, n):
+        ids, count = components(n, np.array([], dtype=np.intp), np.array([], dtype=np.intp))
+        assert ids.tolist() == list(range(n)) and count == n
 
 
 class TestGsd:

@@ -40,6 +40,20 @@ class TestThermalRaster:
         with pytest.raises(ValueError):
             r.temps[0, 0] = 30.0
 
+    @pytest.mark.parametrize(
+        "raw, scale, valid",
+        [
+            # float32 0x7FABB961 is a signalling NaN, whose cast to float64 flags "invalid".
+            (np.frombuffer(bytes.fromhex("61b9ab7f") + np.float32(250.0).tobytes(), dtype="<f4"), None, True),
+            (np.array([np.inf, 250.0]), 0.0, True),  # inf * 0 is NaN, 250 * 0 is a valid 0 C
+            (np.array([1e300, 250.0]), 1e300, False),  # overflow to inf; 2.5e302 C is out of range
+        ],
+        ids=["signalling-nan", "inf-times-zero", "overflow"],
+    )
+    def test_non_finite_samples_masked_without_warning(self, raw, scale, valid):
+        r = ThermalRaster.from_samples(raw.reshape(1, 2), None, scale, None)
+        assert r.valid_mask.tolist() == [[False, valid]]
+
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError):
             ThermalRaster(width=0, height=1, temps=np.zeros((1, 0)), valid_mask=np.zeros((1, 0), bool))
@@ -140,6 +154,28 @@ class TestRawFixtureFormat:
         (tmp_path / "t.bin").write_bytes(b"\0" * 8)
         with pytest.raises(RasterFormatError, match="unknown element type"):
             load_raw_raster({"width": 2, "height": 1, "dtype": "complex64"}, tmp_path / "t.bin")
+
+    @pytest.mark.parametrize("dtype, code", [("float32", "f4"), ("float64", "f8"), ("uint16", "u2"), ("int16", "i2")])
+    @pytest.mark.parametrize("endian, prefix", [("little", "<"), ("big", ">")])
+    def test_writer_and_reader_share_the_layout(self, tmp_path, dtype, code, endian, prefix):
+        arr = np.array([[25.0, 300.0]])
+        sidecar, blob = write_raw_raster(
+            ThermalRaster.from_array(arr), tmp_path / "t.json", dtype=dtype, endian=endian, nodata=0.0
+        )
+        assert blob.read_bytes() == arr.astype(prefix + code).tobytes()
+        assert load_raw_raster(sidecar).temps.tolist() == arr.tolist()
+
+    @pytest.mark.parametrize(
+        "dtype, endian, match",
+        [("complex64", "little", "unknown element type"), ("float32", "middle", "unknown endianness")],
+    )
+    def test_writer_and_reader_reject_the_same_types(self, tmp_path, dtype, endian, match):
+        (tmp_path / "t.bin").write_bytes(b"\0" * 8)
+        with pytest.raises(RasterFormatError, match=match):
+            load_raw_raster({"width": 1, "height": 1, "dtype": dtype, "endian": endian}, tmp_path / "t.bin")
+        with pytest.raises(RasterFormatError, match=match):
+            write_raw_raster(_raster([[25.0]]), tmp_path / "w.json", dtype=dtype, endian=endian)
+        assert not (tmp_path / "w.bin").exists()
 
     def test_nodata_pixel_invalid(self, tmp_path):
         blob = np.array([25.0, -9999.0, 30.0, 35.0], dtype="<f4").tobytes()

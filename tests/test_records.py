@@ -163,6 +163,15 @@ class TestMalformed:
         with pytest.raises(ValueError, match="SDL NoActiveHotspots"):
             FrameAnalysis.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "kind, isolated", [("analysis-cold", "Yes"), ("analysis-cold", "No"), ("analysis", "No fire")]
+    )
+    def test_isolation_verdict_must_match_hotspots(self, kind, isolated):
+        d = RECORDS[kind]().as_dict()
+        d["isolated"] = isolated
+        with pytest.raises(ValueError, match="isolation 'No fire' must coincide"):
+            FrameAnalysis.from_dict(d)
+
     def test_free_text_sheet_rejected(self):
         doc = {
             "frame_id": "f",
