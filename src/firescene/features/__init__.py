@@ -3,7 +3,7 @@
 from .brief_pattern import PATTERN, PATTERN_SEED, generate_pattern
 from .describe import describe, hamming_distance
 from .detect import Keypoint, detect
-from .image import GrayImage, ImageFormatError, load_image, write_pgm, write_ppm
+from .image import GrayImage
 from .matching import hamming_matrix, match
 from .pipeline import MatchConfig, MatchResult, match_images
 from .ransac import DegenerateSamplesError, RansacError, RansacResult, ransac_homography
@@ -17,10 +17,6 @@ __all__ = [
     "Keypoint",
     "detect",
     "GrayImage",
-    "ImageFormatError",
-    "load_image",
-    "write_pgm",
-    "write_ppm",
     "hamming_matrix",
     "match",
     "MatchConfig",

@@ -1,21 +1,28 @@
-"""8-bit grayscale image container plus PGM/PPM fixture loading.
+"""8-bit grayscale image container for the feature matcher.
 
-JPEG decoding is intentionally not implemented here: callers plug in their
-own decoder (or supply pre-decoded arrays) through ``GrayImage.from_rgb`` /
-``from_array``. RGB collapses to gray with the integer BT.601 luma weights
-(77, 150, 29) / 256 for bit-reproducibility.
+The package decodes no image file: callers decode with their own reader and
+pass the pixels in through ``GrayImage.from_array`` or ``GrayImage.from_rgb``.
+RGB collapses to gray with the integer BT.601 luma weights (77, 150, 29) / 256
+for bit-reproducibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 
-class ImageFormatError(Exception):
-    """Unreadable or unsupported image file."""
+def _as_uint8(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as uint8, refusing any value that is not an integer in [0, 255]."""
+    arr = np.asarray(arr)
+    if arr.dtype == np.uint8:
+        return arr
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        cast = arr.astype(np.uint8)
+    if not np.array_equal(cast, arr):
+        raise ValueError("pixel values must be integers in [0, 255]")
+    return cast
 
 
 @dataclass(frozen=True)
@@ -31,76 +38,15 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> GrayImage:
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(_as_uint8(arr))
         if arr.ndim != 2:
             raise ValueError(f"expected 2D gray array, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
 
     @classmethod
     def from_rgb(cls, rgb: np.ndarray) -> GrayImage:
-        rgb = np.asarray(rgb)
+        rgb = _as_uint8(rgb)
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) RGB array, got shape {rgb.shape}")
-        r = rgb[..., 0].astype(np.uint32)
-        g = rgb[..., 1].astype(np.uint32)
-        b = rgb[..., 2].astype(np.uint32)
-        luma = (77 * r + 150 * g + 29 * b + 128) >> 8
+        luma = (rgb.astype(np.uint32) @ np.array([77, 150, 29], dtype=np.uint32) + 128) >> 8
         return cls.from_array(luma.astype(np.uint8))
-
-
-def _read_pnm_header(buf: bytes) -> tuple[bytes, list[int], int]:
-    """Parse a PNM header: magic then 3 decimal fields, '#' comments allowed."""
-    magic = buf[:2]
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(buf) and buf[pos : pos + 1] == b"#":
-            while pos < len(buf) and buf[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        token = buf[start:pos]
-        if not token.isdigit():
-            raise ImageFormatError(f"bad PNM header token {token!r}")
-        fields.append(int(token))
-    return magic, fields, pos + 1  # single whitespace after maxval
-
-
-def load_image(path: str | Path) -> GrayImage:
-    """Load a binary PGM (P5, as-is) or PPM (P6, luma-converted) image."""
-    buf = Path(path).read_bytes()
-    if len(buf) < 2:
-        raise ImageFormatError(f"{path}: too short for a PNM file")
-    magic = buf[:2]
-    if magic not in (b"P5", b"P6"):
-        raise ImageFormatError(f"{path}: unsupported format {magic!r} (want binary PGM/PPM)")
-    _, (width, height, maxval), data_off = _read_pnm_header(buf)
-    if maxval > 255:
-        raise ImageFormatError(f"{path}: 16-bit PNM unsupported (maxval {maxval})")
-    channels = 1 if magic == b"P5" else 3
-    need = width * height * channels
-    data = buf[data_off : data_off + need]
-    if len(data) != need:
-        raise ImageFormatError(f"{path}: expected {need} pixel bytes, found {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if channels == 1:
-        return GrayImage.from_array(arr.reshape(height, width))
-    return GrayImage.from_rgb(arr.reshape(height, width, 3))
-
-
-def write_pgm(path: str | Path, image: GrayImage) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
-        fh.write(image.pixels.tobytes())
-
-
-def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
-    rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
-    h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(rgb.tobytes())

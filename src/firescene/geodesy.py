@@ -88,6 +88,8 @@ class GeoidGrid:
             raise ValueError("grid origin must be finite")
         if self.values.ndim != 2 or min(self.values.shape) < 2:
             raise ValueError("geoid grid needs at least 2x2 nodes")
+        if not np.isfinite(self.values).all():
+            raise ValueError("geoid undulations must be finite")
         self.values.setflags(write=False)
 
     @classmethod
@@ -107,7 +109,9 @@ class GeoidGrid:
             if "values" in doc:
                 values = np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols)
             else:
-                endian = "<" if doc.get("endian", "little") == "little" else ">"
+                endian = {"little": "<", "big": ">"}.get(doc.get("endian", "little"))
+                if endian is None:
+                    raise GeodesyError(f"{path.name}: geoid grid endian {doc['endian']!r}")
                 blob = (path.parent / doc["data"]).read_bytes()
                 values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
                 values = values.reshape(nrows, ncols)

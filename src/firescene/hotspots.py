@@ -161,8 +161,8 @@ def gsd(agl_m: float, fov_diag_deg: float, width_px: int) -> float:
     ``theta`` is the thermal lens diagonal field of view applied across the
     image width, matching the production labeling formula as stated.
     """
-    if agl_m <= 0:
-        raise ValueError(f"altitude must be positive, got {agl_m}")
+    if not math.isfinite(agl_m) or agl_m <= 0:
+        raise ValueError(f"altitude must be positive and finite, got {agl_m}")
     if width_px < 1:
         raise ValueError("image width must be >= 1 px")
     return 2.0 * agl_m * math.tan(math.radians(fov_diag_deg) / 2.0) / width_px

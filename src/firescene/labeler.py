@@ -9,13 +9,14 @@ the same raster, metadata, and parameters always yield bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import hotspots as hs
 from . import spatial as sp
 from .geodesy import FrameMeta, altitude_bin
 from .raster import RadiometricSummary, ThermalRaster, summarize
-from .questions import QUESTIONS, bin_option, choices, validate_option
+from .questions import DETERMINISTIC_IDS, QUESTIONS, bin_option, choices, validate_option
 from .records import Record
 
 SCHEMA_VERSION = 1
@@ -109,6 +110,8 @@ class AnswerSheet(Record):
         return self.answers[qid].option
 
     def set_external(self, qid: str, option: str) -> None:
+        if qid in DETERMINISTIC_IDS:
+            raise ValueError(f"{qid} is a deterministic slot; only answer_sheet fills it")
         validate_option(qid, option)
         self.answers[qid] = Answer(option=option, provenance=PROVENANCE_EXTERNAL)
 
@@ -128,8 +131,11 @@ def analyze_frame(
 
     ``meta`` (when present) overrides the FOV used for ground projection.
     Without a positive ``agl_m``, the GSD-dependent fields are disabled and
-    marked in ``errors`` instead of failing the whole frame.
+    marked in ``errors`` instead of failing the whole frame; a non-finite
+    ``agl_m`` raises ValueError.
     """
+    if agl_m is not None and not math.isfinite(agl_m):
+        raise ValueError(f"AGL must be finite, got {agl_m}")
     hotspot_params = hotspot_params or hs.HotspotParams()
     if meta is not None and meta.fov_diag_deg != hotspot_params.fov_diag_deg:
         hotspot_params = replace(hotspot_params, fov_diag_deg=meta.fov_diag_deg)

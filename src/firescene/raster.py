@@ -1,17 +1,15 @@
-"""Radiometric thermal rasters: containers, fixture IO, and summary statistics.
+"""Radiometric thermal rasters: the container and its summary statistics.
 
 A thermal raster is a single-band grid where every pixel holds an absolute
 temperature in degrees Celsius. Pixels outside the physically plausible range
 or equal to a declared no-data value are flagged invalid, never clamped.
-Both file readers, ``load_raw_raster`` and ``tiff.load_thermal_tiff``, decode
-their samples through ``ThermalRaster.from_samples``.
+The file reader, ``tiff.load_thermal_tiff``, decodes its samples through
+``ThermalRaster.from_samples``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,9 +19,6 @@ from .records import Record
 # garbage and gets masked out.
 TEMP_MIN_C = -100.0
 TEMP_MAX_C = 2000.0
-
-_RAW_DTYPES = ("float32", "float64", "uint16", "int16")
-_ENDIAN_PREFIX = {"little": "<", "big": ">"}
 
 
 class RasterError(Exception):
@@ -163,108 +158,3 @@ def summarize(raster: ThermalRaster) -> RadiometricSummary:
         pct_above_200=100.0 * np.count_nonzero(vals >= 200.0) / vals.size,
         pct_above_400=100.0 * np.count_nonzero(vals >= 400.0) / vals.size,
     )
-
-
-def _raw_dtype(name: str, endian: str) -> np.dtype:
-    """The numpy dtype of a raw fixture's element type and byte order."""
-    if name not in _RAW_DTYPES:
-        raise RasterFormatError(f"unknown element type {name!r}")
-    if endian not in _ENDIAN_PREFIX:
-        raise RasterFormatError(f"unknown endianness {endian!r}")
-    return np.dtype(name).newbyteorder(_ENDIAN_PREFIX[endian])
-
-
-def load_raw_raster(header: dict | str | Path, data: str | Path | None = None) -> ThermalRaster:
-    """Load a raster from the raw fixture format (JSON sidecar + flat binary).
-
-    The sidecar declares ``width``, ``height``, ``dtype`` (float32/float64/
-    uint16/int16), ``endian`` (little/big) and optionally ``nodata``,
-    ``scale``/``offset`` (applied as ``value * scale + offset``) and ``data``
-    (blob filename relative to the sidecar). ``data`` as an argument overrides
-    the sidecar entry.
-
-    A malformed sidecar or blob raises RasterFormatError; a missing file
-    raises OSError.
-    """
-    base_dir = Path(".")
-    if not isinstance(header, dict):
-        sidecar_path = Path(header)
-        base_dir = sidecar_path.parent
-        try:
-            header = json.loads(sidecar_path.read_text())
-        except ValueError as exc:  # invalid JSON or undecodable text
-            raise RasterFormatError(f"unreadable sidecar {sidecar_path}: {exc}") from exc
-        if not isinstance(header, dict):
-            raise RasterFormatError(f"sidecar {sidecar_path} is not a JSON object")
-
-    try:
-        width = int(header["width"])
-        height = int(header["height"])
-        dtype_name = str(header["dtype"])
-        dtype = _raw_dtype(dtype_name, str(header.get("endian", "little")))
-        nodata = header.get("nodata")
-        if nodata is not None:
-            nodata = np.asarray(nodata, dtype=dtype)
-            if nodata.ndim:
-                raise RasterFormatError(f"nodata {header['nodata']!r} is not a number")
-        scale = header.get("scale")
-        offset = header.get("offset")
-        if scale is not None or offset is not None:
-            scale, offset = float(scale if scale is not None else 1.0), float(offset or 0.0)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise RasterFormatError(f"malformed sidecar field: {exc}") from exc
-    if width < 1 or height < 1:
-        raise RasterFormatError(f"raster dimensions must be >= 1, got {width}x{height}")
-    if data is None:
-        if "data" not in header:
-            raise RasterFormatError("sidecar declares no data file and none was supplied")
-        data = base_dir / str(header["data"])
-
-    blob = Path(data).read_bytes()
-    expected = width * height * dtype.itemsize
-    if len(blob) != expected:
-        raise RasterFormatError(
-            f"length mismatch: expected {expected} bytes for "
-            f"{width}x{height} {dtype_name}, got {len(blob)}"
-        )
-
-    raw = np.frombuffer(blob, dtype=dtype).reshape(height, width)
-    return ThermalRaster.from_samples(raw, nodata, scale, offset)
-
-
-def write_raw_raster(
-    raster: ThermalRaster,
-    sidecar: str | Path,
-    *,
-    dtype: str = "float64",
-    endian: str = "little",
-    nodata: float = -9999.0,
-) -> tuple[Path, Path]:
-    """Write a raster as a raw fixture (sidecar + blob next to it).
-
-    Invalid pixels are written as ``nodata``; with the default float64 dtype,
-    loading the result back reproduces every valid pixel bit-for-bit.
-    """
-    np_dtype = _raw_dtype(dtype, endian)
-    sidecar = Path(sidecar)
-    data_path = sidecar.with_suffix(".bin")
-
-    out = raster.temps.copy()
-    out[~raster.valid_mask] = nodata
-    data_path.write_bytes(np.ascontiguousarray(out.astype(np_dtype)).tobytes())
-    sidecar.write_text(
-        json.dumps(
-            {
-                "width": raster.width,
-                "height": raster.height,
-                "dtype": dtype,
-                "endian": endian,
-                "nodata": nodata,
-                "data": data_path.name,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return sidecar, data_path

@@ -13,7 +13,7 @@ strips are decoded in listed order and validated against the pixel count.
 Other tags are ignored, and entries of field types the reader does not
 decode are skipped. Deflate output is capped at the size the dimensions
 declare. ``read_ifd`` is also the Exif reader's bounds-checked IFD walk.
-Samples are decoded by ``ThermalRaster.from_samples``, as raw fixtures are.
+Samples are decoded by ``ThermalRaster.from_samples``.
 """
 
 from __future__ import annotations

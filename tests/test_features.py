@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from imagefix import noise_image, rigid_points, synthetic_texture, warp_rigid
 from firescene.features import (
     GrayImage,
-    ImageFormatError,
     MatchConfig,
     MatchResult,
     PATTERN,
@@ -21,12 +20,9 @@ from firescene.features import (
     detect,
     generate_pattern,
     hamming_matrix,
-    load_image,
     match,
     match_images,
     ransac_homography,
-    write_pgm,
-    write_ppm,
 )
 from firescene.features import ransac
 from firescene.features.describe import hamming_distance
@@ -53,29 +49,19 @@ from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
 
 
 class TestGrayImage:
-    def test_pgm_round_trip(self, tmp_path):
-        img = synthetic_texture(64, 48, 1)
-        write_pgm(tmp_path / "t.pgm", img)
-        back = load_image(tmp_path / "t.pgm")
-        assert np.array_equal(back.pixels, img.pixels)
+    def test_from_rgb_luma(self):
+        rgb = np.random.default_rng(4).integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+        r, g, b = (rgb[..., i].astype(np.int64) for i in range(3))
+        # integer BT.601
+        assert np.array_equal(GrayImage.from_rgb(rgb).pixels, (77 * r + 150 * g + 29 * b + 128) >> 8)
+        assert GrayImage.from_rgb(np.full((1, 1, 3), 255)).pixels[0, 0] == 255
 
-    def test_ppm_luma(self, tmp_path):
-        rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-        rgb[..., 0] = 255  # pure red
-        write_ppm(tmp_path / "t.ppm", rgb)
-        img = load_image(tmp_path / "t.ppm")
-        # integer BT.601: (77*255 + 128) >> 8
-        assert img.pixels[0, 0] == (77 * 255 + 128) >> 8
-
-    def test_unsupported_format(self, tmp_path):
-        (tmp_path / "t.pgm").write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
-        with pytest.raises(ImageFormatError, match="unsupported format"):
-            load_image(tmp_path / "t.pgm")
-
-    def test_truncated_pixels(self, tmp_path):
-        (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(ImageFormatError, match="pixel bytes"):
-            load_image(tmp_path / "t.pgm")
+    @pytest.mark.parametrize("value", [300, -1, 0.6, np.nan], ids=["300", "-1", "0.6", "nan"])
+    def test_values_outside_uint8_rejected(self, value):
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            GrayImage.from_array(np.full((2, 2), value))
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            GrayImage.from_rgb(np.full((2, 2, 3), value))
 
 
 class TestPattern:

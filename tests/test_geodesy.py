@@ -210,6 +210,9 @@ class TestGeoidUndulation:
             (json.dumps({**_GRID_DOC, "origin_lat": math.nan}), None),
             (json.dumps({**_GRID_DOC, "nrows": -1}), None),
             (json.dumps({**_SIDECAR_DOC, "data": "g.bin"}), b"\0" * 10),
+            (json.dumps({**_GRID_DOC, "values": [1.0, math.nan, 3.0, 4.0]}), None),
+            (json.dumps({**_SIDECAR_DOC, "data": "g.bin"}), np.array([1, 2, np.inf, 4], "<f4").tobytes()),
+            (json.dumps({**_SIDECAR_DOC, "endian": "middle", "data": "g.bin"}), b"\0" * 16),
         ],
         ids=[
             "truncated",
@@ -221,6 +224,9 @@ class TestGeoidUndulation:
             "nan-origin",
             "negative-rows",
             "short-sidecar",
+            "nan-value",
+            "inf-sidecar-value",
+            "unknown-endian",
         ],
     )
     def test_from_json_malformed_raises_geodesy_error(self, tmp_path, text, blob):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firescene.hotspots import REGION_NO_HOTSPOTS, locate_pixel
+from firescene.hotspots import REGION_NO_HOTSPOTS, gsd, locate_pixel
 from firescene.labeler import (
     _DS3_WORDING,
     AnswerSheet,
@@ -82,6 +82,14 @@ class TestAnalyzeFrame:
         assert a.hotspots is None and a.sdl is None
         assert "hotspots" in a.errors
         assert a.p200 == 100.0  # coverage still computed
+
+    @pytest.mark.parametrize("agl", [math.nan, math.inf, -math.inf])
+    def test_non_finite_agl_rejected(self, collinear_scene, agl):
+        r, _ = collinear_scene
+        with pytest.raises(ValueError, match="finite"):
+            analyze_frame(r, agl_m=agl)
+        with pytest.raises(ValueError, match="finite"):
+            gsd(agl, 61.0, r.width)
 
     def test_json_round_trip(self, collinear_scene):
         r, agl = collinear_scene
@@ -255,6 +263,15 @@ class TestAnswerSheet:
         assert sheet.get("CL1") == "Active fire"
         with pytest.raises(ValueError, match="canonical"):
             sheet.set_external("CL1", "on fire")
+
+    def test_external_answer_cannot_overwrite_deterministic_slot(self, collinear_scene):
+        r, agl = collinear_scene
+        sheet = answer_sheet(analyze_frame(r, agl_m=agl, frame_id="ext"))
+        before = sheet.to_json()
+        for qid in DETERMINISTIC_IDS:
+            with pytest.raises(ValueError, match="deterministic"):
+                sheet.set_external(qid, choices(qid)[0])
+        assert sheet.to_json() == before
 
     def test_sheet_json_round_trip(self, collinear_scene):
         r, agl = collinear_scene

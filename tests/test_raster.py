@@ -1,21 +1,15 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factories import corrupted
 from firescene.raster import (
     EmptyRasterError,
-    RasterFormatError,
     ThermalRaster,
     coverage_fraction,
-    load_raw_raster,
     summarize,
-    write_raw_raster,
 )
 
 
@@ -134,124 +128,3 @@ class TestCoverageFraction:
         taus = sorted(rng.uniform(-100, 1300, size=8))
         fractions = [coverage_fraction(r, t) for t in taus]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
-
-
-class TestRawFixtureFormat:
-    def test_direct_read_back(self, tmp_path):
-        blob = np.array([0.0, 100.0, 200.0, 400.0], dtype="<f4").tobytes()
-        (tmp_path / "t.bin").write_bytes(blob)
-        header = {"width": 2, "height": 2, "dtype": "float32", "endian": "little"}
-        r = load_raw_raster(header, tmp_path / "t.bin")
-        assert r.temps.max() == 400.0
-
-    def test_length_mismatch(self, tmp_path):
-        (tmp_path / "t.bin").write_bytes(np.zeros(8, dtype="<f4").tobytes())
-        header = {"width": 3, "height": 3, "dtype": "float32", "endian": "little"}
-        with pytest.raises(RasterFormatError, match="length mismatch"):
-            load_raw_raster(header, tmp_path / "t.bin")
-
-    def test_unknown_element_type(self, tmp_path):
-        (tmp_path / "t.bin").write_bytes(b"\0" * 8)
-        with pytest.raises(RasterFormatError, match="unknown element type"):
-            load_raw_raster({"width": 2, "height": 1, "dtype": "complex64"}, tmp_path / "t.bin")
-
-    @pytest.mark.parametrize("dtype, code", [("float32", "f4"), ("float64", "f8"), ("uint16", "u2"), ("int16", "i2")])
-    @pytest.mark.parametrize("endian, prefix", [("little", "<"), ("big", ">")])
-    def test_writer_and_reader_share_the_layout(self, tmp_path, dtype, code, endian, prefix):
-        arr = np.array([[25.0, 300.0]])
-        sidecar, blob = write_raw_raster(
-            ThermalRaster.from_array(arr), tmp_path / "t.json", dtype=dtype, endian=endian, nodata=0.0
-        )
-        assert blob.read_bytes() == arr.astype(prefix + code).tobytes()
-        assert load_raw_raster(sidecar).temps.tolist() == arr.tolist()
-
-    @pytest.mark.parametrize(
-        "dtype, endian, match",
-        [("complex64", "little", "unknown element type"), ("float32", "middle", "unknown endianness")],
-    )
-    def test_writer_and_reader_reject_the_same_types(self, tmp_path, dtype, endian, match):
-        (tmp_path / "t.bin").write_bytes(b"\0" * 8)
-        with pytest.raises(RasterFormatError, match=match):
-            load_raw_raster({"width": 1, "height": 1, "dtype": dtype, "endian": endian}, tmp_path / "t.bin")
-        with pytest.raises(RasterFormatError, match=match):
-            write_raw_raster(_raster([[25.0]]), tmp_path / "w.json", dtype=dtype, endian=endian)
-        assert not (tmp_path / "w.bin").exists()
-
-    def test_nodata_pixel_invalid(self, tmp_path):
-        blob = np.array([25.0, -9999.0, 30.0, 35.0], dtype="<f4").tobytes()
-        (tmp_path / "t.bin").write_bytes(blob)
-        header = {"width": 2, "height": 2, "dtype": "float32", "endian": "little", "nodata": -9999.0}
-        r = load_raw_raster(header, tmp_path / "t.bin")
-        assert r.valid_count == 3
-        s = summarize(r)
-        assert s.mean_c == pytest.approx(30.0)
-
-    def test_sidecar_file_with_relative_data(self, tmp_path):
-        arr = np.array([[12.5, 300.25]], dtype=np.float64)
-        sidecar, _ = write_raw_raster(ThermalRaster.from_array(arr), tmp_path / "scene.json")
-        parsed = json.loads(sidecar.read_text())
-        assert parsed["data"] == "scene.bin"
-        r = load_raw_raster(sidecar)
-        assert r.temps.tolist() == arr.tolist()
-
-    def test_uint16_scale_offset(self, tmp_path):
-        blob = np.array([11829, 0], dtype="<u2").tobytes()
-        (tmp_path / "t.bin").write_bytes(blob)
-        header = {
-            "width": 2,
-            "height": 1,
-            "dtype": "uint16",
-            "endian": "little",
-            "scale": 0.04,
-            "offset": -273.15,
-        }
-        r = load_raw_raster(header, tmp_path / "t.bin")
-        assert r.temps[0, 0] == 11829 * 0.04 - 273.15
-        assert r.temps[0, 0] == pytest.approx(200.01, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "header",
-        [
-            {"height": 1, "dtype": "float32"},
-            {"width": "x", "height": 1, "dtype": "float32"},
-            {"width": 2, "height": 1, "dtype": "float32", "nodata": "abc"},
-            {"width": 2, "height": 1, "dtype": "float32", "nodata": [1.0, 2.0]},
-            {"width": 2, "height": 1, "dtype": "float32", "scale": [2.0]},
-            {"width": -2, "height": -1, "dtype": "float32"},
-            [2, 1, "float32"],
-        ],
-        ids=["no-width", "text-width", "text-nodata", "list-nodata", "list-scale", "negative", "array"],
-    )
-    def test_malformed_sidecar_raises_format_error(self, tmp_path, header):
-        (tmp_path / "t.bin").write_bytes(b"\0" * 8)
-        sidecar = tmp_path / "t.json"
-        sidecar.write_text(json.dumps(header))
-        with pytest.raises(RasterFormatError):
-            load_raw_raster(sidecar, tmp_path / "t.bin")
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_corrupt_sidecar_raises_only_format_error(self, tmp_path_factory, data):
-        sidecar = tmp_path_factory.getbasetemp() / "fuzz.json"
-        write_raw_raster(_raster([[12.5, 300.25, np.nan], [0.0, 1.0, 2.0]]), sidecar)
-        sidecar.write_bytes(data.draw(corrupted(sidecar.read_bytes())))
-        try:
-            load_raw_raster(sidecar)
-        except RasterFormatError:
-            pass
-        except FileNotFoundError:
-            # A flipped byte in the data file's name names a file that is not there.
-            assert json.loads(sidecar.read_text())["data"] != "fuzz.bin"
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_write_load_round_trip_identity(self, tmp_path_factory, seed):
-        rng = np.random.default_rng(seed)
-        arr = rng.uniform(-100, 2000, size=(rng.integers(1, 9), rng.integers(1, 9)))
-        arr[rng.random(arr.shape) < 0.2] = np.nan  # some invalid pixels
-        r = ThermalRaster.from_array(arr)
-        out = tmp_path_factory.mktemp("rt") / "r.json"
-        write_raw_raster(r, out)
-        back = load_raw_raster(out)
-        assert np.array_equal(back.valid_mask, r.valid_mask)
-        assert np.array_equal(back.temps[back.valid_mask], r.temps[r.valid_mask])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import struct
 import tracemalloc
 import zlib
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import corrupted
-from firescene.raster import RasterFormatError, load_raw_raster
+from firescene.raster import TEMP_MAX_C, TEMP_MIN_C, RasterFormatError
 from firescene.tiff import load_thermal_tiff
 from tiffutil import write_tiff
 
@@ -62,7 +61,7 @@ def test_nodata_matched_on_raw_value(tmp_path):
     "dtype,nodata,scale,offset",
     [("uint16", 0, 0.04, -273.15), ("float32", -9999.0, None, None)],
 )
-def test_tiff_and_raw_sidecar_decode_alike(tmp_path, endian, dtype, nodata, scale, offset):
+def test_tiff_decodes_samples_as_numpy(tmp_path, endian, dtype, nodata, scale, offset):
     rng = np.random.default_rng(5)
     if dtype == "uint16":
         samples = rng.integers(0, 2**16, size=(24, 32), dtype=np.uint16)
@@ -71,18 +70,15 @@ def test_tiff_and_raw_sidecar_decode_alike(tmp_path, endian, dtype, nodata, scal
         samples[3, :4] = [np.nan, np.inf, -np.inf, -0.0]
     samples[5, 5:9] = nodata
     write_tiff(tmp_path / "s.tif", samples, endian=endian)
-    order = "<" if endian == "little" else ">"
-    (tmp_path / "s.bin").write_bytes(samples.astype(samples.dtype.newbyteorder(order)).tobytes())
-    sidecar = dict(width=32, height=24, dtype=dtype, endian=endian, nodata=nodata, data="s.bin")
-    if scale is not None:
-        sidecar.update(scale=scale, offset=offset)
-    (tmp_path / "s.json").write_text(json.dumps(sidecar))
 
-    from_tiff = load_thermal_tiff(tmp_path / "s.tif", scale=scale, offset=offset, nodata=nodata)
-    from_raw = load_raw_raster(tmp_path / "s.json")
-    assert not from_tiff.valid_mask[5, 5:9].any()
-    assert from_tiff.temps.tobytes() == from_raw.temps.tobytes()
-    assert from_tiff.valid_mask.tobytes() == from_raw.valid_mask.tobytes()
+    r = load_thermal_tiff(tmp_path / "s.tif", scale=scale, offset=offset, nodata=nodata)
+    temps = samples.astype(np.float64)
+    if scale is not None:
+        temps = temps * scale + offset
+    valid = np.isfinite(temps) & (temps >= TEMP_MIN_C) & (temps <= TEMP_MAX_C) & (samples != nodata)
+    assert not r.valid_mask[5, 5:9].any()
+    assert r.temps.tobytes() == temps.tobytes()
+    assert r.valid_mask.tobytes() == valid.tobytes()
 
 
 def test_deflate_compression(tmp_path):
