@@ -38,7 +38,8 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> GrayImage:
-        arr = np.ascontiguousarray(_as_uint8(arr))
+        """Image of a 2D array of integers in [0, 255], kept as a private uint8 copy."""
+        arr = np.array(_as_uint8(arr), order="C")
         if arr.ndim != 2:
             raise ValueError(f"expected 2D gray array, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)

@@ -77,9 +77,34 @@ class ThermalRaster:
         """Build a raster from a 2D Celsius array, masking implausible pixels.
 
         Non-finite values and values outside [TEMP_MIN_C, TEMP_MAX_C] are
-        marked invalid on top of any caller-supplied mask.
+        marked invalid on top of any caller-supplied mask. The raster keeps
+        its own copy of ``temps``, so the caller's array stays writable and
+        later writes to it do not reach the raster.
         """
-        temps = np.ascontiguousarray(temps, dtype=np.float64)
+        return cls._own(np.array(temps, dtype=np.float64, order="C"), valid_mask)
+
+    @classmethod
+    def from_samples(
+        cls, raw: np.ndarray, nodata: float | None, scale: float | None, offset: float | None
+    ) -> ThermalRaster:
+        """Decode a 2D array of raw sensor samples into a raster.
+
+        Samples equal to ``nodata`` are invalid; it is compared as a number,
+        so a value the sample type cannot hold matches no sample. A given
+        ``scale`` or ``offset`` maps samples to ``raw * scale + offset``.
+        """
+        valid = np.ones(raw.shape, dtype=bool)
+        if nodata is not None:
+            valid &= raw != float(nodata)
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf results are masked invalid
+            temps = raw.astype(np.float64)
+            if scale is not None or offset is not None:
+                temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
+        return cls._own(temps, valid)
+
+    @classmethod
+    def _own(cls, temps: np.ndarray, valid_mask: np.ndarray | None) -> ThermalRaster:
+        """``from_array`` on a C-contiguous float64 array the raster may keep and freeze."""
         if temps.ndim != 2:
             raise ValueError(f"expected a 2D array, got shape {temps.shape}")
         height, width = temps.shape
@@ -89,24 +114,6 @@ class ThermalRaster:
         else:
             valid_mask = np.asarray(valid_mask, dtype=bool) & plausible
         return cls(width=width, height=height, temps=temps, valid_mask=np.ascontiguousarray(valid_mask))
-
-    @classmethod
-    def from_samples(
-        cls, raw: np.ndarray, nodata: float | None, scale: float | None, offset: float | None
-    ) -> ThermalRaster:
-        """Decode a 2D array of raw sensor samples into a raster.
-
-        ``nodata`` (cast to the sample dtype) marks pixels invalid; a given
-        ``scale`` or ``offset`` maps samples to ``raw * scale + offset``.
-        """
-        valid = np.ones(raw.shape, dtype=bool)
-        if nodata is not None:
-            valid &= raw != np.asarray(nodata, dtype=raw.dtype)
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf results are masked invalid
-            temps = raw.astype(np.float64)
-            if scale is not None or offset is not None:
-                temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
-        return cls.from_array(temps, valid)
 
     @property
     def valid_count(self) -> int:

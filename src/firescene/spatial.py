@@ -6,11 +6,16 @@ are the spatial distribution (linearity via PCA of centroids, then a
 compactness test against the equivalent radius of the combined area) and the
 intensity consistency (robust coefficient of variation of per-hotspot peaks).
 
-Clusters are the graph components (``hotspots.components``) of the pairs
-within the merge distance. Linkage and the extent still read the dense n x n
-matrix of centroid ground distances, and isolation blocks of it, so each
-takes O(n^2) time and memory for n hotspots: at most two n x n float64
-arrays at once, 64 MB at 2000 hotspots.
+No classifier builds the n x n matrix of centroid distances. Linkage and
+isolation test only the candidate pairs found on a grid of cells a hair
+wider than the threshold (fixed-radius near neighbours, Bentley, Stanat &
+Williams 1977), each with ``centroid_distance``'s arithmetic, so every
+decision is the same float comparison as over all pairs. Clusters are the
+graph components (``hotspots.components``) of the pairs within the merge
+distance. The extent is the largest distance between convex-hull vertices,
+where the farthest pair lies (Shamos 1978); only within a hair of a
+threshold is it taken over all pairs, in row chunks. Time and memory grow
+with n times the number of hotspots within a threshold of each, not n^2.
 """
 
 from __future__ import annotations
@@ -87,18 +92,151 @@ def centroid_distance(a: Hotspot, b: Hotspot, gsd: float) -> float:
     return math.hypot(dx, dy)
 
 
-def _distances(a: list[Hotspot], b: list[Hotspot], gsd: float) -> np.ndarray:
-    """|a| x |b| matrix of centroid ground distances, ``centroid_distance`` in bulk.
+def _centroids(hotspots: list[Hotspot]) -> np.ndarray:
+    """(n, 2) float64 array of pixel centroids (x, y)."""
+    return np.array([h.centroid_px for h in hotspots], dtype=np.float64).reshape(-1, 2)
 
-    Built in place, so at most two |a| x |b| float64 arrays are alive at once.
+
+def _distances(pa: np.ndarray, pb: np.ndarray, gsd: float) -> np.ndarray:
+    """|pa| x |pb| matrix of centroid ground distances, ``centroid_distance`` in bulk.
+
+    Built in place, so at most two |pa| x |pb| float64 arrays are alive at once.
     """
-    pa = np.array([h.centroid_px for h in a], dtype=np.float64).reshape(-1, 2)
-    pb = np.array([h.centroid_px for h in b], dtype=np.float64).reshape(-1, 2)
     dx = np.subtract.outer(pa[:, 0], pb[:, 0])
     dx *= gsd
     dy = np.subtract.outer(pa[:, 1], pb[:, 1])
     dy *= gsd
     return np.hypot(dx, dy, out=dx)
+
+
+def _pair_distances(points_px: np.ndarray, i: np.ndarray, j: np.ndarray, gsd: float) -> np.ndarray:
+    """Centroid ground distance of each pair (i[k], j[k]), in ``_distances``' arithmetic.
+
+    ``(a - b) * gsd`` is exactly ``-((b - a) * gsd)``, so the orientation of a
+    pair does not change its distance.
+    """
+    x, y = points_px.T
+    dx = x[i] - x[j]
+    dx *= gsd
+    dy = y[i] - y[j]
+    dy *= gsd
+    return np.hypot(dx, dy, out=dx)
+
+
+def _farthest(points_px: np.ndarray, gsd: float) -> float:
+    """Largest centroid ground distance over all pairs, in row chunks of at most 2^18 distances."""
+    n = len(points_px)
+    rows = max(1, (1 << 18) // n)
+    return max(float(_distances(points_px[k : k + rows], points_px, gsd).max()) for k in range(0, n, rows))
+
+
+# Shewchuk's error bound for a 2-D orientation determinant evaluated in float64.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _hull(points_px: np.ndarray) -> np.ndarray:
+    """Indices of the points on the convex hull, by Andrew's monotone chain.
+
+    A point leaves a chain only when it certainly makes a right turn, with
+    the orientation outside its rounding-error bound, so every strict
+    vertex stays; collinear and nearly collinear points stay as well.
+    """
+    order = np.lexsort((points_px[:, 1], points_px[:, 0]))
+    xs, ys = points_px[order].T.tolist()
+
+    def chain(seq: range) -> list[int]:
+        out: list[int] = []
+        for k in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                left = (xs[a] - xs[o]) * (ys[k] - ys[o])
+                right = (ys[a] - ys[o]) * (xs[k] - xs[o])
+                if left - right >= -_ORIENT_ERR * (abs(left) + abs(right)):
+                    break
+                out.pop()
+            out.append(k)
+        return out
+
+    n = len(order)
+    return order[chain(range(n)) + chain(range(n - 1, -1, -1))]
+
+
+def _extent(points_px: np.ndarray, gsd: float, thresholds: tuple[float, ...]) -> float:
+    """Largest centroid ground distance, exact wherever a threshold can tell.
+
+    The farthest pair lies on the convex hull, so the maximum over hull
+    vertices equals the maximum over all pairs up to the rounding of the
+    distances. Within a relative 1e-9 of a threshold, where that rounding
+    could flip a comparison, the maximum is taken over all pairs.
+    """
+    hull = points_px[np.unique(_hull(points_px))]
+    d_max = _farthest(hull, gsd)
+    if any(abs(d_max - t) <= 1e-9 * t for t in thresholds):
+        return _farthest(points_px, gsd)
+    return d_max
+
+
+def _cell_keys(points_px: np.ndarray, radius_px: float) -> tuple[np.ndarray, int]:
+    """Each point's key on a grid of square cells a hair wider than ``|radius_px|``,
+    and the key step between cell rows. (Distances scale by ``|gsd|``, so a
+    negative gsd gives the same pairs as its magnitude.)
+
+    Two points within ``radius_px`` of each other sit in the same or adjacent
+    cells, and every neighbour of a point's cell has a key >= 0. The
+    ``1 + 1e-6`` margin keeps a pair that passes its distance test in
+    adjacent cells: the pass can let the pixel offset exceed ``radius_px`` by
+    a few ulps (``radius_px`` is itself a rounded quotient, and the test
+    rounds), and each point's cell index rounds once more. Cells are also at
+    least 2^-20 of the largest coordinate wide, so that rounding stays far
+    below the margin and the keys far inside int64.
+    """
+    min_width = float(np.abs(points_px).max(initial=0.0)) * 2.0**-20
+    c = np.floor(points_px / max(abs(radius_px) * (1.0 + 1e-6), min_width)).astype(np.int64)
+    c -= c.min(axis=0, initial=0) - 1
+    width = int(c[:, 0].max(initial=0)) + 2
+    return c[:, 1] * width + c[:, 0], width
+
+
+def _in_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row r, position p) for every p in ``lo[r, k]:hi[r, k]``, over all rows and columns."""
+    counts = (hi - lo).ravel()
+    rows = np.repeat(np.arange(len(lo)), (hi - lo).sum(axis=1))
+    # The k-th position overall sits k - (first k of its range) past its range's lo.
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo.ravel(), counts)
+
+
+def _pairs_within(points_px: np.ndarray, radius_px: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of points that may lie within ``radius_px`` of each other.
+
+    A superset of the pairs that do (see ``_cell_keys``), each unordered pair
+    once and no point with itself. Each point pairs with the points after it
+    in its own cell and with those in the four adjacent cells that follow
+    its cell in key order, which covers its 3 x 3 neighbourhood once; one
+    ``searchsorted`` pair over the sorted keys finds all (n, 5) ranges.
+    """
+    key, width = _cell_keys(points_px, radius_px)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    # Own cell, then cells (+1, 0), (-1, +1), (0, +1) and (+1, +1).
+    nbr = ranked[:, None] + np.array([0, 1, width - 1, width, width + 1])
+    lo = np.searchsorted(ranked, nbr, side="left")
+    hi = np.searchsorted(ranked, nbr, side="right")
+    lo[:, 0] = np.arange(1, len(ranked) + 1)  # own cell: only the points after this one
+    a, b = _in_ranges(lo, hi)
+    return order[a], order[b]
+
+
+def _pairs_across(
+    points_px: np.ndarray, targets_px: np.ndarray, radius_px: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i into ``points_px``, j into ``targets_px``) that may lie
+    within ``radius_px``: the targets in the 3 x 3 cells around each point."""
+    key, width = _cell_keys(np.concatenate([points_px, targets_px]), radius_px)
+    order = np.argsort(key[len(points_px) :], kind="stable")
+    ranked = key[len(points_px) :][order]
+    nbr = key[: len(points_px), None] + np.array([dy * width + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+    a, b = _in_ranges(np.searchsorted(ranked, nbr, side="left"), np.searchsorted(ranked, nbr, side="right"))
+    return a, order[b]
 
 
 def single_linkage_clusters(
@@ -110,7 +248,10 @@ def single_linkage_clusters(
     if n == 0:
         return ClusterSet(clusters=(), main_index=None, total_area_m2=())
 
-    ids, _ = components(n, *np.nonzero(_distances(hotspots, hotspots, gsd) <= params.d_merge_m))
+    pts = _centroids(hotspots)
+    i, j = _pairs_within(pts, params.d_merge_m / gsd)
+    near = _pair_distances(pts, i, j, gsd) <= params.d_merge_m
+    ids, _ = components(n, i[near], j[near])
     order = np.argsort(ids, kind="stable")  # stable: each cluster's members stay ascending
     clusters = tuple(tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1]))
     totals = tuple(sum(hotspots[i].area_m2 for i in c) for c in clusters)
@@ -127,18 +268,25 @@ def isolated_heat_sources(
     """Detect heat sources far from the main fire perimeter.
 
     Yes when some non-main cluster's closest hotspot sits at least
-    ``isolation_m`` from every hotspot of the main cluster.
+    ``isolation_m`` from every hotspot of the main cluster, that is, when no
+    member of that cluster lies strictly closer than ``isolation_m`` to a
+    main-cluster member.
     """
     params = params or SpatialParams()
     if not hotspots:
         return IsolationVerdict.NO_FIRE
     assert clusters.main_index is not None
-    main = [hotspots[j] for j in clusters.clusters[clusters.main_index]]
-    for k, members in enumerate(clusters.clusters):
-        if k != clusters.main_index:
-            if _distances([hotspots[i] for i in members], main, gsd).min() >= params.isolation_m:
-                return IsolationVerdict.YES
-    return IsolationVerdict.NO
+    others = [(k, i) for k, c in enumerate(clusters.clusters) if k != clusters.main_index for i in c]
+    if not others:
+        return IsolationVerdict.NO
+    owner, idx = np.array(others).T
+    main = np.array(clusters.clusters[clusters.main_index])
+    pts = _centroids(hotspots)
+    i, j = _pairs_across(pts[idx], pts[main], params.isolation_m / gsd)
+    near = _pair_distances(pts, idx[i], main[j], gsd) < params.isolation_m
+    reached = np.zeros(len(clusters.clusters), dtype=bool)
+    reached[owner[i[near]]] = True
+    return IsolationVerdict.NO if reached[owner].all() else IsolationVerdict.YES
 
 
 def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
@@ -179,13 +327,13 @@ def classify_distribution(
     if n == 0:
         return SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
-    d_max = float(_distances(hotspots, hotspots, gsd).max())
+    a_tot = sum(h.area_m2 for h in hotspots)
+    r_eq = math.sqrt(a_tot / math.pi)
+    d_max = _extent(_centroids(hotspots), gsd, (params.d_lin_m, params.alpha * r_eq))
     if n >= 2 and d_max > params.d_lin_m:
         if n == 2 or linearity_score(hotspots, gsd) >= params.tau_lin:
             return SpatialDistributionLabel.LINEAR
 
-    a_tot = sum(h.area_m2 for h in hotspots)
-    r_eq = math.sqrt(a_tot / math.pi)
     if d_max <= params.alpha * r_eq:
         return SpatialDistributionLabel.CONCENTRATED
     return SpatialDistributionLabel.SCATTERED

@@ -64,6 +64,16 @@ class TestGrayImage:
             GrayImage.from_rgb(np.full((2, 2, 3), value))
 
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_from_array_keeps_a_private_copy(self, dtype):
+        arr = np.zeros((40, 40), dtype=dtype)
+        img = GrayImage.from_array(arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 200
+        assert img.pixels[0, 0] == 0
+        assert not img.pixels.flags.writeable
+
+
 class TestPattern:
     def test_frozen_table_matches_generator(self):
         assert np.array_equal(PATTERN, generate_pattern(PATTERN_SEED))

@@ -48,6 +48,15 @@ class TestThermalRaster:
         r = ThermalRaster.from_samples(raw.reshape(1, 2), None, scale, None)
         assert r.valid_mask.tolist() == [[False, valid]]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_from_array_keeps_a_private_copy(self, dtype):
+        arr = np.zeros((40, 40), dtype=dtype)
+        r = ThermalRaster.from_array(arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 500
+        assert r.temps[0, 0] == 0.0
+        assert not r.temps.flags.writeable
+
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError):
             ThermalRaster(width=0, height=1, temps=np.zeros((1, 0)), valid_mask=np.zeros((1, 0), bool))

@@ -361,11 +361,70 @@ def _brute_distribution(spots, gsd, p):
     return SpatialDistributionLabel.SCATTERED
 
 
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+# alpha * r_eq for three hotspots of 20 m^2 (under d_lin), in classify_distribution's arithmetic.
+_ALPHA_R_EQ = SpatialParams().alpha * math.sqrt((20.0 + 20.0 + 20.0) / math.pi)
+
+
+def _dense_classifiers(spots, gsd, p):
+    """Clusters, main index, isolation verdict and distribution label over the dense
+    n x n matrix of centroid ground distances, in ``centroid_distance``'s arithmetic."""
+    pts = np.array([h.centroid_px for h in spots])
+    dx = np.subtract.outer(pts[:, 0], pts[:, 0]) * gsd
+    dy = np.subtract.outer(pts[:, 1], pts[:, 1]) * gsd
+    dist = np.hypot(dx, dy)
+    n = len(spots)
+    root = np.arange(n)  # smallest member reachable over merge edges, by relaxation
+    while True:
+        low = np.where(dist <= p.d_merge_m, root[None, :], n).min(axis=1)
+        if np.array_equal(np.minimum(root, low), root):
+            break
+        root = np.minimum(root, low)
+    clusters = tuple(tuple(np.flatnonzero(root == r).tolist()) for r in np.unique(root))
+    totals = [sum(spots[i].area_m2 for i in c) for c in clusters]
+    main = totals.index(max(totals))
+    isolated = any(
+        dist[np.ix_(c, clusters[main])].min() >= p.isolation_m for k, c in enumerate(clusters) if k != main
+    )
+    d_max = float(dist.max())
+    r_eq = math.sqrt(sum(h.area_m2 for h in spots) / math.pi)
+    if n >= 2 and d_max > p.d_lin_m and (n == 2 or linearity_score(spots, gsd) >= p.tau_lin):
+        label = SpatialDistributionLabel.LINEAR
+    elif d_max <= p.alpha * r_eq:
+        label = SpatialDistributionLabel.CONCENTRATED
+    else:
+        label = SpatialDistributionLabel.SCATTERED
+    return clusters, main, IsolationVerdict.YES if isolated else IsolationVerdict.NO, label
+
+
 class TestDistanceMatrixOracle:
     @given(_integer_layouts())
     @example((1.0, spots_at([(0, 0), (6, 8), (40, 0)])))  # merge distance exactly 10 m
+    @example((1.0, spots_at([(7, 7), (13, 15), (50, 50)])))  # exactly 10 m, across a cell corner
+    @example((1.0, spots_at([(13, 7), (7, 15), (50, 50)])))  # the other diagonal
+    @example((1.0, spots_at([(5, 0), (15, 0), (45, 0)])))  # exactly 10 m, across a cell edge
+    # Exactly 10 m apart, yet two cells apart on a grid exactly d_merge / gsd wide, without the margin.
+    @example((1 / 3, [make_hotspot(0, 29.999999999999996, 0.0, gsd=1 / 3), make_hotspot(1, 60.0, 0.0, gsd=1 / 3)]))
+    @example((-1.0, spots_at([(0, 0), (6, 8), (40, 0), (45, 0)], gsd=-1.0)))  # negative gsd: |gsd| scales
+    @example((1.0, spots_at([(0, 0), (_below(10.0), 0), (45, 0)])))  # one ulp inside d_merge
+    @example((1.0, spots_at([(0, 0), (_above(10.0), 0), (45, 0)])))  # one ulp outside d_merge
     @example((0.5, spots_at([(10, 10), (10, 5), (28, 34)], gsd=0.5)))  # isolation exactly 30 m
+    @example((1.0, spots_at([(0, 0), (5, 0), (35, 0)])))  # isolation exactly 30 m, across a cell edge
+    @example((1.0, spots_at([(0, 0), (5, 0), (_below(35.0), 0)])))  # one ulp inside isolation
     @example((1.0, spots_at([(0, 0), (0, 0), (20, 0)])))  # extent exactly d_lin
+    @example((1.0, spots_at([(0, 0), (10, 1), (_below(20.0), 0)])))  # one ulp below d_lin
+    @example((1.0, spots_at([(0, 0), (10, 1), (20, 0)])))  # on d_lin, three hotspots
+    @example((1.0, spots_at([(0, 0), (10, 1), (_above(20.0), 0)])))  # one ulp above d_lin
+    @example((1.0, spots_at([(0, 0), (_ALPHA_R_EQ / 2, 1), (_below(_ALPHA_R_EQ), 0)], area=20.0)))
+    @example((1.0, spots_at([(0, 0), (_ALPHA_R_EQ / 2, 1), (_ALPHA_R_EQ, 0)], area=20.0)))  # on alpha r_eq
+    @example((1.0, spots_at([(0, 0), (_ALPHA_R_EQ / 2, 1), (_above(_ALPHA_R_EQ), 0)], area=20.0)))
     @settings(max_examples=150, deadline=None)
     def test_matches_pair_loop_over_centroid_distance(self, layout):
         gsd, spots = layout
@@ -379,18 +438,69 @@ class TestDistanceMatrixOracle:
         assert got == (IsolationVerdict.YES if want else IsolationVerdict.NO)
         assert classify_distribution(spots, gsd, p) == _brute_distribution(spots, gsd, p)
 
-    @pytest.mark.parametrize("classifier", [classify_distribution, single_linkage_clusters])
-    def test_peak_memory_at_most_two_and_a_half_matrices(self, classifier):
-        n = 1500
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("gsd", [0.552, 10.0 / 12.0])
+    def test_crowded_field_matches_dense_matrix(self, seed, gsd):
+        # 50 x 40 hotspots on a 12 px grid with +-1 px jitter, as in the benchmark's
+        # ember frames; at 10/12 m/px the grid step sits on the merge distance itself.
+        rng = np.random.default_rng(seed)
+        gy, gx = np.mgrid[0:40, 0:50]
+        xs = 20 + 12 * gx + rng.integers(-1, 2, gx.shape)
+        ys = 16 + 12 * gy + rng.integers(-1, 2, gy.shape)
+        areas = rng.uniform(0.5, 30.0, gx.size)
+        spots = [make_hotspot(i, float(x), float(y), area_m2=float(a), gsd=gsd)
+                 for i, (x, y, a) in enumerate(zip(xs.ravel(), ys.ravel(), areas))]
+        p = SpatialParams()
+        clusters, main, isolated, label = _dense_classifiers(spots, gsd, p)
+        cs = single_linkage_clusters(spots, gsd, p)
+        assert (cs.clusters, cs.main_index) == (clusters, main)
+        assert isolated_heat_sources(cs, spots, gsd, p) == isolated
+        assert classify_distribution(spots, gsd, p) == label
+
+    def test_many_clusters_match_kd_tree_pairs(self):
+        spatial_tree = pytest.importorskip("scipy.spatial")
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        n, gsd, p = 2000, 0.5, SpatialParams()
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0, 1300, size=(n, 2))  # about 1.5 hotspots within d_merge of each
+        spots = [make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(pts.tolist())]
+        pairs = spatial_tree.cKDTree(pts).query_pairs(p.d_merge_m / gsd, output_type="ndarray")
+        graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        _, kd_ids = csgraph.connected_components(graph, directed=False)
+        want = sorted(tuple(np.flatnonzero(kd_ids == k).tolist()) for k in np.unique(kd_ids))
+        cs = single_linkage_clusters(spots, gsd, p)
+        assert 500 < len(cs.clusters) < n
+        assert list(cs.clusters) == want  # ordered by smallest member, as sorted tuples are
+
+        main = list(cs.clusters[cs.main_index])
+        near_main = spatial_tree.cKDTree(pts[main]).query_ball_point(pts, p.isolation_m / gsd)
+        isolated = any(not any(near_main[i] for i in c) for k, c in enumerate(cs.clusters) if k != cs.main_index)
+        assert isolated_heat_sources(cs, spots, gsd, p) == (IsolationVerdict.YES if isolated else IsolationVerdict.NO)
+
+    @pytest.mark.parametrize("classifier", ["linkage", "distribution", "isolation"])
+    def test_peak_memory_linear_in_hotspots(self, classifier):
+        # A field of 10 000 hotspots, 1500 per 600 x 600 px at 0.2 m/px, and a row of
+        # singletons 15 m below it that isolation must test against it.
+        n, gsd = 10_000, 0.2
+        side = 600.0 * math.sqrt(n / 1500)
         rng = np.random.default_rng(5)
-        spots = [make_hotspot(i, x, y, gsd=0.2) for i, (x, y) in enumerate(rng.uniform(0, 600, size=(n, 2)))]
+        field = rng.uniform(0, side, size=(n, 2)).tolist() + [(x, side + 75.0) for x in range(0, int(side), 60)]
+        spots = [make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(field)]
+        cs = single_linkage_clusters(spots, gsd)
+        run = {
+            "linkage": lambda: single_linkage_clusters(spots, gsd),
+            "distribution": lambda: classify_distribution(spots, gsd),
+            "isolation": lambda: isolated_heat_sources(cs, spots, gsd),
+        }[classifier]
         tracemalloc.start()
         try:
-            classifier(spots, 0.2)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n * n
+        assert len(cs.clusters) > 20  # the singletons are clusters of their own
+        assert peak <= 4096 * len(spots)  # the n x n matrices would take 1.6 GB
 
 
 class TestClusterSetSerialization:

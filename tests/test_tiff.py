@@ -56,6 +56,29 @@ def test_nodata_matched_on_raw_value(tmp_path):
     assert r.valid_mask.tolist() == [[False, True], [True, True]]
 
 
+@pytest.mark.parametrize("nodata", [-9999.0, 70000.0, 0.5, 150.5])
+def test_nodata_the_samples_cannot_hold_matches_none(tmp_path, nodata):
+    path = tmp_path / "nd.tif"
+    write_tiff(path, np.array([[0, 150]], dtype=np.uint16))
+    r = load_thermal_tiff(path, nodata=nodata)
+    assert r.valid_mask.tolist() == [[True, True]]
+    assert load_thermal_tiff(path, nodata=150.0).valid_mask.tolist() == [[True, False]]
+
+
+def test_load_keeps_the_decoded_temperatures_without_a_copy(tmp_path):
+    path = tmp_path / "f.tif"
+    write_tiff(path, np.random.default_rng(0).uniform(0.0, 500.0, (512, 640)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        load_thermal_tiff(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # File bytes, float32 samples, float64 temperatures and masks take 19 bytes a
+    # pixel; one more copy of the temperatures would add 8.
+    assert peak <= 20 * 640 * 512
+
+
 @pytest.mark.parametrize("endian", ["little", "big"])
 @pytest.mark.parametrize(
     "dtype,nodata,scale,offset",
