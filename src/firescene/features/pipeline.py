@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from ..records import Record
 from .brief_pattern import PATCH_RADIUS
 from .describe import describe
-from .detect import BORDER_MARGIN, detect
+from .detect import BORDER_MARGIN, Keypoint, detect
 from .image import GrayImage
 from .matching import match
 from .ransac import RansacError, ransac_homography
@@ -28,7 +28,7 @@ class MatchConfig:
     fast_threshold: int = 20
     ratio: float = 0.8
     reproj_threshold_px: float = 20.0
-    ransac_iterations: int = 2000
+    ransac_iterations: int = 2000  # a cap: RANSAC stops early once enough samples were drawn
     seed: int = 0
     min_inliers: int = 15
 
@@ -60,6 +60,11 @@ def _unverified(putative: int = 0, survivors: int = 0) -> MatchResult:
     )
 
 
+def _xy(keypoints: list[Keypoint]) -> np.ndarray:
+    """(N, 2) array of the keypoints' x and y."""
+    return np.array([[kp.x for kp in keypoints], [kp.y for kp in keypoints]]).T
+
+
 def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) -> MatchResult:
     """Run the full matching pipeline between two grayscale images."""
     config = config or MatchConfig()
@@ -76,8 +81,8 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
     if survivors < 4:
         return _unverified(putative, survivors)
 
-    src = np.array([(kept_a[i].x, kept_a[i].y) for i in pairs[:, 0]])
-    dst = np.array([(kept_b[j].x, kept_b[j].y) for j in pairs[:, 1]])
+    src = _xy(kept_a)[pairs[:, 0]]
+    dst = _xy(kept_b)[pairs[:, 1]]
     try:
         result = ransac_homography(
             src,

@@ -317,10 +317,18 @@ GOLDEN_FRAMES = {
 }
 
 GOLDEN_PAIRS = {
-    "rotated": "642ea3daea546e15d0194b06e151f725f6c96fe2aa7a88e4c32e83d78f2e7180",
-    "shifted": "8a913cbc6b90a32a1b81c22a7ace226152b2cc0d1005765a514c71a3626b38a1",
-    "unrelated": "4455e02a3f962b58161ec13cb72d26dc74596769f9484c06f180da94a7fb877d",
+    "rotated": "b6f43ffeb3ffcbfc92ab5ebdc2754d7bedd9195d914b7dceb82efbc2f503250b",
+    "shifted": "6d683f3d1f5a3dabe63450cf1a629f470497ca18161c3623357a808837146ce6",
+    "unrelated": "0d24aa873eb56fc4b644b6a7d2116537cd2a00bfceeeeab6575675cc5a6bc046",
     "noise": "eaf31a42aee84145177574d9e36548a2fa09b96bf115307a32ff930e0a1f5ce1",
+}
+
+# (survivors, inliers, near_duplicate) of each pair: the funnel the digests lock.
+GOLDEN_FUNNELS = {
+    "rotated": (672, 642, True),
+    "shifted": (1761, 1752, True),
+    "unrelated": (158, 7, False),
+    "noise": (0, 0, False),
 }
 
 
@@ -341,6 +349,12 @@ def test_frame_outputs_unchanged(name):
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_match_result_unchanged(name):
     assert pair_digest(name) == GOLDEN_PAIRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_match_funnel_unchanged(name):
+    res = match_images(*PAIRS[name]())
+    assert (res.survivors, res.inliers, res.near_duplicate) == GOLDEN_FUNNELS[name]
 
 
 @pytest.mark.parametrize("name", sorted(DETECT_IMAGES))
