@@ -18,6 +18,7 @@ from .image import GrayImage
 
 DESCRIPTOR_BITS = N_PAIRS
 ANGLE_BINS = 32
+_DESCRIBE_CHUNK = 256  # keypoints gathered at once: a 1 MiB index buffer
 
 
 def _rotated_patterns() -> np.ndarray:
@@ -42,37 +43,44 @@ def describe(image: GrayImage, keypoints: list[Keypoint]) -> tuple[np.ndarray, l
 
     Returns (descriptors, kept_keypoints): descriptors are a (N, 32) uint8
     array aligned 1:1 with the surviving keypoints. Keypoints too close to
-    the border to sample are filtered out, not fatal.
+    the border to sample are filtered out, not fatal. A keypoint with a
+    non-finite x, y or angle raises ``ValueError``.
+
+    Each keypoint rounds to its pixel half to even (``np.rint``, as
+    ``round``) and its angle to the nearest of ``ANGLE_BINS`` bins
+    (``np.remainder`` takes the angle modulo 2*pi as Python's ``%`` does).
+    Both points of every pair are then gathered from the flattened image in
+    one ``take`` per chunk of ``_DESCRIBE_CHUNK`` keypoints.
     """
     img = image.pixels
     h, w = img.shape
-    kept: list[Keypoint] = []
-    coords = []
-    bins = []
-    for kp in keypoints:
-        x, y = int(round(kp.x)), int(round(kp.y))
-        if not (PATCH_RADIUS <= x < w - PATCH_RADIUS and PATCH_RADIUS <= y < h - PATCH_RADIUS):
-            continue
-        kept.append(kp)
-        coords.append((y, x))
-        frac = (kp.angle % (2.0 * math.pi)) / (2.0 * math.pi)
-        bins.append(int(round(frac * ANGLE_BINS)) % ANGLE_BINS)
-
+    xya = np.array([(kp.x, kp.y, kp.angle) for kp in keypoints], dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(xya).all():
+        raise ValueError("keypoint x, y and angle must be finite")
+    x, y = np.rint(xya[:, 0]), np.rint(xya[:, 1])
+    inside = (PATCH_RADIUS <= x) & (x < w - PATCH_RADIUS) & (PATCH_RADIUS <= y) & (y < h - PATCH_RADIUS)
+    idx = np.flatnonzero(inside)
+    kept = [keypoints[i] for i in idx.tolist()]
     if not kept:
         return np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8), []
 
-    coords_arr = np.asarray(coords, dtype=np.int64)
-    bins_arr = np.asarray(bins, dtype=np.int64)
-    bits = np.empty((len(kept), DESCRIPTOR_BITS), dtype=bool)
-    for b in np.unique(bins_arr):
-        sel = np.nonzero(bins_arr == b)[0]
-        table = _ROTATED[b]
-        ys = coords_arr[sel, 0][:, None]
-        xs = coords_arr[sel, 1][:, None]
-        v1 = img[ys + table[:, 1], xs + table[:, 0]]
-        v2 = img[ys + table[:, 3], xs + table[:, 2]]
-        bits[sel] = v1 < v2
-    return np.packbits(bits, axis=1), kept
+    base = y[idx].astype(np.intp) * w + x[idx].astype(np.intp)
+    frac = np.remainder(xya[idx, 2], 2.0 * math.pi) / (2.0 * math.pi)
+    bins = np.rint(frac * ANGLE_BINS).astype(np.intp) % ANGLE_BINS
+    rotated = _ROTATED.astype(np.intp)
+    # (ANGLE_BINS, 2, N_PAIRS) flat offsets dy * w + dx of each pair's first and second point.
+    offsets = np.ascontiguousarray((rotated[:, :, 1::2] * w + rotated[:, :, 0::2]).transpose(0, 2, 1))
+    flat = img.ravel()
+    out = np.empty((len(kept), DESCRIPTOR_BITS // 8), dtype=np.uint8)
+    index = np.empty((min(len(kept), _DESCRIBE_CHUNK), 2, N_PAIRS), dtype=np.intp)  # reused by every chunk
+    for start in range(0, len(kept), _DESCRIBE_CHUNK):
+        chunk = slice(start, start + _DESCRIBE_CHUNK)
+        # bins lie in [0, ANGLE_BINS); mode="clip" spares take the copy it makes of ``out`` under "raise".
+        at = np.take(offsets, bins[chunk], axis=0, out=index[: len(bins[chunk])], mode="clip")
+        at += base[chunk, None, None]
+        v = flat.take(at)
+        out[chunk] = np.packbits(v[:, 0] < v[:, 1], axis=1)
+    return out, kept
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

@@ -194,8 +194,11 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
 
     Keypoints keep a BORDER_MARGIN-pixel margin so downstream description
     always samples inside the image. Ordering is deterministic: response
-    descending, then row-major position.
+    descending, then row-major position. A negative ``max_features`` raises
+    ``ValueError``; 0 returns no keypoints.
     """
+    if max_features < 0:
+        raise ValueError(f"max_features must be non-negative, got {max_features}")
     if image.width < MIN_IMAGE_SIDE or image.height < MIN_IMAGE_SIDE:
         raise ImageTooSmallError(
             f"image {image.width}x{image.height} below detection minimum "

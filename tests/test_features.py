@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import time
 import tracemalloc
@@ -25,7 +26,8 @@ from firescene.features import (
     ransac_homography,
 )
 from firescene.features import pipeline, ransac
-from firescene.features.describe import hamming_distance
+from firescene.features.brief_pattern import PATCH_RADIUS
+from firescene.features.describe import ANGLE_BINS, DESCRIPTOR_BITS, _ROTATED, hamming_distance
 from firescene.features.detect import (
     BORDER_MARGIN,
     CIRCLE,
@@ -46,6 +48,9 @@ from firescene.features.detect import (
 )
 from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
+
+# The package exports the describe function under the module's name.
+describe_module = importlib.import_module("firescene.features.describe")
 
 
 class TestGrayImage:
@@ -136,6 +141,14 @@ class TestDetect:
     def test_deterministic(self):
         img = synthetic_texture(128, 128, 9)
         assert detect(img) == detect(img)
+
+    def test_negative_max_features_rejected(self):
+        # A negative cap used to slice the weakest keypoints off the end.
+        img = synthetic_texture(128, 128, 9)
+        assert len(detect(img)) > 1 and detect(img, max_features=0) == []
+        for max_features in (-1, -5):
+            with pytest.raises(ValueError):
+                detect(img, max_features=max_features)
 
 
 def _roll_fast_corner_mask(img, threshold, margin):
@@ -370,6 +383,68 @@ class TestDetectOracle:
         assert peak <= 64 * 2**20
 
 
+def _loop_describe(image, keypoints):
+    """Oracle: describe as a per-keypoint loop with per-bin 2-D fancy indexing."""
+    img = image.pixels
+    h, w = img.shape
+    kept, coords, bins = [], [], []
+    for kp in keypoints:
+        x, y = int(round(kp.x)), int(round(kp.y))
+        if not (PATCH_RADIUS <= x < w - PATCH_RADIUS and PATCH_RADIUS <= y < h - PATCH_RADIUS):
+            continue
+        kept.append(kp)
+        coords.append((y, x))
+        frac = (kp.angle % (2.0 * math.pi)) / (2.0 * math.pi)
+        bins.append(int(round(frac * ANGLE_BINS)) % ANGLE_BINS)
+    if not kept:
+        return np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8), []
+    coords_arr = np.asarray(coords, dtype=np.int64)
+    bins_arr = np.asarray(bins, dtype=np.int64)
+    bits = np.empty((len(kept), DESCRIPTOR_BITS), dtype=bool)
+    for b in np.unique(bins_arr):
+        sel = np.nonzero(bins_arr == b)[0]
+        table = _ROTATED[b]
+        ys = coords_arr[sel, 0][:, None]
+        xs = coords_arr[sel, 1][:, None]
+        bits[sel] = img[ys + table[:, 1], xs + table[:, 0]] < img[ys + table[:, 3], xs + table[:, 2]]
+    return np.packbits(bits, axis=1), kept
+
+
+def _bin_edge_angles():
+    """Angles on and one ulp either side of every rounding edge between bins, and at +-pi, 0 and 2*pi."""
+    edges = [2.0 * math.pi * (b + 0.5) / ANGLE_BINS for b in range(ANGLE_BINS)]
+    edges += [-e for e in edges] + [math.pi, -math.pi, 0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, -1e-300]
+    return [float(v) for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+
+
+def _border_coordinates(side):
+    """Pixel coordinates and half-pixels around both PATCH_RADIUS borders of an image side."""
+    r = PATCH_RADIUS
+    near = [r - 1, r - 0.5, r, r + 0.5, side - r - 1.5, side - r - 1, side - r - 0.5, side - r]
+    return near + [side / 2.0, -3.0, side + 7.25]
+
+
+def _assert_describes_like_loop(image, keypoints):
+    desc, kept = describe(image, keypoints)
+    want_desc, want_kept = _loop_describe(image, keypoints)
+    assert desc.dtype == np.uint8 and desc.shape == want_desc.shape
+    assert np.array_equal(desc, want_desc)
+    assert len(kept) == len(want_kept) and all(k is w for k, w in zip(kept, want_kept))
+
+
+@st.composite
+def _describe_cases(draw):
+    """A noise image and keypoints anywhere on or near it, with angles from bin edges or anywhere."""
+    w, h = draw(st.integers(31, 90)), draw(st.integers(31, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = GrayImage.from_array(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    n = draw(st.integers(0, 40))
+    xs = draw(st.lists(st.sampled_from(_border_coordinates(w)) | st.floats(-5, w + 5), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from(_border_coordinates(h)) | st.floats(-5, h + 5), min_size=n, max_size=n))
+    angles = draw(st.lists(st.sampled_from(_bin_edge_angles()) | st.floats(-20, 20), min_size=n, max_size=n))
+    return image, [Keypoint(x=x, y=y, response=1.0, angle=a) for x, y, a in zip(xs, ys, angles)]
+
+
 class TestDescribe:
     def test_deterministic(self):
         img = synthetic_texture(128, 128, 4)
@@ -411,6 +486,52 @@ class TestDescribe:
         dists = [hamming_distance(desc[i], rdesc[i]) for i in range(len(desc))]
         assert max(dists) <= 64
 
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_matches_per_keypoint_loop_on_borders_and_bin_edges(self, monkeypatch, chunk):
+        monkeypatch.setattr(describe_module, "_DESCRIBE_CHUNK", chunk)
+        image = noise_image(70, 50, 11)
+        kps = [
+            Keypoint(x=float(x), y=float(y), response=1.0, angle=a)
+            for x in _border_coordinates(70)
+            for y in _border_coordinates(50)
+            for a in _bin_edge_angles()[::7]
+        ]
+        kps += [Keypoint(x=35.0, y=25.0, response=1.0, angle=a) for a in _bin_edge_angles()]
+        _assert_describes_like_loop(image, kps)
+
+    @given(_describe_cases(), st.sampled_from([1, 3, 256]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_keypoint_loop(self, case, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(describe_module, "_DESCRIBE_CHUNK", chunk)
+            _assert_describes_like_loop(*case)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", math.inf), ("x", math.nan), ("angle", math.nan), ("angle", math.inf), ("y", -math.inf)],
+    )
+    def test_non_finite_keypoints_rejected(self, field, value):
+        # An infinite x raised OverflowError and the others ValueError, from int(round(...)).
+        img = synthetic_texture(64, 64, 4)
+        fields = {"x": 32.0, "y": 32.0, "response": 1.0, "angle": 0.5, field: value}
+        kps = [Keypoint(x=20.0, y=20.0, response=1.0, angle=0.0), Keypoint(**fields)]
+        with pytest.raises(ValueError):
+            describe(img, kps)
+
+    def test_peak_memory_at_the_feature_cap(self):
+        # Indices are gathered _DESCRIBE_CHUNK keypoints at a time into one
+        # buffer; gathering all 8000 keypoints at once peaks near 67 MiB here.
+        img = noise_image(1280, 1024, 5)
+        kps = detect(img)
+        tracemalloc.start()
+        try:
+            desc, kept = describe(img, kps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kps) == len(kept) == len(desc) == 8000
+        assert peak <= 8 * 2**20
+
     def test_random_descriptors_mean_hamming(self):
         # Binomial expectation: independent 256-bit strings differ in ~128 bits.
         rng = np.random.default_rng(0)
@@ -445,6 +566,29 @@ class TestHammingMetric:
         want = [[hamming_distance(a[i], b[j]) for j in range(nb)] for i in range(na)]
         assert np.array_equal(m, np.array(want, dtype=np.int64).reshape(na, nb))
 
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            np.zeros((3, 32), dtype=np.int64),
+            np.zeros((3, 32), dtype=bool),
+            np.zeros((3, 32), dtype=np.int8),
+            np.zeros((3, 31), dtype=np.uint8),
+            np.zeros((3, 64), dtype=np.uint8),
+            np.zeros(32, dtype=np.uint8),
+            np.zeros((3, 4), dtype=np.uint64),
+        ],
+        ids=["int64", "bool", "int8", "narrow", "wide", "one-dimensional", "uint64-words"],
+    )
+    def test_unpacked_descriptors_rejected(self, desc):
+        # An int64 row of zeros against a row of ones used to read 32, not 256.
+        ones = np.ones_like(desc)
+        good = np.zeros((3, 32), dtype=np.uint8)
+        for a, b in ((desc, ones), (desc, good), (good, desc)):
+            with pytest.raises(ValueError):
+                hamming_matrix(a, b)
+            with pytest.raises(ValueError):
+                match(a, b)
+
     def test_all_bits_differing_reach_256(self):
         a = np.zeros((_BLOCK_ROWS + 2, 32), dtype=np.uint8)
         b = np.full((3, 32), 0xFF, dtype=np.uint8)
@@ -453,7 +597,55 @@ class TestHammingMetric:
         assert np.all(m == 256) and hamming_distance(a[0], b[0]) == 256
 
 
+def _oracle_match(desc_a, desc_b, ratio):
+    """Oracle: match on the full distance matrix, with argmin and a sorted second neighbor."""
+    dist = hamming_matrix(desc_a, desc_b).astype(np.int64)
+    j1 = dist.argmin(axis=1)
+    rows = np.arange(len(dist))
+    d1 = dist[rows, j1]
+    keep = np.ones(len(dist), dtype=bool) if dist.shape[1] == 1 else d1 < ratio * np.sort(dist, axis=1)[:, 1]
+    return np.stack([rows[keep], j1[keep]], axis=1), d1[keep]
+
+
+@st.composite
+def _descriptor_pairs(draw):
+    """Two descriptor sets that differ only in two bytes from a 4-value alphabet: ties and d2 = 0 are common."""
+    na = draw(st.sampled_from([1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]))
+    nb = draw(st.sampled_from([1, 2, 3, 9, _BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = np.array([0x00, 0x01, 0x0F, 0xFF], dtype=np.uint8)
+    a = np.zeros((na, 32), dtype=np.uint8)
+    b = np.zeros((nb, 32), dtype=np.uint8)
+    a[:, 5:7] = alphabet[rng.integers(0, 4, size=(na, 2))]
+    b[:, 5:7] = alphabet[rng.integers(0, 4, size=(nb, 2))]
+    return a, b
+
+
 class TestMatch:
+    @given(_descriptor_pairs(), st.sampled_from([0.0, 0.5, 0.8, 1.0, 1.5, 10.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_matrix_oracle(self, descs, ratio):
+        pairs, dists = match(*descs, ratio=ratio)
+        want_pairs, want_dists = _oracle_match(*descs, ratio)
+        assert pairs.dtype == dists.dtype == np.int64 and pairs.shape == (len(dists), 2)
+        assert np.array_equal(pairs, want_pairs) and np.array_equal(dists, want_dists)
+
+    def test_peak_memory_on_8000_descriptors(self):
+        # The full uint16 distance matrix alone is 122 MiB here; match peaked
+        # near 140 MiB when it built it.
+        rng = np.random.default_rng(16)
+        a = rng.integers(0, 256, size=(8000, 32), dtype=np.uint8)
+        b = rng.integers(0, 256, size=(8000, 32), dtype=np.uint8)
+        b[:50] = a[:50]
+        tracemalloc.start()
+        try:
+            pairs, _ = match(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {(i, i) for i in range(50)} <= {tuple(p) for p in pairs.tolist()}
+        assert peak <= 16 * 2**20
+
     def test_identity_self_match(self):
         rng = np.random.default_rng(1)
         d = rng.integers(0, 256, size=(60, 32), dtype=np.uint8)
@@ -1107,6 +1299,10 @@ class TestMatchImages:
         proj = np.hstack([grid, np.ones((25, 1))]) @ np.array(res.homography).reshape(3, 3).T
         want = rigid_points(grid, angle, shift, ((image.width - 1) / 2.0, (image.height - 1) / 2.0))
         assert np.abs(proj[:, :2] / proj[:, 2:] - want).max() < 0.5
+
+    def test_negative_max_features_rejected(self, texture):
+        with pytest.raises(ValueError):
+            match_images(texture, texture, MatchConfig(max_features=-1))
 
     def test_uniform_images_empty_result(self):
         img = GrayImage.from_array(np.full((64, 64), 50, dtype=np.uint8))
