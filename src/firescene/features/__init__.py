@@ -1,7 +1,7 @@
 """Keypoint detection, binary description, matching, and RANSAC verification."""
 
 from .brief_pattern import PATTERN, PATTERN_SEED, generate_pattern
-from .describe import describe, hamming_distance
+from .describe import describe
 from .detect import Keypoint, detect
 from .image import GrayImage
 from .matching import hamming_matrix, match
@@ -13,7 +13,6 @@ __all__ = [
     "PATTERN_SEED",
     "generate_pattern",
     "describe",
-    "hamming_distance",
     "Keypoint",
     "detect",
     "GrayImage",

@@ -82,7 +82,3 @@ def describe(image: GrayImage, keypoints: list[Keypoint]) -> tuple[np.ndarray, l
         out[chunk] = np.packbits(v[:, 0] < v[:, 1], axis=1)
     return out, kept
 
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Hamming distance between two packed descriptors."""
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())

@@ -6,21 +6,33 @@ darker) than the center by the intensity threshold, survive a 3x3
 non-maximum suppression on the Harris response, and carry the
 intensity-centroid orientation of their 31x31 circular patch.
 
-Each step is exact, so it equals bit for bit a float64 evaluation of the
-same formulas in any summation order. The segment test packs the 16 circle
-comparisons of a pixel into one word per polarity and looks the word up in
-a table of arcs. Sobel gradients and Harris window sums are int32 integers
-that cannot overflow (``_HARRIS_SUM_BOUND``), and only
-``det - k * trace^2`` is taken in float64, from those exact sums. The
-centroid moments are integer sums far below 2^53, which a float64 matrix
-product computes exactly. Each angle is ``math.atan2`` of the two moments,
-one keypoint at a time: ``np.arctan2`` differs from it in the last bit on
-some keypoints.
-"""
+The segment test, Sobel, the Harris window sums, the response and the
+suppression run over bands of ``_BAND_ROWS`` interior rows, through
+buffers allocated once per call and reused by every band, so no plane is
+larger than a band. A band reads ``_HALO`` rows and columns of the image
+beyond its own: 1 for the suppression ring, 3 for the 7x7 window and 1 for
+Sobel. ``BORDER_MARGIN`` is wider than that halo, so every pixel a band
+reads lies inside the image and nothing is padded; the suppression ring is
+-inf only where it falls outside the interior. Each band's surviving
+corners come out row-major, so the bands joined in order are the
+whole-image candidates in the same order, and one stable sort on the score
+ranks them.
 
+Each step is exact, so it equals bit for bit a float64 evaluation of the
+same formulas in any summation order, whatever the band height. The
+segment test packs the 16 circle comparisons of a pixel into one word per
+polarity and looks the word up in a table of arcs. Sobel gradients and
+Harris window sums are int32 integers that cannot overflow
+(``_HARRIS_SUM_BOUND``), and only ``det - k * trace^2`` is taken in
+float64, from those exact sums. The centroid moments are integer sums far
+below 2^53, which a float64 matrix product computes exactly. Each angle is
+``math.atan2`` of the two moments, one keypoint at a time: ``np.arctan2``
+differs from it in the last bit on some keypoints.
+"""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +60,12 @@ _HARRIS_SUM_BOUND = HARRIS_WINDOW**2 * (4 * 255) ** 2
 assert _HARRIS_SUM_BOUND < 2**31, "Harris window sums must fit in int32"
 
 _ORIENTATION_CHUNK = 512  # keypoints whose patches are gathered at once
+_BAND_ROWS = 64  # interior rows a band covers; its planes stay within a few hundred KiB
+
+# A band reads this far beyond its rows and columns: 1 for the NMS ring, 3 for
+# the Harris window and 1 for Sobel. The margin holds it, so nothing is padded.
+_HALO = 1 + HARRIS_WINDOW // 2 + 1
+assert BORDER_MARGIN >= _HALO, "the border margin must hold a band's halo"
 
 
 class ImageTooSmallError(ValueError):
@@ -75,86 +93,130 @@ def _arc_table() -> np.ndarray:
 _ARC = _arc_table()
 
 
-def _shifted_interior(arr: np.ndarray, dx: int, dy: int, margin: int) -> np.ndarray:
-    h, w = arr.shape
-    return arr[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
+class _Bands:
+    """The detection kernels over row bands of one image's interior, with buffers every band reuses.
 
-
-def _fast_corner_mask(img: np.ndarray, threshold: int, margin: int) -> np.ndarray:
-    """Segment-test mask over the interior region (margin clipped away).
-
-    Bit i of a pixel's bright (dark) word is set when circle pixel i is at
-    least ``threshold`` brighter (darker) than the center. Comparisons are
-    made in int16, so thresholds near 0 and 255 do not wrap.
+    The interior is the image less ``margin`` rows and columns on each
+    side. A band is interior rows [y0, y1), at most ``rows`` of them, and
+    spans the interior's full width; its kernels read the image up to
+    ``_HALO`` pixels beyond it, which ``margin`` must hold.
     """
-    img16 = img.astype(np.int16)
-    center = _shifted_interior(img16, 0, 0, margin)
-    hi = center + threshold
-    lo = center - threshold
-    bright = np.zeros(center.shape, dtype=np.uint16)
-    dark = np.zeros(center.shape, dtype=np.uint16)
-    for i, (dx, dy) in enumerate(CIRCLE):
-        ring = _shifted_interior(img16, dx, dy, margin)
-        bit = np.uint16(1 << i)
-        bright |= (ring >= hi) * bit
-        dark |= (ring <= lo) * bit
-    return np.take(_ARC, bright) | np.take(_ARC, dark)
 
+    def __init__(self, img: np.ndarray, margin: int, rows: int) -> None:
+        h, w = img.shape
+        self.img, self.m, self.h = img, margin, h
+        self.w = w - 2 * margin  # interior width
+        n, c, r = rows, self.w, _HALO  # band rows, band columns, halo
+        # Segment test: the band with the circle's 3-pixel halo in int16, and one plane per step.
+        self.src16 = np.empty((n + 6, c + 6), dtype=np.int16)
+        self.hi, self.lo = np.empty((2, n, c), dtype=np.int16)
+        self.bright, self.dark, self.bit = np.empty((3, n, c), dtype=np.uint16)
+        self.test, self.corner = np.empty((2, n, c), dtype=bool)
+        # Harris: the band with its halo in int32, Sobel, one window sum at a time, float64 sums.
+        self.src32 = np.empty((n + 2 * r, c + 2 * r), dtype=np.int32)
+        self.diff = np.empty((n + 2 * r, c + 2 * r - 2), dtype=np.int32)
+        self.gx, self.gy, self.prod = np.empty((3, n + 2 * r - 2, c + 2 * r - 2), dtype=np.int32)
+        self.rowsum = np.empty((n + 2, c + 2 * r - 2), dtype=np.int32)
+        self.sum32 = np.empty((n + 2, c + 2), dtype=np.int32)
+        self.sxx, self.syy, self.sxy, self.det = np.empty((4, n + 2, c + 2), dtype=np.float64)
 
-def _sobel(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-padded 3x3 Sobel gradients in int32: a central difference, then [1, 2, 1] smoothing."""
-    p = np.pad(img.astype(np.int32), 1, mode="edge")
-    dx = p[:, 2:] - p[:, :-2]
-    gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
-    sx = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
-    gy = sx[2:] - sx[:-2]
-    return gx, gy
+    def corners(self, threshold: int, y0: int, y1: int) -> np.ndarray:
+        """(y1 - y0, interior width) segment-test mask of the band.
 
+        Bit i of a pixel's bright (dark) word is set when circle pixel i is
+        at least ``threshold`` brighter (darker) than the center. The
+        comparisons are made in int16, so centers near 0 and 255 do not wrap.
+        """
+        n, c, m = y1 - y0, self.w, self.m
+        src = self.src16[: n + 6]
+        np.copyto(src, self.img[y0 - 3 : y1 + 3, m - 3 : m + c + 3])
+        center = src[3 : 3 + n, 3 : 3 + c]
+        hi = np.add(center, threshold, out=self.hi[:n])
+        lo = np.subtract(center, threshold, out=self.lo[:n])
+        bright, dark, bit, test = self.bright[:n], self.dark[:n], self.bit[:n], self.test[:n]
+        bright.fill(0)
+        dark.fill(0)
+        for i, (dx, dy) in enumerate(CIRCLE):
+            ring = src[3 + dy : 3 + dy + n, 3 + dx : 3 + dx + c]
+            bright |= np.multiply(np.greater_equal(ring, hi, out=test), np.uint16(1 << i), out=bit)
+            dark |= np.multiply(np.less_equal(ring, lo, out=test), np.uint16(1 << i), out=bit)
+        # A uint16 word always indexes the 65,536-entry table; "clip" spares take a copy of ``out``.
+        corner = np.take(_ARC, bright, out=self.corner[:n], mode="clip")
+        return np.logical_or(corner, np.take(_ARC, dark, out=test, mode="clip"), out=corner)
 
-def _box_sum(arr: np.ndarray, size: int) -> np.ndarray:
-    """Sum over a size x size window centered on each pixel (edge-padded), by shifted adds."""
-    r = size // 2
-    h, w = arr.shape
-    p = np.pad(arr, r, mode="edge")
-    rows = p[:h] + p[1 : h + 1]
-    for k in range(2, size):
-        rows += p[k : k + h]
-    out = rows[:, :w] + rows[:, 1 : w + 1]
-    for k in range(2, size):
-        out += rows[:, k : k + w]
-    return out
+    def gradients(self, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
+        """int32 Sobel (gx, gy) of the band widened by ``_HALO - 1`` pixels on each side.
 
+        A central difference, then [1, 2, 1] smoothing across it.
+        """
+        n, c, m, r = y1 - y0, self.w, self.m, _HALO
+        src = self.src32[: n + 2 * r]
+        np.copyto(src, self.img[y0 - r : y1 + r, m - r : m + c + r])
+        d = self.diff[: n + 2 * r]
+        gx, gy = self.gx[: n + 2 * r - 2], self.gy[: n + 2 * r - 2]
+        np.subtract(src[:, 2:], src[:, :-2], out=d)
+        np.left_shift(d[1:-1], 1, out=gx)
+        gx += d[:-2]
+        gx += d[2:]
+        np.left_shift(src[:, 1:-1], 1, out=d)
+        d += src[:, :-2]
+        d += src[:, 2:]
+        np.subtract(d[2:], d[:-2], out=gy)
+        return gx, gy
 
-def _harris_response(img: np.ndarray) -> np.ndarray:
-    gx, gy = _sobel(img)
-    sxx = _box_sum(gx * gx, HARRIS_WINDOW).astype(np.float64)
-    syy = _box_sum(gy * gy, HARRIS_WINDOW).astype(np.float64)
-    sxy = _box_sum(gx * gy, HARRIS_WINDOW).astype(np.float64)
-    det = sxx * syy
-    det -= np.square(sxy, out=sxy)
-    trace = np.add(sxx, syy, out=sxx)
-    k_trace2 = np.multiply(HARRIS_K, trace, out=syy)
-    k_trace2 *= trace
-    det -= k_trace2  # det - HARRIS_K * trace * trace, rounded step by step as written
-    return det
+    def window_sum(self, arr: np.ndarray) -> np.ndarray:
+        """int32 sums of ``arr`` over each HARRIS_WINDOW x HARRIS_WINDOW window inside it, by shifted adds."""
+        size = HARRIS_WINDOW
+        n, c = arr.shape[0] - size + 1, arr.shape[1] - size + 1
+        rows = np.add(arr[:n], arr[1 : n + 1], out=self.rowsum[:n])
+        for k in range(2, size):
+            rows += arr[k : k + n]
+        out = np.add(rows[:, :c], rows[:, 1 : c + 1], out=self.sum32[:n])
+        for k in range(2, size):
+            out += rows[:, k : k + c]
+        return out
 
+    def response(self, y0: int, y1: int) -> np.ndarray:
+        """float64 Harris response of the band with a 1-pixel ring: (y1 - y0 + 2, interior width + 2)."""
+        gx, gy = self.gradients(y0, y1)
+        n = y1 - y0 + 2
+        prod = self.prod[: len(gx)]
+        sxx, syy, sxy, det = self.sxx[:n], self.syy[:n], self.sxy[:n], self.det[:n]
+        for a, b, s in ((gx, gx, sxx), (gy, gy, syy), (gx, gy, sxy)):
+            np.copyto(s, self.window_sum(np.multiply(a, b, out=prod)))
+        np.multiply(sxx, syy, out=det)
+        det -= np.square(sxy, out=sxy)
+        trace = np.add(sxx, syy, out=sxx)
+        k_trace2 = np.multiply(HARRIS_K, trace, out=syy)
+        k_trace2 *= trace
+        det -= k_trace2  # det - HARRIS_K * trace * trace, rounded step by step as written
+        return det
 
-def _nms_first_wins(response: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """3x3 non-max suppression; exact ties go to the row-major earlier pixel."""
-    padded = np.pad(response, 1, mode="constant", constant_values=-np.inf)
-    h, w = response.shape
+    def candidates(self, threshold: int, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Image rows, columns and responses of the band's corners that survive the NMS, row-major.
 
-    def nbr(dy, dx):
-        return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-
-    earlier = [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
-    later = [(0, 1), (1, -1), (1, 0), (1, 1)]
-    keep = candidates.copy()
-    for dy, dx in earlier:
-        keep &= response > nbr(dy, dx)
-    for dy, dx in later:
-        keep &= response >= nbr(dy, dx)
-    return keep
+        The 3x3 non-max suppression gives exact ties to the row-major
+        earlier pixel, and treats the ring outside the interior as -inf.
+        """
+        ys, xs = np.nonzero(self.corners(threshold, y0, y1))
+        if not len(ys):
+            return ys, xs, np.empty(0)
+        response = self.response(y0, y1)
+        response[:, 0] = response[:, -1] = -np.inf
+        if y0 == self.m:
+            response[0] = -np.inf
+        if y1 == self.h - self.m:
+            response[-1] = -np.inf
+        stride = response.shape[1]
+        flat = response.ravel()
+        at = (ys + 1) * stride + (xs + 1)
+        score = flat[at]
+        keep = np.ones(len(at), dtype=bool)
+        for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+            keep &= score > flat[at + (dy * stride + dx)]
+        for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            keep &= score >= flat[at + (dy * stride + dx)]
+        return ys[keep] + y0, xs[keep] + self.m, score[keep]
 
 
 def _disc_weights() -> np.ndarray:
@@ -184,21 +246,24 @@ def _moments(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _intensity_centroid_angle(img: np.ndarray, y: int, x: int) -> float:
-    [[m10, m01]] = _moments(img, np.array([y]), np.array([x])).tolist()
-    return math.atan2(m01, m10)
-
-
 def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THRESHOLD) -> list[Keypoint]:
     """Detect oriented corners, strongest Harris response first.
 
     Keypoints keep a BORDER_MARGIN-pixel margin so downstream description
     always samples inside the image. Ordering is deterministic: response
     descending, then row-major position. A negative ``max_features`` raises
-    ``ValueError``; 0 returns no keypoints.
+    ``ValueError``; 0 returns no keypoints. ``threshold`` must be a
+    non-negative integer (``ValueError`` otherwise); above 255 no circle
+    pixel can pass the segment test, so no keypoints are returned.
     """
     if max_features < 0:
         raise ValueError(f"max_features must be non-negative, got {max_features}")
+    try:
+        threshold = operator.index(threshold)
+    except TypeError:
+        raise ValueError(f"threshold must be an integer, got {threshold!r}") from None
+    if threshold < 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
     if image.width < MIN_IMAGE_SIDE or image.height < MIN_IMAGE_SIDE:
         raise ImageTooSmallError(
             f"image {image.width}x{image.height} below detection minimum "
@@ -206,20 +271,17 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
         )
     img = image.pixels
     m = BORDER_MARGIN
-    if image.width <= 2 * m or image.height <= 2 * m:
+    if image.width <= 2 * m or image.height <= 2 * m or threshold > 255:
         return []
 
-    corners = _fast_corner_mask(img, threshold, m)
-    if not corners.any():
-        return []
-    response = _harris_response(img)
-    interior = response[m:-m, m:-m]
-    ys, xs = np.nonzero(_nms_first_wins(interior, corners))
-    scores = interior[ys, xs]
+    top, bottom = m, image.height - m
+    bands = _Bands(img, m, min(_BAND_ROWS, bottom - top))
+    found = [bands.candidates(threshold, y0, min(y0 + _BAND_ROWS, bottom)) for y0 in range(top, bottom, _BAND_ROWS)]
+    ys, xs, scores = (np.concatenate(part) for part in zip(*found))
 
-    # np.nonzero is row-major, so a stable sort on the score alone breaks ties by position.
+    # The bands are row-major, so a stable sort on the score alone breaks ties by position.
     order = np.argsort(-scores, kind="stable")[:max_features]
-    ys, xs, scores = ys[order] + m, xs[order] + m, scores[order]
+    ys, xs, scores = ys[order], xs[order], scores[order]
     moments = _moments(img, ys, xs).tolist()
     return [
         Keypoint(x=float(x), y=float(y), response=s, angle=math.atan2(m01, m10))

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from firescene.features import (
 )
 from firescene.features import pipeline, ransac
 from firescene.features.brief_pattern import PATCH_RADIUS
-from firescene.features.describe import ANGLE_BINS, DESCRIPTOR_BITS, _ROTATED, hamming_distance
+from firescene.features.describe import ANGLE_BINS, DESCRIPTOR_BITS, _ROTATED
 from firescene.features.detect import (
     BORDER_MARGIN,
     CIRCLE,
@@ -37,20 +41,28 @@ from firescene.features.detect import (
     ORIENTATION_RADIUS,
     ImageTooSmallError,
     Keypoint,
-    _box_sum,
-    _fast_corner_mask,
-    _harris_response,
+    _HALO,
     _HARRIS_SUM_BOUND,
-    _intensity_centroid_angle,
+    _Bands,
     _moments,
-    _nms_first_wins,
-    _sobel,
 )
 from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
 
-# The package exports the describe function under the module's name.
+# The package exports the describe and detect functions under their modules' names.
 describe_module = importlib.import_module("firescene.features.describe")
+detect_module = importlib.import_module("firescene.features.detect")
+
+
+def hamming_distance(a, b):
+    """Oracle: Hamming distance between two packed descriptors."""
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
+
+
+def _intensity_centroid_angle(img, y, x):
+    """One keypoint's angle through the batched moments, as detect takes it."""
+    [[m10, m01]] = _moments(img, np.array([y]), np.array([x])).tolist()
+    return math.atan2(m01, m10)
 
 
 class TestGrayImage:
@@ -142,6 +154,26 @@ class TestDetect:
         img = synthetic_texture(128, 128, 9)
         assert detect(img) == detect(img)
 
+    @pytest.mark.parametrize("threshold", [256, 300, 32600, 32768, 2**40])
+    def test_thresholds_above_255_find_nothing(self, monkeypatch, threshold):
+        # In int16, 90 + 32600 wrapped to a negative bound and every circle
+        # pixel passed; 32768 raised OverflowError. No pixel can differ from
+        # the center by more than 255, so nothing is built.
+        flat = GrayImage.from_array(np.full((64, 64), 90, dtype=np.uint8))
+        noise = noise_image(64, 64, 3)
+        monkeypatch.setattr(detect_module, "_Bands", None)
+        assert detect(flat, threshold=threshold) == [] and detect(noise, threshold=threshold) == []
+
+    @pytest.mark.parametrize("threshold", [-1, -300, 20.5, 20.0, "20", None])
+    def test_negative_or_non_integer_threshold_rejected(self, threshold):
+        # -300 used to find 40 corners on noise: every circle pixel was both brighter and darker.
+        with pytest.raises(ValueError, match="threshold"):
+            detect(noise_image(64, 64, 3), threshold=threshold)
+
+    def test_integer_threshold_types_accepted(self):
+        img = synthetic_texture(128, 128, 9)
+        assert detect(img, threshold=np.uint8(20)) == detect(img, threshold=np.int64(20)) == detect(img, threshold=20)
+
     def test_negative_max_features_rejected(self):
         # A negative cap used to slice the weakest keypoints off the end.
         img = synthetic_texture(128, 128, 9)
@@ -208,6 +240,34 @@ def _float_harris_response(img):
     return det - HARRIS_K * trace * trace
 
 
+def _nms_first_wins(response, candidates):
+    """Oracle: whole-image 3x3 non-max suppression; exact ties go to the row-major earlier pixel."""
+    padded = np.pad(response, 1, mode="constant", constant_values=-np.inf)
+    h, w = response.shape
+
+    def nbr(dy, dx):
+        return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+
+    keep = candidates.copy()
+    for dy, dx in [(-1, -1), (-1, 0), (-1, 1), (0, -1)]:
+        keep &= response > nbr(dy, dx)
+    for dy, dx in [(0, 1), (1, -1), (1, 0), (1, 1)]:
+        keep &= response >= nbr(dy, dx)
+    return keep
+
+
+def _one_band(img, margin):
+    """The band kernels of ``img`` with one band covering its whole interior: (kernels, y0, y1)."""
+    h = img.shape[0]
+    return _Bands(img, margin, h - 2 * margin), margin, h - margin
+
+
+def _fast_corner_mask(img, threshold, margin):
+    """The segment-test kernel over the whole interior."""
+    bands, y0, y1 = _one_band(img, margin)
+    return bands.corners(threshold, y0, y1)
+
+
 def _loop_angle(img, y, x):
     """Oracle: one keypoint's intensity-centroid angle from float64 patch moments."""
     r = ORIENTATION_RADIUS
@@ -247,8 +307,8 @@ _PALETTES = [tuple(range(256)), (0, 255), (0, 1, 19, 20, 21, 234, 235, 254, 255)
 
 
 @st.composite
-def _gray_arrays(draw, lo, hi):
-    h, w = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+def _gray_arrays(draw, lo, hi, max_height=None):
+    h, w = draw(st.integers(lo, max_height or hi)), draw(st.integers(lo, hi))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.choice(np.array(draw(st.sampled_from(_PALETTES)), dtype=np.uint8), size=(h, w))
 
@@ -288,6 +348,21 @@ HARRIS_IMAGES = {
 }
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_FAULTS_PER_DETECT = """
+import resource
+from firescene.features import detect
+from imagefix import synthetic_texture
+img = synthetic_texture(640, 512, 3)
+n = len(detect(img))  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    detect(img)
+print(n, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
 class TestDetectOracle:
     @given(_gray_arrays(33, 64), st.sampled_from(_THRESHOLDS))
     @settings(max_examples=150, deadline=None)
@@ -319,20 +394,28 @@ class TestDetectOracle:
 
     @pytest.mark.parametrize("name", sorted(HARRIS_IMAGES))
     def test_harris_matches_float_oracle(self, name):
+        # At margin _HALO the band's gradients reach one pixel from the image
+        # edge and its response (with the NMS ring) _HALO - 1 pixels, so the
+        # oracles' edge padding never enters the comparison.
         img = HARRIS_IMAGES[name]()
-        gx, gy = _sobel(img)
+        bands, y0, y1 = _one_band(img, _HALO)
+        gx, gy = bands.gradients(y0, y1)
         want_gx, want_gy = _float_sobel(img)
         assert gx.dtype == gy.dtype == np.int32
-        assert np.array_equal(gx, want_gx) and np.array_equal(gy, want_gy)
-        response = _harris_response(img)
+        assert np.array_equal(gx, want_gx[1:-1, 1:-1]) and np.array_equal(gy, want_gy[1:-1, 1:-1])
+        response = bands.response(y0, y1)
         assert response.dtype == np.float64
-        assert response.tobytes() == _float_harris_response(img).tobytes()
+        r = _HALO - 1
+        assert response.tobytes() == np.ascontiguousarray(_float_harris_response(img)[r:-r, r:-r]).tobytes()
 
     def test_window_sums_reach_the_int32_bound(self):
-        gx, gy = _sobel(_stripes(40, 50))
-        assert np.all(np.abs(gx[:, 1:-1]) == 4 * 255) and not gy.any()
-        sxx = _box_sum(gx * gx, HARRIS_WINDOW)
+        bands, y0, y1 = _one_band(_stripes(40, 50), _HALO)
+        gx, gy = bands.gradients(y0, y1)
+        assert np.all(np.abs(gx) == 4 * 255) and not gy.any()
+        sxx = bands.window_sum(gx * gx)
         assert sxx.dtype == np.int32 and sxx.max() == _HARRIS_SUM_BOUND < 2**31
+        r = HARRIS_WINDOW // 2
+        assert np.array_equal(sxx, _cumsum_box_sum(gx * gx, HARRIS_WINDOW)[r:-r, r:-r])
 
     def test_batched_angles_match_per_keypoint_loop(self):
         img = noise_image(200, 160, 3).pixels.copy()
@@ -356,6 +439,18 @@ class TestDetectOracle:
         img = GrayImage.from_array(arr)
         assert _bits(detect(img, max_features, threshold)) == _bits(_oracle_detect(img, max_features, threshold))
 
+    @pytest.mark.parametrize("band_rows", [1, 2, 3, 7])
+    @given(arr=_gray_arrays(33, 80, max_height=160), threshold=st.sampled_from(_THRESHOLDS),
+           max_features=st.sampled_from([0, 1, 7, 8000]))
+    @settings(max_examples=30, deadline=None)
+    def test_detect_matches_oracle_across_band_seams(self, band_rows, arr, threshold, max_features):
+        # Bands this short put a seam on every halo row of the Sobel, the window sums and the NMS.
+        img = GrayImage.from_array(arr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect_module, "_BAND_ROWS", band_rows)
+            got = detect(img, max_features, threshold)
+        assert _bits(got) == _bits(_oracle_detect(img, max_features, threshold))
+
     @pytest.mark.parametrize("max_features", [8000, 30])
     def test_tied_responses_keep_row_major_order(self, max_features):
         # Four square brightnesses in turn: four groups of equal responses,
@@ -371,7 +466,8 @@ class TestDetectOracle:
     def test_peak_memory_at_the_feature_cap(self):
         # A 1280x1024 noise image yields more corners than the 8000 cap. The
         # boolean segment-test planes and float64 Harris sums peaked at 91.2
-        # MiB here; circle words and int32 sums peak near 51 MiB.
+        # MiB here, and whole-image circle words and int32 sums near 51 MiB.
+        # Row bands hold only a band's planes; the peak is near 13 MiB.
         img = noise_image(1280, 1024, 5)
         tracemalloc.start()
         try:
@@ -380,7 +476,21 @@ class TestDetectOracle:
         finally:
             tracemalloc.stop()
         assert len(kps) == 8000
-        assert peak <= 64 * 2**20
+        assert peak <= 24 * 2**20
+
+    def test_repeated_calls_do_not_fault_fresh_pages(self):
+        # Whole-image planes of 0.6-2.6 MB were mapped and unmapped on every
+        # call: about 5050 minor faults a call on this texture. A band's
+        # buffers stay on the heap between calls. Run in a fresh process with
+        # glibc's default allocator settings, because earlier tests in this
+        # one may have raised its mmap threshold and hidden the faults.
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env["PYTHONPATH"] = os.pathsep.join([str(_SRC), str(Path(__file__).parent)])
+        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_DETECT], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        kps, faults = out.stdout.split()
+        assert int(kps) > 1000
+        assert float(faults) < 500
 
 
 def _loop_describe(image, keypoints):
