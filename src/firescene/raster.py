@@ -5,11 +5,16 @@ temperature in degrees Celsius. Pixels outside the physically plausible range
 or equal to a declared no-data value are flagged invalid, never clamped.
 The file reader, ``tiff.load_thermal_tiff``, decodes its samples through
 ``ThermalRaster.from_samples``.
+
+A raster's summary statistics are computed once, on first use, and cached on
+the raster: every ``summarize`` of one raster returns the same object.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +58,9 @@ class ThermalRaster:
     ``x`` in ``[0, width)``, ``y`` in ``[0, height)`` and origin top-left.
     ``valid_mask[y, x]`` is False for missing, non-finite, or out-of-range
     pixels; invalid temps retain their raw value for diagnostics.
+
+    Both arrays are frozen on construction and ``temps`` must never be
+    written afterwards: ``summary`` is computed from them once and cached.
     """
 
     width: int
@@ -99,7 +107,8 @@ class ThermalRaster:
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf results are masked invalid
             temps = raw.astype(np.float64)
             if scale is not None or offset is not None:
-                temps = temps * float(scale if scale is not None else 1.0) + float(offset or 0.0)
+                temps *= float(scale if scale is not None else 1.0)
+                temps += float(offset or 0.0)
         return cls._own(temps, valid)
 
     @classmethod
@@ -119,8 +128,33 @@ class ThermalRaster:
     def valid_count(self) -> int:
         return int(np.count_nonzero(self.valid_mask))
 
-    def valid_temps(self) -> np.ndarray:
-        return self.temps[self.valid_mask]
+    @cached_property
+    def summary(self) -> RadiometricSummary:
+        """Min/max/mean/std and threshold coverage over valid pixels.
+
+        Raises EmptyRasterError on every access when no pixel is valid. Takes
+        ``np.mean``'s and ``np.std``'s float steps over ``temps[valid_mask]``,
+        reducing over a view of ``temps`` when every pixel is valid.
+        """
+        n = self.valid_count
+        if n == 0:
+            raise EmptyRasterError("empty raster: no valid pixels")
+        compacted = n != self.temps.size
+        vals = self.temps[self.valid_mask] if compacted else self.temps.ravel()
+        min_c, max_c = float(vals.min()), float(vals.max())
+        pct_above_200 = 100.0 * np.count_nonzero(vals >= 200.0) / n
+        pct_above_400 = 100.0 * np.count_nonzero(vals >= 400.0) / n
+        mean = np.add.reduce(vals) / n
+        dev = np.subtract(vals, mean, out=vals if compacted else None)
+        np.square(dev, out=dev)
+        return RadiometricSummary(
+            min_c=min_c,
+            max_c=max_c,
+            mean_c=float(mean),
+            std_c=math.sqrt(np.add.reduce(dev) / n),
+            pct_above_200=pct_above_200,
+            pct_above_400=pct_above_400,
+        )
 
 
 @dataclass(frozen=True)
@@ -153,15 +187,5 @@ def coverage_fraction(raster: ThermalRaster, tau: float) -> float:
 
 
 def summarize(raster: ThermalRaster) -> RadiometricSummary:
-    """Compute min/max/mean/std and threshold coverage over valid pixels."""
-    vals = raster.valid_temps()
-    if vals.size == 0:
-        raise EmptyRasterError("empty raster: no valid pixels")
-    return RadiometricSummary(
-        min_c=float(vals.min()),
-        max_c=float(vals.max()),
-        mean_c=float(vals.mean()),
-        std_c=float(vals.std(ddof=0)),
-        pct_above_200=100.0 * np.count_nonzero(vals >= 200.0) / vals.size,
-        pct_above_400=100.0 * np.count_nonzero(vals >= 400.0) / vals.size,
-    )
+    """Min/max/mean/std and threshold coverage over valid pixels: ``raster.summary``."""
+    return raster.summary

@@ -191,14 +191,16 @@ def load_thermal_tiff(
     if expected >= sys.maxsize:  # the Deflate output cap below must fit a C ssize_t
         raise RasterFormatError(f"dimensions {width}x{height} too large", offset=ifd_off)
     # Strips stop being decoded once they hold more than the dimensions declare.
-    chunks: list[bytes] = []
+    # Uncompressed strips stay views of the file bytes until the one join below.
+    file_view = memoryview(buf)
+    chunks: list[bytes | memoryview] = []
     decoded = 0
     for strip_off, strip_len in zip(strip_offsets, strip_counts):
         if strip_off + strip_len > len(buf):
             raise RasterFormatError(
                 "strip extends past end of file", offset=strip_off, tag=TAG_STRIP_OFFSETS
             )
-        chunk = buf[strip_off : strip_off + strip_len]
+        chunk = file_view[strip_off : strip_off + strip_len]
         if compression != COMPRESSION_NONE:
             inflater = zlib.decompressobj()
             try:
@@ -226,4 +228,5 @@ def load_thermal_tiff(
         )
 
     raw_samples = np.frombuffer(b"".join(chunks), dtype=sample_dtype).reshape(height, width)
+    del chunk, chunks, file_view, buf  # the samples are decoded; free the file before widening them
     return ThermalRaster.from_samples(raw_samples, nodata, scale, offset)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from firescene.questions import (
 )
 from firescene.raster import ThermalRaster
 from firescene.spatial import IntensityConsistencyLabel, IsolationVerdict, SpatialDistributionLabel
+from firescene.tiff import load_thermal_tiff
+from test_golden import typical
+from tiffutil import write_tiff
 
 
 def _raster(arr) -> ThermalRaster:
@@ -356,6 +360,29 @@ class TestRagSummary:
             "- Percentage of pixels above 400°C: 1.0\n"
         )
         assert text == expected
+
+    def test_shares_the_analysis_summary(self, collinear_scene):
+        r, agl = collinear_scene
+        assert analyze_frame(r, agl_m=agl).summary is rag_summary(r).summary
+
+    def test_one_label_operation_memory(self, tmp_path):
+        path = tmp_path / "typical.tif"
+        write_tiff(path, typical(0).astype(np.float32))
+        tracemalloc.start()
+        try:
+            r = load_thermal_tiff(path)
+            analysis = analyze_frame(r, agl_m=120.0)
+            analysis.to_json()
+            answer_sheet(analysis).to_json()
+            rag_summary(r).as_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analysis.hotspots
+        # The float64 temperatures (2.5 MiB) and one deviation buffer of the
+        # same size set the peak; a compacted copy of this all-valid frame
+        # would add 2.5 MiB more.
+        assert peak <= 6.5 * 2**20
 
     def test_one_decimal_rendering(self):
         arr = np.full((4, 4), 123.456)

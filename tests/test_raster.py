@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firescene.raster import (
@@ -98,10 +98,51 @@ class TestSummarize:
 
     def test_empty_raster_errors(self):
         r = ThermalRaster.from_array(np.full((2, 2), np.nan))
-        with pytest.raises(EmptyRasterError):
-            summarize(r)
+        for _ in range(2):  # a failed summary is not cached
+            with pytest.raises(EmptyRasterError):
+                summarize(r)
         with pytest.raises(EmptyRasterError):
             coverage_fraction(r, 200.0)
+
+    def test_computed_once_per_raster(self):
+        r = _raster([[25.0, 300.0], [np.nan, 450.0]])
+        assert summarize(r) is summarize(r)
+        assert summarize(r) is r.summary
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40), st.integers(1, 40)),
+            # Either side of numpy's 8-element unrolled and 128-element pairwise blocks.
+            st.tuples(st.integers(1, 3), st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257])),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        valid=st.sampled_from(["all", "mixed", "one"]),
+    )
+    @example(shape=(1, 1), seed=0, valid="all")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_numpy_formulas_bit_for_bit(self, shape, seed, valid):
+        nodata = 123.0
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-100.0, 2000.0, shape) * rng.choice([1e-3, 1.0], shape)
+        n = raw.size
+        bad = rng.random(n) < {"all": 0.0, "mixed": rng.random(), "one": 1.0}[valid]
+        bad[rng.integers(n)] = False
+        invalid = [np.nan, np.inf, -np.inf, -150.0, 2500.0, nodata]
+        raw.flat[bad] = rng.choice(invalid, int(bad.sum()))
+        r = ThermalRaster.from_samples(raw, nodata, None, None)
+        vals = r.temps[r.valid_mask]
+        assert vals.size == n - int(bad.sum())
+        want = (
+            float(vals.min()),
+            float(vals.max()),
+            float(vals.mean()),
+            float(vals.std(ddof=0)),
+            100.0 * np.count_nonzero(vals >= 200.0) / vals.size,
+            100.0 * np.count_nonzero(vals >= 400.0) / vals.size,
+        )
+        s = summarize(r)
+        got = (s.min_c, s.max_c, s.mean_c, s.std_c, s.pct_above_200, s.pct_above_400)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestCoverageFraction:
