@@ -54,8 +54,9 @@ class RasterFormatError(RasterError):
 class ThermalRaster:
     """Immutable single-band temperature grid.
 
-    ``temps[y, x]`` is the temperature in Celsius at pixel ``(x, y)`` with
-    ``x`` in ``[0, width)``, ``y`` in ``[0, height)`` and origin top-left.
+    ``temps[y, x]`` (float64) is the temperature in Celsius at pixel
+    ``(x, y)`` with ``x`` in ``[0, width)``, ``y`` in ``[0, height)`` and
+    origin top-left.
     ``valid_mask[y, x]`` is False for missing, non-finite, or out-of-range
     pixels; invalid temps retain their raw value for diagnostics.
 
@@ -75,6 +76,8 @@ class ThermalRaster:
             raise ValueError(
                 f"temps shape {self.temps.shape} does not match {self.height}x{self.width}"
             )
+        if self.temps.dtype != np.float64:
+            raise ValueError(f"temps must be float64, got {self.temps.dtype}")
         if self.valid_mask.shape != self.temps.shape or self.valid_mask.dtype != np.bool_:
             raise ValueError("valid_mask must be a bool array with the same shape as temps")
         self.temps.setflags(write=False)
@@ -133,19 +136,18 @@ class ThermalRaster:
         """Min/max/mean/std and threshold coverage over valid pixels.
 
         Raises EmptyRasterError on every access when no pixel is valid. Takes
-        ``np.mean``'s and ``np.std``'s float steps over ``temps[valid_mask]``,
-        reducing over a view of ``temps`` when every pixel is valid.
+        ``np.mean``'s and ``np.std``'s float steps over ``temps[valid_mask]``
+        and squares the deviations in place in that one compacted copy.
         """
         n = self.valid_count
         if n == 0:
             raise EmptyRasterError("empty raster: no valid pixels")
-        compacted = n != self.temps.size
-        vals = self.temps[self.valid_mask] if compacted else self.temps.ravel()
+        vals = self.temps[self.valid_mask]
         min_c, max_c = float(vals.min()), float(vals.max())
         pct_above_200 = 100.0 * np.count_nonzero(vals >= 200.0) / n
         pct_above_400 = 100.0 * np.count_nonzero(vals >= 400.0) / n
         mean = np.add.reduce(vals) / n
-        dev = np.subtract(vals, mean, out=vals if compacted else None)
+        dev = np.subtract(vals, mean, out=vals)
         np.square(dev, out=dev)
         return RadiometricSummary(
             min_c=min_c,

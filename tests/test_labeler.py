@@ -365,9 +365,13 @@ class TestRagSummary:
         r, agl = collinear_scene
         assert analyze_frame(r, agl_m=agl).summary is rag_summary(r).summary
 
-    def test_one_label_operation_memory(self, tmp_path):
+    @pytest.mark.parametrize("dropouts", [0, 40])
+    def test_one_label_operation_memory(self, tmp_path, dropouts):
+        temps = typical(0).astype(np.float32)
+        rng = np.random.default_rng(1)
+        temps.flat[rng.choice(temps.size, dropouts, replace=False)] = np.nan
         path = tmp_path / "typical.tif"
-        write_tiff(path, typical(0).astype(np.float32))
+        write_tiff(path, temps)
         tracemalloc.start()
         try:
             r = load_thermal_tiff(path)
@@ -379,9 +383,9 @@ class TestRagSummary:
         finally:
             tracemalloc.stop()
         assert analysis.hotspots
-        # The float64 temperatures (2.5 MiB) and one deviation buffer of the
-        # same size set the peak; a compacted copy of this all-valid frame
-        # would add 2.5 MiB more.
+        # The float64 temperatures (2.5 MiB) and one compacted copy of the
+        # valid ones, squared in place, set the peak; a separate deviation
+        # array would add 2.5 MiB more.
         assert peak <= 6.5 * 2**20
 
     def test_one_decimal_rendering(self):

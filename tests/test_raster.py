@@ -61,6 +61,11 @@ class TestThermalRaster:
         with pytest.raises(ValueError):
             ThermalRaster(width=0, height=1, temps=np.zeros((1, 0)), valid_mask=np.zeros((1, 0), bool))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_non_float64_temps_rejected(self, dtype):
+        with pytest.raises(ValueError, match="float64"):
+            ThermalRaster(width=2, height=1, temps=np.zeros((1, 2), dtype), valid_mask=np.ones((1, 2), bool))
+
 
 class TestSummarize:
     def test_seven_hot_pixels_in_hundred(self):
