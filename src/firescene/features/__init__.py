@@ -1,6 +1,6 @@
 """Keypoint detection, binary description, matching, and RANSAC verification."""
 
-from .brief_pattern import PATTERN, PATTERN_SEED, generate_pattern
+from .brief_pattern import PATTERN, PATTERN_SEED
 from .describe import describe
 from .detect import Keypoint, detect
 from .image import GrayImage
@@ -11,7 +11,6 @@ from .ransac import DegenerateSamplesError, RansacError, RansacResult, ransac_ho
 __all__ = [
     "PATTERN",
     "PATTERN_SEED",
-    "generate_pattern",
     "describe",
     "Keypoint",
     "detect",

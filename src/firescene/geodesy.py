@@ -139,8 +139,8 @@ class GeoidGrid:
 def geoid_undulation(grid: GeoidGrid, lat: float, lon: float) -> float:
     """Bilinear geoid undulation N at (lat, lon), in meters."""
     iy, ix, fx, fy = grid._fractional_index(lat, lon)
-    v = grid.values
-    return _bilinear(v[iy, ix], v[iy, ix + 1], v[iy + 1, ix], v[iy + 1, ix + 1], fx, fy)
+    (q00, q10), (q01, q11) = grid.values[iy : iy + 2, ix : ix + 2].tolist()
+    return _bilinear(q00, q10, q01, q11, fx, fy)
 
 
 _HGT_NAME = re.compile(r"^([NS])(\d{2})([EW])(\d{3})$")

@@ -144,8 +144,8 @@ class ThermalRaster:
             raise EmptyRasterError("empty raster: no valid pixels")
         vals = self.temps[self.valid_mask]
         min_c, max_c = float(vals.min()), float(vals.max())
-        pct_above_200 = 100.0 * np.count_nonzero(vals >= 200.0) / n
-        pct_above_400 = 100.0 * np.count_nonzero(vals >= 400.0) / n
+        pct_above_200 = 100.0 * int(np.count_nonzero(vals >= 200.0)) / n
+        pct_above_400 = 100.0 * int(np.count_nonzero(vals >= 400.0)) / n
         mean = np.add.reduce(vals) / n
         dev = np.subtract(vals, mean, out=vals)
         np.square(dev, out=dev)

@@ -2,6 +2,12 @@
 
 A record is a dataclass that inherits ``Record``. Its fields are listed once,
 in its class body; their resolved types drive both directions of the codec.
+
+The byte contract: ``to_json`` writes exactly what
+``json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"`` writes. The
+bytes are part of the format, since the golden digests are taken over them. It
+does not run CPython's pure-Python encoder, which ``json.dumps`` falls back to
+whenever an ``indent`` is given; ``_dumps`` has the C encoder write the leaves.
 """
 
 from __future__ import annotations
@@ -45,11 +51,82 @@ class Record:
             raise ValueError(f"malformed {cls.__name__} document: {exc!r}") from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+        return _dumps(self.as_dict()) + "\n"
 
     @classmethod
     def from_json(cls: type[_R], text: str | bytes) -> _R:
         return cls.from_dict(json.loads(text))
+
+
+# Writes a list of scalars as their JSON texts between "[" and "]", separated
+# by NULs; ``default`` is JSONEncoder's, which raises TypeError.
+_LEAF_WRITER = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", "\0", False, False, True
+)
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(doc: Any) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, in C except for one walk.
+
+    The walk lays the document out as a ``%`` template: brackets, indents and
+    keys (each ``%`` doubled), with a ``%s`` slot per scalar leaf in document
+    order. The C encoder then writes every leaf in one call. It escapes a NUL
+    inside a string, so splitting its output on NUL gives one text per slot.
+    An unsupported leaf raises ``TypeError``, as in ``json.dumps``. Keys must be
+    ``str``, as every record's are; ``json.dumps`` would also write number,
+    bool and None keys, and here they raise ``TypeError``.
+    """
+    layout: list[str] = []
+    leaves: list[Any] = []
+    levels: list[tuple[Any, ...]] = []  # per depth: its strings and key-piece caches
+    append, leaf = layout.append, leaves.append
+
+    def walk(v: Any, depth: int) -> None:
+        if depth == len(levels):
+            inner = "\n" + "  " * (depth + 1)
+            levels.append(("{" + inner, "[" + inner, "," + inner, inner[:-2] + "}", inner[:-2] + "]", {}, {}))
+        dict_open, list_open, sep, dict_close, list_close, first_keys, next_keys = levels[depth]
+        if not v:
+            append("{}" if isinstance(v, dict) else "[]")
+            return
+        if isinstance(v, dict):
+            keys, prefix = first_keys, dict_open
+            for k, x in sorted(v.items()):
+                piece = keys.get(k)
+                if piece is None:
+                    piece = keys[k] = prefix + json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": "
+                append(piece)
+                if isinstance(x, _CONTAINERS):
+                    walk(x, depth + 1)
+                else:
+                    append("%s")
+                    leaf(x)
+                keys, prefix = next_keys, sep
+            append(dict_close)
+        else:
+            prefix = list_open
+            for x in v:
+                append(prefix)
+                if isinstance(x, _CONTAINERS):
+                    walk(x, depth + 1)
+                else:
+                    append("%s")
+                    leaf(x)
+                prefix = sep
+            append(list_close)
+
+    if isinstance(doc, _CONTAINERS):
+        walk(doc, 0)
+    else:
+        append("%s")
+        leaf(doc)
+    template = "".join(layout)
+    layout.clear()
+    texts = "".join(_LEAF_WRITER(leaves, 0))[1:-1].split("\0") if leaves else []
+    leaves.clear()
+    return template % tuple(texts)
 
 
 @functools.cache

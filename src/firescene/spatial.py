@@ -9,7 +9,8 @@ intensity consistency (robust coefficient of variation of per-hotspot peaks).
 No classifier builds the n x n matrix of centroid distances. Linkage and
 isolation test only the candidate pairs found on a grid of cells a hair
 wider than the threshold (fixed-radius near neighbours, Bentley, Stanat &
-Williams 1977), each with ``centroid_distance``'s arithmetic, so every
+Williams 1977). Every pair's distance is
+``hypot((xa - xb) * gsd, (ya - yb) * gsd)`` over pixel centroids, so every
 decision is the same float comparison as over all pairs. Clusters are the
 graph components (``hotspots.components``) of the pairs within the merge
 distance. The extent is the largest distance between convex-hull vertices,
@@ -85,20 +86,13 @@ class ClusterSet(Record):
     total_area_m2: tuple[float, ...]
 
 
-def centroid_distance(a: Hotspot, b: Hotspot, gsd: float) -> float:
-    """Euclidean distance between pixel centroids, scaled to meters by GSD."""
-    dx = (a.centroid_px[0] - b.centroid_px[0]) * gsd
-    dy = (a.centroid_px[1] - b.centroid_px[1]) * gsd
-    return math.hypot(dx, dy)
-
-
 def _centroids(hotspots: list[Hotspot]) -> np.ndarray:
     """(n, 2) float64 array of pixel centroids (x, y)."""
     return np.array([h.centroid_px for h in hotspots], dtype=np.float64).reshape(-1, 2)
 
 
 def _distances(pa: np.ndarray, pb: np.ndarray, gsd: float) -> np.ndarray:
-    """|pa| x |pb| matrix of centroid ground distances, ``centroid_distance`` in bulk.
+    """|pa| x |pb| matrix of centroid ground distances ``hypot((xa - xb) * gsd, (ya - yb) * gsd)``.
 
     Built in place, so at most two |pa| x |pb| float64 arrays are alive at once.
     """

@@ -23,14 +23,13 @@ from firescene.features import (
     PATTERN_SEED,
     describe,
     detect,
-    generate_pattern,
     hamming_matrix,
     match,
     match_images,
     ransac_homography,
 )
 from firescene.features import pipeline, ransac
-from firescene.features.brief_pattern import PATCH_RADIUS
+from firescene.features.brief_pattern import N_PAIRS, PATCH_RADIUS
 from firescene.features.describe import ANGLE_BINS, DESCRIPTOR_BITS, _ROTATED
 from firescene.features.detect import (
     BORDER_MARGIN,
@@ -57,6 +56,27 @@ detect_module = importlib.import_module("firescene.features.detect")
 def hamming_distance(a, b):
     """Oracle: Hamming distance between two packed descriptors."""
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
+
+
+def generate_pattern(seed):
+    """Oracle: regenerate the sampling table; must reproduce PATTERN for PATTERN_SEED."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw_point():
+        while True:
+            x, y = rng.normal(0.0, PATCH_RADIUS / 2.5, size=2)
+            xi, yi = int(round(x)), int(round(y))
+            if xi * xi + yi * yi <= PATCH_RADIUS * PATCH_RADIUS:
+                return xi, yi
+
+    pairs = []
+    while len(pairs) < N_PAIRS:
+        p = draw_point()
+        q = draw_point()
+        while q == p:
+            q = draw_point()
+        pairs.append((p[0], p[1], q[0], q[1]))
+    return np.array(pairs, dtype=np.int8)
 
 
 def _intensity_centroid_angle(img, y, x):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firescene import geodesy
 from firescene.hotspots import REGION_NO_HOTSPOTS, gsd, locate_pixel
 from firescene.labeler import (
     _DS3_WORDING,
@@ -108,6 +109,30 @@ class TestAnalyzeFrame:
         d["p400"] = d["p200"] + 1.0
         with pytest.raises(ValueError, match="p400"):
             FrameAnalysis.from_dict(d)
+
+    def test_float_fields_hold_python_floats(self, tmp_path):
+        """Every float leaf of an analysis built with a geoid/DEM AGL is a ``float``, not a numpy scalar."""
+        (tmp_path / "N34W119.hgt").write_bytes(np.full((1201, 1201), 120, dtype=">i2").tobytes())
+        geoid = geodesy.GeoidGrid(origin_lat=33.0, origin_lon=-120.0, spacing_deg=1.0, values=np.full((5, 5), -30.0))
+        meta = geodesy.FrameMeta(lat=34.5, lon=-118.5, alt_ellipsoidal_m=150.0)
+        agl_m = geodesy.agl(meta, geoid, geodesy.DemTileSet(tmp_path))
+        analysis = analyze_frame(_raster(typical(0)), meta, agl_m)
+        assert agl_m == 60.0 and analysis.hotspots
+        leaves = []
+
+        def collect(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, (list, tuple)):
+                for x in v:
+                    collect(x)
+            else:
+                leaves.append(v)
+
+        collect(analysis.as_dict())
+        floats = [v for v in leaves if isinstance(v, float)]
+        assert len(floats) > 10
+        assert {type(v) for v in floats} == {float}
 
 
 # Options after the last bin of each binned slot: the null options only.

@@ -1,9 +1,12 @@
-"""The record codec: round trips of every record type, older documents, and
-malformed or corrupted documents, which raise only ``ValueError``."""
+"""The record codec: round trips of every record type, older documents,
+malformed or corrupted documents, which raise only ``ValueError``, and the
+JSON writer against ``json.dumps``."""
 
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from firescene.hotspots import Hotspot
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
 from firescene.questions import QUESTIONS, choices
 from firescene.raster import RadiometricSummary, ThermalRaster
+from firescene.records import _dumps
 from firescene.spatial import ClusterSet
+from test_golden import ember_field
 
 
 def _scene() -> ThermalRaster:
@@ -235,3 +240,94 @@ def test_corrupt_document_raises_only_value_error(kind, data):
         cls.from_json(data.draw(corrupted(blob)))
     except ValueError:
         pass
+
+
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Strings and keys with unicode, control characters, NUL, quotes, "%" and ",".
+_TEXT = st.text() | st.text(alphabet="%,\0\x01\x1f\x7f\"\\/ aZé \U0001f525", max_size=8)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | _TEXT
+)
+
+
+def _containers(inner):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=5)
+    )
+
+
+_JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+class TestWriter:
+    """``records._dumps`` against ``json.dumps(doc, sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc) == _stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a%sb": [1, "%s", "%%d"], "%": {"%(x)s": None}},
+            [np.float64(0.1), np.float64(math.nan), -np.float64(math.inf), 0.1, 2**100, -(2**70)],
+            {"\0": "\0x\0", "é": " \U0001f525\x1f", "": ""},
+            {"e": {}, "l": [], "t": (), "n": [[[]], [{}], ({"k": ()},)]},
+            [],
+            {},
+            "top%s",
+            np.float64(1e300),
+            None,
+        ],
+    )
+    def test_examples(self, doc):
+        assert _dumps(doc) == _stdlib_json(doc)
+
+    def test_numpy_float_written_as_float(self):
+        # numpy 2's repr() gives "np.float64(0.1)"; JSON takes float.__repr__.
+        assert _dumps([np.float64(0.1)]) == f"[\n  {float.__repr__(0.1)}\n]"
+
+    @pytest.mark.parametrize("leaf", [np.int64(3), object(), np.bool_(True), {1, 2}, b"x"],
+                             ids=["int64", "object", "bool_", "set", "bytes"])
+    def test_unsupported_leaf_raises_type_error(self, leaf):
+        for doc in (leaf, [1, leaf], {"k": {"j": leaf}}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _stdlib_json(doc)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _dumps(doc)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_keys_other_than_str_raise_type_error(self, key):
+        with pytest.raises(TypeError):
+            _dumps({"a": [{key: 0}]})
+        with pytest.raises(TypeError):
+            _dumps({key: 0})
+
+    def test_crowded_analysis_peak_at_most_stdlib(self):
+        """One ``to_json`` of a 2000-hotspot analysis peaks no higher than ``json.dumps``."""
+        a = analyze_frame(ThermalRaster.from_array(ember_field(1, alternating=True)), agl_m=300.0)
+        assert len(a.hotspots) == 2000
+        peaks = {}
+        for name, write in (("stdlib", lambda: _stdlib_json(a.as_dict()) + "\n"), ("writer", a.to_json)):
+            tracemalloc.start()
+            try:
+                text = write()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert text == a.to_json()
+            del text
+        assert peaks["writer"] <= peaks["stdlib"], peaks

@@ -15,7 +15,6 @@ from firescene.spatial import (
     IsolationVerdict,
     SpatialDistributionLabel,
     SpatialParams,
-    centroid_distance,
     classify_distribution,
     intensity_consistency,
     isolated_heat_sources,
@@ -23,6 +22,13 @@ from firescene.spatial import (
     robust_cv,
     single_linkage_clusters,
 )
+
+
+def centroid_distance(a, b, gsd):
+    """Oracle: Euclidean distance between pixel centroids, scaled to meters by GSD."""
+    dx = (a.centroid_px[0] - b.centroid_px[0]) * gsd
+    dy = (a.centroid_px[1] - b.centroid_px[1]) * gsd
+    return math.hypot(dx, dy)
 
 
 def spots_at(points_m, gsd=1.0, area=2.0, peaks=None):
