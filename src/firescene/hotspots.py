@@ -7,7 +7,8 @@ area through the field-of-view based ground sampling distance.
 
 Components come from one run-labeling pass over the whole mask (``_label``);
 sizes, centroids, peaks and the filters are then computed for all components
-at once, and a ``Hotspot`` is built only for each one kept.
+at once. The kept components form a ``HotspotTable``, one column per field;
+a ``Hotspot`` is one row of it, built only when a caller indexes the table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .geodesy import DEFAULT_FOV_DIAG_DEG
 from .questions import choices
 from .raster import ThermalRaster
-from .records import Record
+from .records import Record, Table
 
 REGION_NO_HOTSPOTS = choices("LD1")[-1]
 REGION_CENTER = "Center"
@@ -70,6 +71,40 @@ class Hotspot(Record):
             raise ValueError("radius inconsistent with area (r^2 * pi != A)")
 
 
+@dataclass(frozen=True)
+class HotspotTable(Table):
+    """The valid hotspots of a frame, in id order, as one tuple per ``Hotspot`` field.
+
+    ``table[i]`` is the i-th ``Hotspot``; the JSON documents hold the table as
+    the list of its rows. ``Hotspot``'s invariants are checked once over the
+    columns, with the same float operations, so a table raises exactly when
+    one of its rows would.
+    """
+
+    row = Hotspot
+
+    id: tuple[int, ...]
+    pixel_count: tuple[int, ...]
+    centroid_px: tuple[tuple[float, float], ...]
+    centroid_m: tuple[tuple[float, float], ...]
+    area_m2: tuple[float, ...]
+    radius_m: tuple[float, ...]
+    peak_temp_c: tuple[float, ...]
+    peak_px: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        count, area, radius = np.array(self.pixel_count), np.array(self.area_m2), np.array(self.radius_m)
+        if (count < 1).any():
+            raise ValueError("hotspot must contain at least one pixel")
+        if (area <= 0).any() or (radius <= 0).any():
+            raise ValueError("hotspot area and radius must be positive")
+        # Silent overflow and NaN, as the Python float operations in ``Hotspot`` are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (abs(radius * radius * math.pi - area) > 1e-9 * area).any():
+                raise ValueError("radius inconsistent with area (r^2 * pi != A)")
+
+
 def hot_mask(raster: ThermalRaster, threshold: float) -> np.ndarray:
     """Binary mask of valid pixels with temperature >= threshold (inclusive)."""
     return raster.valid_mask & (raster.temps >= threshold)
@@ -92,20 +127,20 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     height, width = mask.shape
     padded = np.zeros((height, width + 2), dtype=np.int8)
     padded[:, 1:-1] = mask
-    edges = np.diff(padded, axis=1)
-    ys, x0 = np.nonzero(edges == 1)  # run covers columns [x0, x1) of row ys
-    x1 = np.nonzero(edges == -1)[1]
-    row = ys * (width + 1)
-    prev = row - (width + 1)
-    # Runs lo[i]:hi[i] of the previous row end at or after x0 and start at or before x1.
-    lo = np.searchsorted(row + x1, prev + x0, side="left")
-    hi = np.searchsorted(row + x0, prev + x1, side="right")
+    # Each padded row begins and ends at 0, so in flat order the nonzero
+    # differences alternate: a run's start, then its end. A run covers the keys
+    # [start, end) of its row, where ``y * (W + 1) + x`` is the flat index.
+    flips = np.flatnonzero(np.diff(padded, axis=1))
+    start, end = flips[0::2], flips[1::2]
+    # Runs lo[i]:hi[i] of the previous row end at or after start and start at or before end.
+    lo = np.searchsorted(end, start - (width + 1), side="left")
+    hi = np.searchsorted(start, end - (width + 1), side="right")
     touches = hi - lo
     # One edge (a, b) per touching pair: run a and previous-row run b.
-    a = np.repeat(np.arange(len(x0)), touches)
+    a = np.repeat(np.arange(len(start)), touches)
     b = np.arange(len(a)) - np.repeat(np.cumsum(touches) - touches - lo, touches)
-    run_comp, n = components(len(x0), a, b)
-    return np.repeat(run_comp, x1 - x0), n
+    run_comp, n = components(len(start), a, b)
+    return np.repeat(run_comp, end - start), n
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -172,7 +207,7 @@ def extract_hotspots(
     raster: ThermalRaster,
     agl_m: float,
     params: HotspotParams | None = None,
-) -> list[Hotspot]:
+) -> HotspotTable:
     """Extract valid hotspots: components passing both the radius and pixel
     count filters, with per-hotspot geometry and peak temperature."""
     params = params or HotspotParams()
@@ -193,15 +228,20 @@ def extract_hotspots(
     # Stable sort of the kept pixels: within a component the first row-major pixel wins peak ties.
     sel = np.flatnonzero(np.isin(comp, kept))
     p = sel[np.lexsort((-temps[sel], comp[sel]))][np.cumsum(counts[kept]) - counts[kept]]
-    columns = (kept, counts[kept], cx[kept], cy[kept], area[kept], radius[kept], temps[p], xs[p], ys[p])
-    return [
-        Hotspot(id=k, pixel_count=n, centroid_px=(x, y), centroid_m=(x * g, y * g),
-                area_m2=a, radius_m=r, peak_temp_c=t, peak_px=(px, py))
-        for k, n, x, y, a, r, t, px, py in zip(*(c.tolist() for c in columns))
-    ]
+    cx, cy = cx[kept], cy[kept]
+    return HotspotTable(
+        id=tuple(kept.tolist()),
+        pixel_count=tuple(counts[kept].tolist()),
+        centroid_px=tuple(zip(cx.tolist(), cy.tolist())),
+        centroid_m=tuple(zip((cx * g).tolist(), (cy * g).tolist())),
+        area_m2=tuple(area[kept].tolist()),
+        radius_m=tuple(radius[kept].tolist()),
+        peak_temp_c=tuple(temps[p].tolist()),
+        peak_px=tuple(zip(xs[p].tolist(), ys[p].tolist())),
+    )
 
 
-def hottest_location(raster: ThermalRaster, hotspots: list[Hotspot], params: HotspotParams | None = None) -> str:
+def hottest_location(raster: ThermalRaster, hotspots: HotspotTable, params: HotspotParams | None = None) -> str:
     """Region label of the hottest pixel within the valid hotspot mask.
 
     Returns "No hotspots" when no valid hotspot exists. The frame's middle
@@ -214,8 +254,9 @@ def hottest_location(raster: ThermalRaster, hotspots: list[Hotspot], params: Hot
     """
     if not hotspots:
         return REGION_NO_HOTSPOTS
-    best = max(hotspots, key=lambda h: (h.peak_temp_c, -h.peak_px[1], -h.peak_px[0]))
-    x, y = best.peak_px
+    top = max(hotspots.peak_temp_c)
+    peaks = (xy for xy, t in zip(hotspots.peak_px, hotspots.peak_temp_c) if t == top)
+    x, y = min(peaks, key=lambda xy: (xy[1], xy[0]))
     return locate_pixel(x, y, raster.width, raster.height)
 
 

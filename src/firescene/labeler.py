@@ -47,7 +47,7 @@ class FrameAnalysis(Record):
     p400: float
     agl_m: float | None
     gsd_m: float | None = None
-    hotspots: list[hs.Hotspot] | None = None
+    hotspots: hs.HotspotTable | None = None
     clusters: sp.ClusterSet | None = None
     sdl: sp.SpatialDistributionLabel | None = None
     hicl: sp.IntensityConsistencyLabel | None = None
@@ -199,7 +199,7 @@ def bin_peak_temp(analysis: FrameAnalysis) -> str:
     """
     if not analysis.hotspots:
         return choices("CMR4")[-1]
-    return bin_option("CMR4", max(h.peak_temp_c for h in analysis.hotspots))
+    return bin_option("CMR4", max(analysis.hotspots.peak_temp_c))
 
 
 _DS3_WORDING = {

@@ -8,6 +8,11 @@ The byte contract: ``to_json`` writes exactly what
 bytes are part of the format, since the golden digests are taken over them. It
 does not run CPython's pure-Python encoder, which ``json.dumps`` falls back to
 whenever an ``indent`` is given; ``_dumps`` has the C encoder write the leaves.
+
+A ``Table`` is a record of equal-length columns that stands for a list of row
+records. ``as_dict`` and the JSON documents hold it as that list of row dicts,
+so a table field writes the same bytes as a list of rows; ``to_json`` writes
+it from the columns, without building a row.
 """
 
 from __future__ import annotations
@@ -15,32 +20,33 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import types
 import typing
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
 
 _R = TypeVar("_R", bound="Record")
+_T = TypeVar("_T", bound="Table")
 _Decoder = Callable[[Any], Any]
 
 
 class Record:
     """Mixin that gives a dataclass ``as_dict``/``from_dict`` and ``to_json``/``from_json``.
 
-    ``as_dict`` turns nested records into dicts and enums into their values
-    and hands every other value over as it is; a record keeps its fields, and
-    nothing else, in its instance ``__dict__``. ``from_dict`` reads records,
-    enums, ``X | None``, ``list[X]``, ``tuple[X, ...]``, fixed tuples,
-    ``dict[str, X]`` and scalars. An absent key takes its field default. An
-    unknown key, a missing required key, a value of the wrong type or a broken
-    ``__post_init__`` invariant raises ``ValueError``.
+    ``as_dict`` turns nested records into dicts, tables into lists of row
+    dicts and enums into their values, and hands every other value over as it
+    is; a record keeps its fields, and nothing else, in its instance
+    ``__dict__``. ``from_dict`` reads records, tables, enums, ``X | None``,
+    ``list[X]``, ``tuple[X, ...]``, fixed tuples, ``dict[str, X]`` and
+    scalars; a ``float`` field reads an ``int`` as a float. An absent key
+    takes its field default. An unknown key, a missing required key, a value
+    of the wrong type or a broken ``__post_init__`` invariant raises
+    ``ValueError``.
     """
 
     def as_dict(self) -> dict[str, Any]:
-        d = dict(vars(self))
-        for name in _codec(type(self))[0]:
-            d[name] = _encode(d[name])
-        return d
+        return _record_dict(self, rows=True)
 
     @classmethod
     def from_dict(cls: type[_R], d: dict[str, Any]) -> _R:
@@ -52,11 +58,46 @@ class Record:
 
     def to_json(self) -> str:
         """``json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\\n"``, byte for byte."""
-        return _dumps(self.as_dict()) + "\n"
+        return _dumps(_record_dict(self, rows=False)) + "\n"
 
     @classmethod
     def from_json(cls: type[_R], text: str | bytes) -> _R:
         return cls.from_dict(json.loads(text))
+
+
+class Table:
+    """Mixin for a frozen dataclass of equal-length column tuples that stands
+    for the list of its ``row`` records.
+
+    Each field is the column of the ``row`` field of the same name, and the
+    instance ``__dict__`` holds the columns and nothing else. A column holds
+    scalars, or fixed-length tuples of scalars, one per row.
+    """
+
+    row: ClassVar[type[Record]]
+
+    def __post_init__(self) -> None:
+        if len({len(column) for column in vars(self).values()}) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+    def __getitem__(self, i: int) -> Any:
+        return self.row(**{name: column[i] for name, column in vars(self).items()})
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def from_rows(cls: type[_T], rows: Iterable[Record]) -> _T:
+        rows = list(rows)
+        return cls(**{f.name: tuple(getattr(r, f.name) for r in rows) for f in dataclasses.fields(cls)})
+
+    def row_dicts(self) -> list[dict[str, Any]]:
+        """Each row's ``as_dict``, built from the columns."""
+        names = tuple(vars(self))
+        return [dict(zip(names, values)) for values in zip(*vars(self).values())]
 
 
 # Writes a list of scalars as their JSON texts between "[" and "]", separated
@@ -64,15 +105,18 @@ class Record:
 _LEAF_WRITER = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", "\0", False, False, True
 )
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, Table)
 
 
 def _dumps(doc: Any) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, in C except for one walk.
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, in C except for one walk,
+    where each ``Table`` in ``doc`` stands for its list of row dicts.
 
     The walk lays the document out as a ``%`` template: brackets, indents and
     keys (each ``%`` doubled), with a ``%s`` slot per scalar leaf in document
-    order. The C encoder then writes every leaf in one call. It escapes a NUL
+    order. A table's rows share one layout, taken from its first row, and
+    their leaves come from its columns, row by row. The C encoder then writes
+    every leaf in one call. It escapes a NUL
     inside a string, so splitting its output on NUL gives one text per slot.
     An unsupported leaf raises ``TypeError``, as in ``json.dumps``. Keys must be
     ``str``, as every record's are; ``json.dumps`` would also write number,
@@ -105,6 +149,21 @@ def _dumps(doc: Any) -> str:
                     leaf(x)
                 keys, prefix = next_keys, sep
             append(dict_close)
+        elif isinstance(v, Table):
+            columns = vars(v)
+            first = {name: column[0] for name, column in columns.items()}
+            mark, marked = len(layout), len(leaves)
+            walk(first, depth + 1)
+            row = "".join(layout[mark:])
+            del layout[mark:], leaves[marked:]
+            append(list_open + row + (sep + row) * (len(v) - 1) + list_close)
+            # The row layout visits the keys sorted and each tuple in order.
+            flat = [
+                part
+                for name in sorted(columns)
+                for part in (zip(*columns[name]) if isinstance(first[name], (list, tuple)) else (columns[name],))
+            ]
+            leaves.extend(itertools.chain.from_iterable(zip(*flat)))
         else:
             prefix = list_open
             for x in v:
@@ -140,19 +199,30 @@ def _codec(cls: type) -> tuple[tuple[str, ...], dict[str, _Decoder]]:
 
 def _holds_record(tp: Any) -> bool:
     if typing.get_origin(tp) is None and isinstance(tp, type):
-        return issubclass(tp, (Record, enum.Enum))
+        return issubclass(tp, (Record, Table, enum.Enum))
     return any(_holds_record(arg) for arg in typing.get_args(tp))
 
 
-def _encode(value: Any) -> Any:
+def _record_dict(record: Record, rows: bool) -> dict[str, Any]:
+    """``record``'s fields as a dict, nested records and enums encoded; a table
+    becomes its row dicts when ``rows``, and stays as it is for ``_dumps`` otherwise."""
+    d = dict(vars(record))
+    for name in _codec(type(record))[0]:
+        d[name] = _encode(d[name], rows)
+    return d
+
+
+def _encode(value: Any, rows: bool) -> Any:
     if isinstance(value, Record):
-        return value.as_dict()
+        return _record_dict(value, rows)
+    if isinstance(value, Table):
+        return value.row_dicts() if rows else value
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (list, tuple)):
-        return type(value)(_encode(v) for v in value)
+        return type(value)(_encode(v, rows) for v in value)
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: _encode(v, rows) for k, v in value.items()}
     return value
 
 
@@ -171,9 +241,22 @@ def _decoder(tp: Any) -> _Decoder:
     if origin is dict:
         decode_key, decode = _decoder(args[0]), _decoder(args[1])
         return lambda v: {decode_key(k): decode(x) for k, x in v.items()}
+    if issubclass(tp, Table):
+        decode_row = tp.row.from_dict
+        return lambda v: tp.from_rows(decode_row(x) for x in _checked(v, (list, tuple)))
     if issubclass(tp, (Record, enum.Enum)):
         return tp.from_dict if issubclass(tp, Record) else tp
-    return functools.partial(_checked, accepted=(int, float) if tp is float else (tp,))
+    if tp is float:
+        return _float
+    return functools.partial(_checked, accepted=(tp,))
+
+
+def _float(v: Any) -> float:
+    """An int or float as a float, so that a read-back record writes its canonical bytes."""
+    try:
+        return float(_checked(v, (int, float)))
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float field") from exc
 
 
 def _checked(v: Any, accepted: tuple[type, ...]) -> Any:

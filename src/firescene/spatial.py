@@ -1,5 +1,6 @@
 """Spatial organization of hotspots: clustering, distribution, intensity.
 
+The classifiers take a frame's ``HotspotTable`` and read its columns.
 Hotspot centroids are clustered by single linkage on ground-projected
 distances; the largest-area cluster is the main fire. The frame-level labels
 are the spatial distribution (linearity via PCA of centroids, then a
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hotspots import Hotspot, components
+from .hotspots import HotspotTable, components
 from .records import Record
 
 
@@ -73,9 +75,9 @@ class SpatialParams:
 
 @dataclass(frozen=True)
 class ClusterSet(Record):
-    """Partition of hotspot list positions into proximity clusters.
+    """Partition of hotspot table rows into proximity clusters.
 
-    ``clusters[k]`` holds indices into the hotspot list passed to the
+    ``clusters[k]`` holds indices into the hotspot table passed to the
     clustering call, each sorted ascending; clusters are ordered by their
     smallest member. ``main_index`` selects the cluster with the largest
     total ground area (lowest cluster id on ties), or None when empty.
@@ -86,9 +88,9 @@ class ClusterSet(Record):
     total_area_m2: tuple[float, ...]
 
 
-def _centroids(hotspots: list[Hotspot]) -> np.ndarray:
+def _centroids(hotspots: HotspotTable) -> np.ndarray:
     """(n, 2) float64 array of pixel centroids (x, y)."""
-    return np.array([h.centroid_px for h in hotspots], dtype=np.float64).reshape(-1, 2)
+    return np.array(hotspots.centroid_px, dtype=np.float64).reshape(-1, 2)
 
 
 def _distances(pa: np.ndarray, pb: np.ndarray, gsd: float) -> np.ndarray:
@@ -234,7 +236,7 @@ def _pairs_across(
 
 
 def single_linkage_clusters(
-    hotspots: list[Hotspot], gsd: float, params: SpatialParams | None = None
+    hotspots: HotspotTable, gsd: float, params: SpatialParams | None = None
 ) -> ClusterSet:
     """Transitive closure of the "centroid distance <= d_merge" relation."""
     params = params or SpatialParams()
@@ -248,14 +250,15 @@ def single_linkage_clusters(
     ids, _ = components(n, i[near], j[near])
     order = np.argsort(ids, kind="stable")  # stable: each cluster's members stay ascending
     clusters = tuple(tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1]))
-    totals = tuple(sum(hotspots[i].area_m2 for i in c) for c in clusters)
+    area = hotspots.area_m2
+    totals = tuple(sum(area[i] for i in c) for c in clusters)
     main = totals.index(max(totals))  # ties stay with the lowest id
     return ClusterSet(clusters=clusters, main_index=main, total_area_m2=totals)
 
 
 def isolated_heat_sources(
     clusters: ClusterSet,
-    hotspots: list[Hotspot],
+    hotspots: HotspotTable,
     gsd: float,
     params: SpatialParams | None = None,
 ) -> IsolationVerdict:
@@ -283,7 +286,7 @@ def isolated_heat_sources(
     return IsolationVerdict.NO if reached[owner].all() else IsolationVerdict.YES
 
 
-def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
+def linearity_score(hotspots: HotspotTable, gsd: float) -> float:
     """Dominant-eigenvalue share of the centroid covariance, in [0.5, 1].
 
     Covariance is normalized by N; the score is scale-free so the
@@ -292,7 +295,7 @@ def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
     """
     if len(hotspots) < 2:
         raise ValueError("linearity needs at least 2 hotspots")
-    pts = np.array([h.centroid_px for h in hotspots], dtype=np.float64) * gsd
+    pts = _centroids(hotspots) * gsd
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     lam = np.linalg.eigvalsh(cov)  # ascending
@@ -306,7 +309,7 @@ def linearity_score(hotspots: list[Hotspot], gsd: float) -> float:
 
 
 def classify_distribution(
-    hotspots: list[Hotspot], gsd: float, params: SpatialParams | None = None
+    hotspots: HotspotTable, gsd: float, params: SpatialParams | None = None
 ) -> SpatialDistributionLabel:
     """Frame-level spatial distribution label.
 
@@ -321,7 +324,7 @@ def classify_distribution(
     if n == 0:
         return SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
-    a_tot = sum(h.area_m2 for h in hotspots)
+    a_tot = sum(hotspots.area_m2)
     r_eq = math.sqrt(a_tot / math.pi)
     d_max = _extent(_centroids(hotspots), gsd, (params.d_lin_m, params.alpha * r_eq))
     if n >= 2 and d_max > params.d_lin_m:
@@ -334,7 +337,7 @@ def classify_distribution(
 
 
 def intensity_consistency(
-    hotspots: list[Hotspot], params: SpatialParams | None = None
+    hotspots: HotspotTable, params: SpatialParams | None = None
 ) -> IntensityConsistencyLabel:
     """Similar vs clearly different hotspot intensity via robust CV.
 
@@ -345,14 +348,14 @@ def intensity_consistency(
     params = params or SpatialParams()
     if not hotspots:
         return IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS
-    peaks = [h.peak_temp_c for h in hotspots]
+    peaks = hotspots.peak_temp_c
     rcv = robust_cv(peaks, params.epsilon)
     if rcv <= params.tau_sim or max(peaks) - min(peaks) <= params.delta_t_sim_c:
         return IntensityConsistencyLabel.SIMILAR
     return IntensityConsistencyLabel.CLEARLY_DIFFERENT
 
 
-def robust_cv(peaks: list[float], epsilon: float = 1e-6) -> float:
+def robust_cv(peaks: Sequence[float], epsilon: float = 1e-6) -> float:
     """Robust coefficient of variation of a peak list: 1.4826 * MAD / max(median, epsilon)."""
     arr = np.asarray(peaks, dtype=np.float64)
     med = float(np.median(arr))

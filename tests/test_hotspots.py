@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from firescene.hotspots import (
     Hotspot,
     HotspotParams,
+    HotspotTable,
     _label,
     components,
     connected_components,
@@ -21,6 +22,9 @@ from firescene.hotspots import (
     locate_pixel,
 )
 from firescene.raster import ThermalRaster
+
+
+NO_SPOTS = HotspotTable.from_rows([])
 
 
 def _raster(arr) -> ThermalRaster:
@@ -160,7 +164,31 @@ def _oracle_masks() -> dict[str, np.ndarray]:
     }
 
 
+@st.composite
+def _edge_masks(draw) -> np.ndarray:
+    """Small masks whose first and last columns are drawn as they are, all set or all clear."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)), dtype=bool).reshape(h, w)
+    for col in (0, w - 1):
+        edge = draw(st.sampled_from(["drawn", "set", "clear"]))
+        if edge != "drawn":
+            mask[:, col] = edge == "set"
+    return mask
+
+
 class TestLabel:
+    @given(_edge_masks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_flood_fill_with_runs_on_the_edge_columns(self, mask):
+        comp, n = _label(mask)
+        oracle = flood_fill_components(mask)
+        want = np.full(mask.shape, -1)
+        for k, pixels in enumerate(oracle):
+            for y, x in pixels:
+                want[y, x] = k
+        assert n == len(oracle)
+        assert comp.tolist() == want[mask].tolist()  # boolean indexing is np.flatnonzero order
+
     @pytest.mark.parametrize("name", list(_oracle_masks()))
     def test_matches_scipy_scan_order_labels(self, name):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -178,7 +206,7 @@ class TestLabel:
 
     @pytest.mark.parametrize("arr", [np.full((6, 9), 25.0), np.full((6, 9), np.nan)], ids=["cold", "all-invalid"])
     def test_extract_on_empty_mask(self, arr):
-        assert extract_hotspots(ThermalRaster.from_array(arr), 50.0) == []
+        assert extract_hotspots(ThermalRaster.from_array(arr), 50.0) == NO_SPOTS
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -210,7 +238,7 @@ class TestLabel:
         assert len(spots) >= 4 and sum(s.peak_temp_c == 450.0 for s in spots) == 4
 
 
-def _oracle_hotspots(arr: np.ndarray, agl: float, params: HotspotParams) -> list[Hotspot]:
+def _oracle_hotspots(arr: np.ndarray, agl: float, params: HotspotParams) -> HotspotTable:
     """Hotspots of ``arr`` from the flood-fill components, field by field."""
     g = gsd(agl, params.fov_diag_deg, arr.shape[1])
     expected = []
@@ -236,7 +264,7 @@ def _oracle_hotspots(arr: np.ndarray, agl: float, params: HotspotParams) -> list
                 peak_px=(px, py),
             )
         )
-    return expected
+    return HotspotTable.from_rows(expected)
 
 
 def _bfs_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -327,7 +355,7 @@ class TestExtractHotspots:
         g = gsd(1.0, 61.0, 16)
         agl = 16.0 / (2 * math.tan(math.radians(61.0) / 2))  # makes GSD exactly 1.0
         assert gsd(agl, 61.0, 16) == pytest.approx(1.0)
-        assert extract_hotspots(r, agl) == []
+        assert extract_hotspots(r, agl) == NO_SPOTS
         assert g  # silence unused
 
     def test_radius_filter(self):
@@ -336,7 +364,7 @@ class TestExtractHotspots:
         r = _blob_raster((32, 32), coords)
         agl = 0.2 * 32 / (2 * math.tan(math.radians(61.0) / 2))
         assert gsd(agl, 61.0, 32) == pytest.approx(0.2)
-        assert extract_hotspots(r, agl) == []
+        assert extract_hotspots(r, agl) == NO_SPOTS
 
     def test_large_blob_kept(self):
         # 100-pixel blob at GSD 0.5: A = 25 m^2, r = 2.82 m.
@@ -406,9 +434,62 @@ class TestExtractHotspots:
             )
 
 
+def _row_fields(idx: int, pixel_count: int, area_m2: float, radius_m: float) -> dict:
+    return dict(id=idx, pixel_count=pixel_count, centroid_px=(1.5, 2.5), centroid_m=(0.75, 1.25),
+                area_m2=area_m2, radius_m=radius_m, peak_temp_c=300.0, peak_px=(1, 2))
+
+
+def _raises_value_error(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+_GEOMETRY_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e200, -1.0])
+
+
+@st.composite
+def _geometry_rows(draw) -> list[dict]:
+    """Up to four rows of pixel count, area and radius, consistent or not."""
+    rows = []
+    for idx in range(draw(st.integers(0, 4))):
+        area = draw(_GEOMETRY_FLOATS | st.floats(1e-6, 1e6))
+        radius = math.sqrt(area / math.pi) if area >= 0 and draw(st.booleans()) else draw(_GEOMETRY_FLOATS)
+        rows.append(_row_fields(idx, draw(st.integers(-2, 10)), area, radius))
+    return rows
+
+
+class TestHotspotTable:
+    def test_rows_columns_and_length(self):
+        rows = [Hotspot(**_row_fields(k, 5 + k, math.pi * r * r, r)) for k, r in enumerate((0.5, 2.0, 3.0))]
+        table = HotspotTable.from_rows(rows)
+        assert len(table) == 3 and bool(table) and not NO_SPOTS and len(NO_SPOTS) == 0
+        assert list(table) == rows and table[1] == rows[1] and table[-1] == rows[2]
+        assert table.pixel_count == (5, 6, 7) and table.centroid_px == ((1.5, 2.5),) * 3
+        assert HotspotTable.from_rows(table) == table
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_columns_of_different_lengths_raise(self):
+        columns = {name: column[:1] for name, column in vars(HotspotTable.from_rows(
+            [Hotspot(**_row_fields(k, 5, math.pi, 1.0)) for k in range(2)])).items()}
+        columns["peak_px"] += ((0, 0),)
+        with pytest.raises(ValueError, match="columns differ in length"):
+            HotspotTable(**columns)
+
+    @given(_geometry_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_raises_if_and_only_if_a_row_raises(self, rows):
+        rows_raise = any(_raises_value_error(lambda row=row: Hotspot(**row)) for row in rows)
+        columns = {name: tuple(row[name] for row in rows) for name in _row_fields(0, 1, 1.0, 1.0)}
+        assert _raises_value_error(lambda: HotspotTable(**columns)) == rows_raise
+
+
 class TestHottestLocation:
     def test_no_hotspots(self):
-        assert hottest_location(_raster(np.full((9, 9), 25.0)), []) == "No hotspots"
+        assert hottest_location(_raster(np.full((9, 9), 25.0)), NO_SPOTS) == "No hotspots"
 
     def test_center_of_square(self):
         arr = np.full((600, 600), 25.0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from factories import corrupted, make_hotspot
 from firescene.features import MatchResult
-from firescene.hotspots import Hotspot
+from firescene.hotspots import Hotspot, HotspotTable
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
 from firescene.questions import QUESTIONS, choices
 from firescene.raster import RadiometricSummary, ThermalRaster
@@ -92,6 +92,26 @@ class TestRoundTrip:
         d = a.as_dict()
         assert isinstance(d["summary"], dict) and isinstance(d["hotspots"][0], dict)
         assert d["hotspots"][0]["centroid_px"] == a.hotspots[0].centroid_px
+
+
+class TestIntsInFloatFields:
+    """A float field reads an int as a float, so the record writes its canonical bytes."""
+
+    def test_summary_read_back_writes_canonical_bytes(self):
+        canonical = RadiometricSummary(20.0, 610.0, 31.5, 40.25, 0.0, 0.0)
+        back = RadiometricSummary.from_dict(
+            {"min_c": 20, "max_c": 610, "mean_c": 31.5, "std_c": 40.25, "pct_above_200": 0, "pct_above_400": 0}
+        )
+        assert back == canonical and type(back.min_c) is float and type(back.pct_above_200) is float
+        assert back.to_json() == canonical.to_json()
+
+    def test_analysis_read_back_writes_canonical_bytes(self):
+        a = analyze_frame(_scene(), agl_m=40.0, frame_id="scene")
+        d = json.loads(a.to_json())
+        assert (d["agl_m"], d["summary"]["max_c"], d["hotspots"][0]["peak_temp_c"]) == (40.0, 610.0, 450.0)
+        d["agl_m"], d["summary"]["max_c"], d["hotspots"][0]["peak_temp_c"] = 40, 610, 450
+        back = FrameAnalysis.from_dict(d)
+        assert back == a and back.to_json() == a.to_json()
 
 
 class TestOlderDocuments:
@@ -218,6 +238,19 @@ class TestMalformed:
         sheet = AnswerSheet.from_dict(d)
         assert sheet.filled() == {qid: choices(qid)[-1] for qid in QUESTIONS}
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_int_too_large_for_a_float_field_raises_value_error(self, value):
+        d = RECORDS["summary"]().as_dict()
+        d["min_c"] = value
+        with pytest.raises(ValueError, match="too large"):
+            RadiometricSummary.from_dict(d)
+
+    def test_bool_in_a_float_field_raises_value_error(self):
+        d = RECORDS["summary"]().as_dict()
+        d["pct_above_400"] = True
+        with pytest.raises(ValueError, match="expected int or float, got bool"):
+            RadiometricSummary.from_dict(d)
+
     def test_huge_radius_raises_value_error(self):
         d = RECORDS["hotspot"]().as_dict()
         d["area_m2"] = d["radius_m"] = 1e200
@@ -271,6 +304,22 @@ def _containers(inner):
 _JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
 
 
+@st.composite
+def _hotspots(draw) -> Hotspot:
+    """A valid hotspot with drawn ids, pixel counts, centroids and peaks, non-finite ones too."""
+    area = draw(st.floats(1e-3, 1e6))
+    return Hotspot(
+        id=draw(st.integers()),
+        pixel_count=draw(st.integers(1)),
+        centroid_px=(draw(_FLOATS), draw(_FLOATS)),
+        centroid_m=(draw(_FLOATS), draw(_FLOATS)),
+        area_m2=area,
+        radius_m=math.sqrt(area / math.pi),
+        peak_temp_c=draw(_FLOATS),
+        peak_px=(draw(st.integers()), draw(st.integers())),
+    )
+
+
 class TestWriter:
     """``records._dumps`` against ``json.dumps(doc, sort_keys=True, indent=2)``."""
 
@@ -315,6 +364,42 @@ class TestWriter:
             _dumps({"a": [{key: 0}]})
         with pytest.raises(TypeError):
             _dumps({key: 0})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_table_matches_json_dumps_of_its_rows(self, data):
+        rows = data.draw(st.lists(_hotspots(), max_size=6) | st.lists(_hotspots(), min_size=1, max_size=1))
+        table = HotspotTable.from_rows(rows)
+        doc, want = table, [h.as_dict() for h in rows]
+        assert table.row_dicts() == want
+        for _ in range(data.draw(st.integers(0, 3))):
+            key = data.draw(_TEXT)
+            wrap = data.draw(st.sampled_from([
+                lambda x: {key: x, "%s": [1.5]},
+                lambda x: [None, x, {}],
+                lambda x: (x,),
+            ]))
+            doc, want = wrap(doc), wrap(want)
+        assert _dumps(doc) == _stdlib_json(want)
+
+    def test_empty_and_one_row_tables(self):
+        assert _dumps(HotspotTable.from_rows([])) == "[]"
+        assert _dumps({"t": HotspotTable.from_rows([])}) == '{\n  "t": []\n}'
+        one = make_hotspot(7, 1.0, 2.0)
+        assert _dumps([HotspotTable.from_rows([one])]) == _stdlib_json([[one.as_dict()]])
+
+    def test_crowded_analysis_round_trip_builds_no_hotspot(self, monkeypatch):
+        """Analysing and writing a 2000-hotspot frame builds no ``Hotspot``; reading it back does."""
+        built = []
+        check = Hotspot.__post_init__
+        monkeypatch.setattr(Hotspot, "__post_init__", lambda h: (built.append(h.id), check(h)))
+        a = analyze_frame(ThermalRaster.from_array(ember_field(0, alternating=False)), agl_m=300.0)
+        text, sheet = a.to_json(), answer_sheet(a).to_json()
+        assert len(a.hotspots) == 2000 and json.loads(sheet)["answers"]["PD1"]["option"] == "Yes"
+        assert built == []
+        assert a.as_dict()["hotspots"] == [h.as_dict() for h in a.hotspots]
+        back = FrameAnalysis.from_json(text)
+        assert back == a and back.to_json() == text and len(built) == 2 * 2000
 
     def test_crowded_analysis_peak_at_most_stdlib(self):
         """One ``to_json`` of a 2000-hotspot analysis peaks no higher than ``json.dumps``."""

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factories import disk_area, make_hotspot
+from firescene.hotspots import HotspotTable
 from firescene.spatial import (
     ClusterSet,
     IntensityConsistencyLabel,
@@ -33,10 +34,13 @@ def centroid_distance(a, b, gsd):
 
 def spots_at(points_m, gsd=1.0, area=2.0, peaks=None):
     peaks = peaks or [300.0] * len(points_m)
-    return [
+    return HotspotTable.from_rows(
         make_hotspot(i, x / gsd, y / gsd, area_m2=area, peak_c=p, gsd=gsd)
         for i, ((x, y), p) in enumerate(zip(points_m, peaks))
-    ]
+    )
+
+
+NO_SPOTS = HotspotTable.from_rows([])
 
 
 class TestCentroidDistance:
@@ -66,7 +70,7 @@ class TestSingleLinkage:
         assert cs.clusters == ((0, 1), (2, 3))
 
     def test_empty(self):
-        cs = single_linkage_clusters([], 1.0)
+        cs = single_linkage_clusters(NO_SPOTS, 1.0)
         assert cs.clusters == ()
         assert cs.main_index is None
 
@@ -75,11 +79,11 @@ class TestSingleLinkage:
             make_hotspot(0, 0.0, 0.0, area_m2=3.0),
             make_hotspot(1, 100.0, 0.0, area_m2=3.0),  # equal area: lowest id wins
         ]
-        cs = single_linkage_clusters(spots, 1.0)
+        cs = single_linkage_clusters(HotspotTable.from_rows(spots), 1.0)
         assert cs.main_index == 0
 
         spots[1] = make_hotspot(1, 100.0, 0.0, area_m2=5.0)
-        cs = single_linkage_clusters(spots, 1.0)
+        cs = single_linkage_clusters(HotspotTable.from_rows(spots), 1.0)
         assert cs.main_index == 1
 
     @given(st.integers(0, 2**32 - 1))
@@ -92,7 +96,7 @@ class TestSingleLinkage:
         base = single_linkage_clusters(spots, 1.0)
 
         perm = rng.permutation(n)
-        shuffled = [spots[i] for i in perm]
+        shuffled = HotspotTable.from_rows(spots[i] for i in perm)
         cs = single_linkage_clusters(shuffled, 1.0)
         # Map member positions back through the permutation and compare partitions.
         mapped = sorted(tuple(sorted(perm[i] for i in c)) for c in cs.clusters)
@@ -101,8 +105,8 @@ class TestSingleLinkage:
 
 class TestIsolatedHeatSources:
     def test_no_fire(self):
-        cs = single_linkage_clusters([], 1.0)
-        assert isolated_heat_sources(cs, [], 1.0) == IsolationVerdict.NO_FIRE
+        cs = single_linkage_clusters(NO_SPOTS, 1.0)
+        assert isolated_heat_sources(cs, NO_SPOTS, 1.0) == IsolationVerdict.NO_FIRE
 
     def test_far_singleton(self):
         spots = spots_at([(0, 0), (4, 0), (45, 0)], area=5.0)
@@ -164,7 +168,7 @@ class TestLinearityScore:
 
 class TestClassifyDistribution:
     def test_no_hotspots(self):
-        assert classify_distribution([], 1.0) == SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
+        assert classify_distribution(NO_SPOTS, 1.0) == SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
     def test_single_hotspot_concentrated(self):
         got = classify_distribution(spots_at([(7, 7)]), 1.0)
@@ -255,7 +259,7 @@ class TestClassifyDistribution:
 
 class TestIntensityConsistency:
     def test_no_hotspots(self):
-        got = intensity_consistency([])
+        got = intensity_consistency(NO_SPOTS)
         assert got == IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS
 
     def test_similar_by_rcv(self):
@@ -329,11 +333,13 @@ def _integer_layouts(draw):
         else:
             points.append((draw(coord), draw(coord)))
     areas = [draw(st.sampled_from([0.5, 2.0, 7.0, 30.0])) for _ in points]
-    return gsd, [make_hotspot(i, x, y, area_m2=a, gsd=gsd) for i, ((x, y), a) in enumerate(zip(points, areas))]
+    rows = [make_hotspot(i, x, y, area_m2=a, gsd=gsd) for i, ((x, y), a) in enumerate(zip(points, areas))]
+    return gsd, HotspotTable.from_rows(rows)
 
 
 def _brute_clusters(spots, gsd, p):
     """Single linkage by relaxing the smallest reachable index over every pair."""
+    spots = list(spots)
     root = list(range(len(spots)))
     changed = True
     while changed:
@@ -349,6 +355,7 @@ def _brute_clusters(spots, gsd, p):
 
 
 def _brute_isolated(spots, gsd, clusters, main, p):
+    spots = list(spots)
     return any(
         min(centroid_distance(spots[i], spots[j], gsd) for i in c for j in clusters[main]) >= p.isolation_m
         for k, c in enumerate(clusters)
@@ -356,10 +363,11 @@ def _brute_isolated(spots, gsd, clusters, main, p):
     )
 
 
-def _brute_distribution(spots, gsd, p):
+def _brute_distribution(table, gsd, p):
+    spots = list(table)
     d_max = max(centroid_distance(a, b, gsd) for a in spots for b in spots)
     if len(spots) >= 2 and d_max > p.d_lin_m:
-        if len(spots) == 2 or linearity_score(spots, gsd) >= p.tau_lin:
+        if len(spots) == 2 or linearity_score(table, gsd) >= p.tau_lin:
             return SpatialDistributionLabel.LINEAR
     r_eq = math.sqrt(sum(h.area_m2 for h in spots) / math.pi)
     if d_max <= p.alpha * r_eq:
@@ -379,9 +387,10 @@ def _above(x):
 _ALPHA_R_EQ = SpatialParams().alpha * math.sqrt((20.0 + 20.0 + 20.0) / math.pi)
 
 
-def _dense_classifiers(spots, gsd, p):
+def _dense_classifiers(table, gsd, p):
     """Clusters, main index, isolation verdict and distribution label over the dense
     n x n matrix of centroid ground distances, in ``centroid_distance``'s arithmetic."""
+    spots = list(table)
     pts = np.array([h.centroid_px for h in spots])
     dx = np.subtract.outer(pts[:, 0], pts[:, 0]) * gsd
     dy = np.subtract.outer(pts[:, 1], pts[:, 1]) * gsd
@@ -401,7 +410,7 @@ def _dense_classifiers(spots, gsd, p):
     )
     d_max = float(dist.max())
     r_eq = math.sqrt(sum(h.area_m2 for h in spots) / math.pi)
-    if n >= 2 and d_max > p.d_lin_m and (n == 2 or linearity_score(spots, gsd) >= p.tau_lin):
+    if n >= 2 and d_max > p.d_lin_m and (n == 2 or linearity_score(table, gsd) >= p.tau_lin):
         label = SpatialDistributionLabel.LINEAR
     elif d_max <= p.alpha * r_eq:
         label = SpatialDistributionLabel.CONCENTRATED
@@ -417,7 +426,8 @@ class TestDistanceMatrixOracle:
     @example((1.0, spots_at([(13, 7), (7, 15), (50, 50)])))  # the other diagonal
     @example((1.0, spots_at([(5, 0), (15, 0), (45, 0)])))  # exactly 10 m, across a cell edge
     # Exactly 10 m apart, yet two cells apart on a grid exactly d_merge / gsd wide, without the margin.
-    @example((1 / 3, [make_hotspot(0, 29.999999999999996, 0.0, gsd=1 / 3), make_hotspot(1, 60.0, 0.0, gsd=1 / 3)]))
+    @example((1 / 3, HotspotTable.from_rows(
+        [make_hotspot(0, 29.999999999999996, 0.0, gsd=1 / 3), make_hotspot(1, 60.0, 0.0, gsd=1 / 3)])))
     @example((-1.0, spots_at([(0, 0), (6, 8), (40, 0), (45, 0)], gsd=-1.0)))  # negative gsd: |gsd| scales
     @example((1.0, spots_at([(0, 0), (_below(10.0), 0), (45, 0)])))  # one ulp inside d_merge
     @example((1.0, spots_at([(0, 0), (_above(10.0), 0), (45, 0)])))  # one ulp outside d_merge
@@ -454,8 +464,8 @@ class TestDistanceMatrixOracle:
         xs = 20 + 12 * gx + rng.integers(-1, 2, gx.shape)
         ys = 16 + 12 * gy + rng.integers(-1, 2, gy.shape)
         areas = rng.uniform(0.5, 30.0, gx.size)
-        spots = [make_hotspot(i, float(x), float(y), area_m2=float(a), gsd=gsd)
-                 for i, (x, y, a) in enumerate(zip(xs.ravel(), ys.ravel(), areas))]
+        spots = HotspotTable.from_rows(make_hotspot(i, float(x), float(y), area_m2=float(a), gsd=gsd)
+                                       for i, (x, y, a) in enumerate(zip(xs.ravel(), ys.ravel(), areas)))
         p = SpatialParams()
         clusters, main, isolated, label = _dense_classifiers(spots, gsd, p)
         cs = single_linkage_clusters(spots, gsd, p)
@@ -470,7 +480,7 @@ class TestDistanceMatrixOracle:
         n, gsd, p = 2000, 0.5, SpatialParams()
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1300, size=(n, 2))  # about 1.5 hotspots within d_merge of each
-        spots = [make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(pts.tolist())]
+        spots = HotspotTable.from_rows(make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(pts.tolist()))
         pairs = spatial_tree.cKDTree(pts).query_pairs(p.d_merge_m / gsd, output_type="ndarray")
         graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
         _, kd_ids = csgraph.connected_components(graph, directed=False)
@@ -492,7 +502,7 @@ class TestDistanceMatrixOracle:
         side = 600.0 * math.sqrt(n / 1500)
         rng = np.random.default_rng(5)
         field = rng.uniform(0, side, size=(n, 2)).tolist() + [(x, side + 75.0) for x in range(0, int(side), 60)]
-        spots = [make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(field)]
+        spots = HotspotTable.from_rows(make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(field))
         cs = single_linkage_clusters(spots, gsd)
         run = {
             "linkage": lambda: single_linkage_clusters(spots, gsd),
