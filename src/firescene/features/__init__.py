@@ -2,7 +2,7 @@
 
 from .brief_pattern import PATTERN, PATTERN_SEED
 from .describe import describe
-from .detect import Keypoint, detect
+from .detect import Keypoint, KeypointTable, detect
 from .image import GrayImage
 from .matching import hamming_matrix, match
 from .pipeline import MatchConfig, MatchResult, match_images
@@ -13,6 +13,7 @@ __all__ = [
     "PATTERN_SEED",
     "describe",
     "Keypoint",
+    "KeypointTable",
     "detect",
     "GrayImage",
     "hamming_matrix",

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .brief_pattern import N_PAIRS, PATCH_RADIUS, PATTERN
-from .detect import Keypoint
+from .detect import KeypointTable
 from .image import GrayImage
 
 DESCRIPTOR_BITS = N_PAIRS
@@ -38,13 +38,15 @@ def _rotated_patterns() -> np.ndarray:
 _ROTATED = _rotated_patterns()
 
 
-def describe(image: GrayImage, keypoints: list[Keypoint]) -> tuple[np.ndarray, list[Keypoint]]:
+def describe(image: GrayImage, keypoints: KeypointTable) -> tuple[np.ndarray, KeypointTable]:
     """Compute packed 256-bit descriptors for every describable keypoint.
 
-    Returns (descriptors, kept_keypoints): descriptors are a (N, 32) uint8
-    array aligned 1:1 with the surviving keypoints. Keypoints too close to
-    the border to sample are filtered out, not fatal. A keypoint with a
-    non-finite x, y or angle raises ``ValueError``.
+    Returns (descriptors, kept): descriptors are a (N, 32) uint8 array
+    aligned 1:1 with ``kept``, the table of the surviving keypoints in their
+    input order. Keypoints too close to the border to sample are filtered
+    out, not fatal. A ``keypoints`` that is not a ``KeypointTable`` raises
+    ``TypeError``; a keypoint with a non-finite x, y or angle raises
+    ``ValueError``.
 
     Each keypoint rounds to its pixel half to even (``np.rint``, as
     ``round``) and its angle to the nearest of ``ANGLE_BINS`` bins
@@ -52,20 +54,21 @@ def describe(image: GrayImage, keypoints: list[Keypoint]) -> tuple[np.ndarray, l
     Both points of every pair are then gathered from the flattened image in
     one ``take`` per chunk of ``_DESCRIBE_CHUNK`` keypoints.
     """
+    if not isinstance(keypoints, KeypointTable):
+        raise TypeError(f"keypoints must be a KeypointTable, got {type(keypoints).__name__}")
     img = image.pixels
     h, w = img.shape
-    xya = np.array([(kp.x, kp.y, kp.angle) for kp in keypoints], dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(xya).all():
+    if not all(np.isfinite(column).all() for column in (keypoints.x, keypoints.y, keypoints.angle)):
         raise ValueError("keypoint x, y and angle must be finite")
-    x, y = np.rint(xya[:, 0]), np.rint(xya[:, 1])
+    x, y = np.rint(keypoints.x), np.rint(keypoints.y)
     inside = (PATCH_RADIUS <= x) & (x < w - PATCH_RADIUS) & (PATCH_RADIUS <= y) & (y < h - PATCH_RADIUS)
     idx = np.flatnonzero(inside)
-    kept = [keypoints[i] for i in idx.tolist()]
+    kept = keypoints.take(idx)
     if not kept:
-        return np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8), []
+        return np.empty((0, DESCRIPTOR_BITS // 8), dtype=np.uint8), kept
 
     base = y[idx].astype(np.intp) * w + x[idx].astype(np.intp)
-    frac = np.remainder(xya[idx, 2], 2.0 * math.pi) / (2.0 * math.pi)
+    frac = np.remainder(kept.angle, 2.0 * math.pi) / (2.0 * math.pi)
     bins = np.rint(frac * ANGLE_BINS).astype(np.intp) % ANGLE_BINS
     rotated = _ROTATED.astype(np.intp)
     # (ANGLE_BINS, 2, N_PAIRS) flat offsets dy * w + dx of each pair's first and second point.

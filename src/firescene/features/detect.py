@@ -26,14 +26,16 @@ Harris window sums are int32 integers that cannot overflow
 (``_HARRIS_SUM_BOUND``), and only ``det - k * trace^2`` is taken in
 float64, from those exact sums. The centroid moments are integer sums far
 below 2^53, which a float64 matrix product computes exactly. Each angle is
-``math.atan2`` of the two moments, one keypoint at a time: ``np.arctan2``
-differs from it in the last bit on some keypoints.
+``math.atan2`` of the two moments, one ``map`` over the moment columns:
+``np.arctan2`` differs from it in the last bit on some keypoints. The
+keypoints come out as columns, never as one object per keypoint.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,6 +80,51 @@ class Keypoint:
     y: float
     response: float
     angle: float  # radians in (-pi, pi]
+
+
+@dataclass(frozen=True, eq=False)  # equality of array columns would raise; compare rows instead
+class KeypointTable:
+    """Keypoints as one read-only, 1-D float64 column per ``Keypoint`` field.
+
+    ``table[i]`` and iteration give ``Keypoint`` rows of Python floats;
+    ``from_rows`` builds a table from rows. A column that is not a 1-D
+    float64 array, or columns of unequal length, raise ``ValueError``. Each
+    column is held as a read-only view of the array given for it.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    response: np.ndarray
+    angle: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64):
+                raise ValueError(f"keypoint column {f.name} must be a 1-D float64 array")
+            view = column.view()
+            view.flags.writeable = False
+            object.__setattr__(self, f.name, view)
+        if len({len(column) for column in vars(self).values()}) > 1:
+            raise ValueError("keypoint columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int) -> Keypoint:
+        return Keypoint(self.x.item(i), self.y.item(i), self.response.item(i), self.angle.item(i))
+
+    def __iter__(self) -> Iterator[Keypoint]:
+        return map(Keypoint, *(column.tolist() for column in vars(self).values()))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Keypoint]) -> KeypointTable:
+        rows = list(rows)
+        return cls(*(np.array([getattr(r, f.name) for r in rows], dtype=np.float64) for f in fields(cls)))
+
+    def take(self, index: np.ndarray) -> KeypointTable:
+        """The rows at ``index``, in its order, as a new table."""
+        return KeypointTable(*(column[index] for column in vars(self).values()))
 
 
 def _arc_table() -> np.ndarray:
@@ -246,15 +293,16 @@ def _moments(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THRESHOLD) -> list[Keypoint]:
-    """Detect oriented corners, strongest Harris response first.
+def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THRESHOLD) -> KeypointTable:
+    """Detect oriented corners, strongest Harris response first, as a ``KeypointTable``.
 
     Keypoints keep a BORDER_MARGIN-pixel margin so downstream description
     always samples inside the image. Ordering is deterministic: response
     descending, then row-major position. A negative ``max_features`` raises
     ``ValueError``; 0 returns no keypoints. ``threshold`` must be a
     non-negative integer (``ValueError`` otherwise); above 255 no circle
-    pixel can pass the segment test, so no keypoints are returned.
+    pixel can pass the segment test, so no keypoints are returned. No
+    keypoints is an empty table.
     """
     if max_features < 0:
         raise ValueError(f"max_features must be non-negative, got {max_features}")
@@ -272,7 +320,7 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
     img = image.pixels
     m = BORDER_MARGIN
     if image.width <= 2 * m or image.height <= 2 * m or threshold > 255:
-        return []
+        return KeypointTable(*np.empty((4, 0)))
 
     top, bottom = m, image.height - m
     bands = _Bands(img, m, min(_BAND_ROWS, bottom - top))
@@ -281,9 +329,7 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
 
     # The bands are row-major, so a stable sort on the score alone breaks ties by position.
     order = np.argsort(-scores, kind="stable")[:max_features]
-    ys, xs, scores = ys[order], xs[order], scores[order]
-    moments = _moments(img, ys, xs).tolist()
-    return [
-        Keypoint(x=float(x), y=float(y), response=s, angle=math.atan2(m01, m10))
-        for x, y, s, (m10, m01) in zip(xs.tolist(), ys.tolist(), scores.tolist(), moments)
-    ]
+    ys, xs = ys[order], xs[order]
+    m10, m01 = _moments(img, ys, xs).T.tolist()
+    angle = np.fromiter(map(math.atan2, m01, m10), dtype=np.float64, count=len(order))
+    return KeypointTable(xs.astype(np.float64), ys.astype(np.float64), scores[order], angle)

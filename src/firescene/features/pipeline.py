@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from ..records import Record
 from .brief_pattern import PATCH_RADIUS
 from .describe import describe
-from .detect import BORDER_MARGIN, Keypoint, detect
+from .detect import BORDER_MARGIN, detect
 from .image import GrayImage
 from .matching import match
 from .ransac import RansacError, ransac_homography
 
 import numpy as np
 
-# describe keeps every keypoint detect returns, so neither list is ever emptied.
+# describe keeps every keypoint detect returns, so neither table is ever emptied.
 assert BORDER_MARGIN >= PATCH_RADIUS
 
 
@@ -60,13 +60,13 @@ def _unverified(putative: int = 0, survivors: int = 0) -> MatchResult:
     )
 
 
-def _xy(keypoints: list[Keypoint]) -> np.ndarray:
-    """(N, 2) array of the keypoints' x and y."""
-    return np.array([[kp.x for kp in keypoints], [kp.y for kp in keypoints]]).T
-
-
 def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) -> MatchResult:
-    """Run the full matching pipeline between two grayscale images."""
+    """Run the full matching pipeline between two grayscale images.
+
+    ``detect`` gives each image's keypoints as a ``KeypointTable`` and
+    ``describe`` its kept rows; RANSAC's ``src`` and ``dst`` index the kept
+    x and y columns by the matched pairs.
+    """
     config = config or MatchConfig()
     kps_a = detect(a, config.max_features, config.fast_threshold)
     kps_b = detect(b, config.max_features, config.fast_threshold)
@@ -81,8 +81,8 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
     if survivors < 4:
         return _unverified(putative, survivors)
 
-    src = _xy(kept_a)[pairs[:, 0]]
-    dst = _xy(kept_b)[pairs[:, 1]]
+    src = np.stack((kept_a.x[pairs[:, 0]], kept_a.y[pairs[:, 0]]), axis=1)
+    dst = np.stack((kept_b.x[pairs[:, 1]], kept_b.y[pairs[:, 1]]), axis=1)
     try:
         result = ransac_homography(
             src,

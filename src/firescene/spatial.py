@@ -295,7 +295,12 @@ def linearity_score(hotspots: HotspotTable, gsd: float) -> float:
     """
     if len(hotspots) < 2:
         raise ValueError("linearity needs at least 2 hotspots")
-    pts = _centroids(hotspots) * gsd
+    return _linearity(_centroids(hotspots), gsd)
+
+
+def _linearity(points_px: np.ndarray, gsd: float) -> float:
+    """``linearity_score`` of two or more (n, 2) pixel centroids."""
+    pts = points_px * gsd
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     lam = np.linalg.eigvalsh(cov)  # ascending
@@ -326,9 +331,10 @@ def classify_distribution(
 
     a_tot = sum(hotspots.area_m2)
     r_eq = math.sqrt(a_tot / math.pi)
-    d_max = _extent(_centroids(hotspots), gsd, (params.d_lin_m, params.alpha * r_eq))
+    pts = _centroids(hotspots)
+    d_max = _extent(pts, gsd, (params.d_lin_m, params.alpha * r_eq))
     if n >= 2 and d_max > params.d_lin_m:
-        if n == 2 or linearity_score(hotspots, gsd) >= params.tau_lin:
+        if n == 2 or _linearity(pts, gsd) >= params.tau_lin:
             return SpatialDistributionLabel.LINEAR
 
     if d_max <= params.alpha * r_eq:

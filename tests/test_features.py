@@ -40,6 +40,7 @@ from firescene.features.detect import (
     ORIENTATION_RADIUS,
     ImageTooSmallError,
     Keypoint,
+    KeypointTable,
     _HALO,
     _HARRIS_SUM_BOUND,
     _Bands,
@@ -126,7 +127,7 @@ class TestPattern:
 class TestDetect:
     def test_uniform_image_no_keypoints(self):
         img = GrayImage.from_array(np.full((64, 64), 90, dtype=np.uint8))
-        assert detect(img) == []
+        assert len(detect(img)) == 0
 
     def test_too_small_image(self):
         img = GrayImage.from_array(np.zeros((16, 16), dtype=np.uint8))
@@ -172,7 +173,7 @@ class TestDetect:
 
     def test_deterministic(self):
         img = synthetic_texture(128, 128, 9)
-        assert detect(img) == detect(img)
+        assert list(detect(img)) == list(detect(img))
 
     @pytest.mark.parametrize("threshold", [256, 300, 32600, 32768, 2**40])
     def test_thresholds_above_255_find_nothing(self, monkeypatch, threshold):
@@ -182,7 +183,7 @@ class TestDetect:
         flat = GrayImage.from_array(np.full((64, 64), 90, dtype=np.uint8))
         noise = noise_image(64, 64, 3)
         monkeypatch.setattr(detect_module, "_Bands", None)
-        assert detect(flat, threshold=threshold) == [] and detect(noise, threshold=threshold) == []
+        assert len(detect(flat, threshold=threshold)) == 0 and len(detect(noise, threshold=threshold)) == 0
 
     @pytest.mark.parametrize("threshold", [-1, -300, 20.5, 20.0, "20", None])
     def test_negative_or_non_integer_threshold_rejected(self, threshold):
@@ -192,15 +193,78 @@ class TestDetect:
 
     def test_integer_threshold_types_accepted(self):
         img = synthetic_texture(128, 128, 9)
-        assert detect(img, threshold=np.uint8(20)) == detect(img, threshold=np.int64(20)) == detect(img, threshold=20)
+        rows = [list(detect(img, threshold=t)) for t in (np.uint8(20), np.int64(20), 20)]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_negative_max_features_rejected(self):
         # A negative cap used to slice the weakest keypoints off the end.
         img = synthetic_texture(128, 128, 9)
-        assert len(detect(img)) > 1 and detect(img, max_features=0) == []
+        assert len(detect(img)) > 1 and len(detect(img, max_features=0)) == 0
         for max_features in (-1, -5):
             with pytest.raises(ValueError):
                 detect(img, max_features=max_features)
+
+
+def _columns(table):
+    return [getattr(table, name) for name in ("x", "y", "response", "angle")]
+
+
+class TestKeypointTable:
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            KeypointTable(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.zeros((3, 1)), np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64), [0.0, 0.0, 0.0], np.float64(0)],
+        ids=["2-D", "float32", "int64", "list", "0-D"],
+    )
+    @pytest.mark.parametrize("field", ["x", "y", "response", "angle"])
+    def test_columns_must_be_1d_float64(self, field, column):
+        columns = {name: np.zeros(3) for name in ("x", "y", "response", "angle")} | {field: column}
+        with pytest.raises(ValueError, match=field):
+            KeypointTable(**columns)
+
+    def test_describe_takes_only_a_table(self):
+        img = synthetic_texture(64, 64, 4)
+        rows = [Keypoint(x=32.0, y=32.0, response=1.0, angle=0.0)]
+        with pytest.raises(TypeError, match="KeypointTable"):
+            describe(img, rows)
+
+    def test_columns_are_read_only(self):
+        table = detect(synthetic_texture(128, 128, 9))
+        for column in _columns(table):
+            assert column.dtype == np.float64 and column.ndim == 1 and len(column) == len(table)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        with pytest.raises(AttributeError):
+            table.x = np.zeros(len(table))
+
+    def test_rows_round_trip_bit_for_bit(self):
+        table = detect(synthetic_texture(128, 128, 9))
+        special = KeypointTable(*np.array([[-0.0, 5e-324, math.inf, -math.pi], [0.0, 1.5, -2.5, math.pi]]).T.copy())
+        for t in (table, special):
+            back = KeypointTable.from_rows(list(t))
+            assert [c.tobytes() for c in _columns(back)] == [c.tobytes() for c in _columns(t)]
+            assert _bits(back) == _bits(t) == _bits([t[i] for i in range(len(t))])
+            assert all(type(v) is float for kp in t for v in (kp.x, kp.y, kp.response, kp.angle))
+
+    @pytest.mark.parametrize(
+        "image, kwargs",
+        [
+            (np.full((64, 64), 90, dtype=np.uint8), {}),
+            (np.full((40, 32), 90, dtype=np.uint8), {}),
+            (np.random.default_rng(3).integers(0, 256, (64, 64), dtype=np.uint8), {"threshold": 256}),
+            (np.random.default_rng(3).integers(0, 256, (64, 64), dtype=np.uint8), {"max_features": 0}),
+        ],
+        ids=["flat", "within-margin", "threshold-256", "max-features-0"],
+    )
+    def test_no_keypoints_is_an_empty_table(self, image, kwargs):
+        table = detect(GrayImage.from_array(image), **kwargs)
+        assert isinstance(table, KeypointTable) and len(table) == 0 and not table and list(table) == []
+        assert all(c.shape == (0,) and c.dtype == np.float64 for c in _columns(table))
+        desc, kept = describe(GrayImage.from_array(image), table)
+        assert desc.shape == (0, DESCRIPTOR_BITS // 8) and isinstance(kept, KeypointTable) and len(kept) == 0
 
 
 def _roll_fast_corner_mask(img, threshold, margin):
@@ -555,11 +619,12 @@ def _border_coordinates(side):
 
 
 def _assert_describes_like_loop(image, keypoints):
-    desc, kept = describe(image, keypoints)
-    want_desc, want_kept = _loop_describe(image, keypoints)
+    table = KeypointTable.from_rows(keypoints)
+    desc, kept = describe(image, table)
+    want_desc, want_kept = _loop_describe(image, list(table))
     assert desc.dtype == np.uint8 and desc.shape == want_desc.shape
     assert np.array_equal(desc, want_desc)
-    assert len(kept) == len(want_kept) and all(k is w for k, w in zip(kept, want_kept))
+    assert _bits(kept) == _bits(want_kept)
 
 
 @st.composite
@@ -582,7 +647,7 @@ class TestDescribe:
         d1, k1 = describe(img, kps)
         d2, k2 = describe(img, kps)
         assert np.array_equal(d1, d2)
-        assert k1 == k2
+        assert list(k1) == list(k2)
 
     def test_alignment_one_to_one(self):
         img = synthetic_texture(128, 128, 4)
@@ -593,9 +658,9 @@ class TestDescribe:
 
     def test_border_keypoints_filtered_not_fatal(self):
         img = synthetic_texture(64, 64, 4)
-        fake = [Keypoint(x=2.0, y=2.0, response=1.0, angle=0.0)]
+        fake = KeypointTable.from_rows([Keypoint(x=2.0, y=2.0, response=1.0, angle=0.0)])
         desc, kept = describe(img, fake)
-        assert len(desc) == 0 and kept == []
+        assert len(desc) == 0 and len(kept) == 0
 
     def test_180_rotation_with_compensation(self):
         # Empirical bound frozen after an oracle run: compensated descriptors
@@ -603,7 +668,7 @@ class TestDescribe:
         # negates every integer pattern offset), so the <= 64 bound is loose.
         img = synthetic_texture(256, 256, 5)
         rot = GrayImage.from_array(np.ascontiguousarray(np.rot90(img.pixels, 2)))
-        kps = detect(img)[:100]
+        kps = KeypointTable.from_rows(list(detect(img))[:100])
         desc, kept = describe(img, kps)
         h, w = img.pixels.shape
         rotated_kps = []
@@ -611,7 +676,7 @@ class TestDescribe:
             rx, ry = w - 1 - kp.x, h - 1 - kp.y
             ang = _intensity_centroid_angle(rot.pixels, int(ry), int(rx))
             rotated_kps.append(Keypoint(x=rx, y=ry, response=kp.response, angle=ang))
-        rdesc, rkept = describe(rot, rotated_kps)
+        rdesc, rkept = describe(rot, KeypointTable.from_rows(rotated_kps))
         assert len(rdesc) == len(desc)
         dists = [hamming_distance(desc[i], rdesc[i]) for i in range(len(desc))]
         assert max(dists) <= 64
@@ -646,7 +711,7 @@ class TestDescribe:
         fields = {"x": 32.0, "y": 32.0, "response": 1.0, "angle": 0.5, field: value}
         kps = [Keypoint(x=20.0, y=20.0, response=1.0, angle=0.0), Keypoint(**fields)]
         with pytest.raises(ValueError):
-            describe(img, kps)
+            describe(img, KeypointTable.from_rows(kps))
 
     def test_peak_memory_at_the_feature_cap(self):
         # Indices are gathered _DESCRIBE_CHUNK keypoints at a time into one

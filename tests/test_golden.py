@@ -21,7 +21,16 @@ import json
 import numpy as np
 import pytest
 
-from firescene.features import describe, detect, match_images
+from firescene.features import (
+    MatchConfig,
+    MatchResult,
+    RansacError,
+    describe,
+    detect,
+    match,
+    match_images,
+    ransac_homography,
+)
 from firescene.labeler import analyze_frame, answer_sheet, rag_summary
 from firescene.raster import ThermalRaster
 from imagefix import noise_image, synthetic_texture, warp_rigid
@@ -369,7 +378,38 @@ def test_describe_keeps_every_detected_keypoint(name):
     image = DETECT_IMAGES[name]()
     kps = detect(image)
     desc, kept = describe(image, kps)
-    assert kps and kept == kps and len(desc) == len(kps)
+    assert len(kps) and list(kept) == list(kps) and len(desc) == len(kps)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
+def test_public_calls_reproduce_match_images(name):
+    # The benchmark's traced run times match_images as this sequence of public
+    # calls, reading each kept keypoint as a row; it must give the same result.
+    a, b = PAIRS[name]()
+    config = MatchConfig()
+    kps_a = detect(a, config.max_features, config.fast_threshold)
+    kps_b = detect(b, config.max_features, config.fast_threshold)
+    desc_a, kept_a = describe(a, kps_a)
+    desc_b, kept_b = describe(b, kps_b)
+    pairs, _ = match(desc_a, desc_b, config.ratio)
+    putative, survivors = len(desc_a), len(pairs)
+    result = MatchResult(putative=putative, survivors=survivors, inliers=0, homography=None, near_duplicate=False)
+    if survivors >= 4:
+        src = np.array([(kept_a[i].x, kept_a[i].y) for i in pairs[:, 0]])
+        dst = np.array([(kept_b[j].x, kept_b[j].y) for j in pairs[:, 1]])
+        try:
+            ransac = ransac_homography(src, dst, reproj_threshold=config.reproj_threshold_px,
+                                       iterations=config.ransac_iterations, seed=config.seed)
+        except RansacError:
+            pass
+        else:
+            hom = None
+            if ransac.homography is not None and ransac.inlier_count >= 4:
+                hom = tuple(float(v) for v in ransac.homography.reshape(-1))
+            result = MatchResult(putative=putative, survivors=survivors, inliers=ransac.inlier_count,
+                                 homography=hom, near_duplicate=ransac.inlier_count >= config.min_inliers)
+    assert result == match_images(a, b)
+    assert _sha(json.dumps(result.as_dict(), sort_keys=True)) == GOLDEN_PAIRS[name]
 
 
 if __name__ == "__main__":
