@@ -28,18 +28,19 @@ float64, from those exact sums. The centroid moments are integer sums far
 below 2^53, which a float64 matrix product computes exactly. Each angle is
 ``math.atan2`` of the two moments, one ``map`` over the moment columns:
 ``np.arctan2`` differs from it in the last bit on some keypoints. The
-keypoints come out as columns, never as one object per keypoint.
+keypoints come out as a ``KeypointTable`` of the arrays already at hand,
+never as one object per keypoint.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..records import Table
 from .image import GrayImage
 
 BORDER_MARGIN = 16  # keeps every descriptor/orientation sample inside the image
@@ -82,49 +83,16 @@ class Keypoint:
     angle: float  # radians in (-pi, pi]
 
 
-@dataclass(frozen=True, eq=False)  # equality of array columns would raise; compare rows instead
-class KeypointTable:
-    """Keypoints as one read-only, 1-D float64 column per ``Keypoint`` field.
+@dataclass(frozen=True, eq=False)
+class KeypointTable(Table):
+    """Keypoints as a ``records.Table`` of ``Keypoint`` rows: one read-only float64 (n,) column per field."""
 
-    ``table[i]`` and iteration give ``Keypoint`` rows of Python floats;
-    ``from_rows`` builds a table from rows. A column that is not a 1-D
-    float64 array, or columns of unequal length, raise ``ValueError``. Each
-    column is held as a read-only view of the array given for it.
-    """
+    row = Keypoint
 
     x: np.ndarray
     y: np.ndarray
     response: np.ndarray
     angle: np.ndarray
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            column = getattr(self, f.name)
-            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64):
-                raise ValueError(f"keypoint column {f.name} must be a 1-D float64 array")
-            view = column.view()
-            view.flags.writeable = False
-            object.__setattr__(self, f.name, view)
-        if len({len(column) for column in vars(self).values()}) > 1:
-            raise ValueError("keypoint columns differ in length")
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __getitem__(self, i: int) -> Keypoint:
-        return Keypoint(self.x.item(i), self.y.item(i), self.response.item(i), self.angle.item(i))
-
-    def __iter__(self) -> Iterator[Keypoint]:
-        return map(Keypoint, *(column.tolist() for column in vars(self).values()))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Keypoint]) -> KeypointTable:
-        rows = list(rows)
-        return cls(*(np.array([getattr(r, f.name) for r in rows], dtype=np.float64) for f in fields(cls)))
-
-    def take(self, index: np.ndarray) -> KeypointTable:
-        """The rows at ``index``, in its order, as a new table."""
-        return KeypointTable(*(column[index] for column in vars(self).values()))
 
 
 def _arc_table() -> np.ndarray:

@@ -7,8 +7,9 @@ area through the field-of-view based ground sampling distance.
 
 Components come from one run-labeling pass over the whole mask (``_label``);
 sizes, centroids, peaks and the filters are then computed for all components
-at once. The kept components form a ``HotspotTable``, one column per field;
-a ``Hotspot`` is one row of it, built only when a caller indexes the table.
+at once. The kept components form a ``HotspotTable`` of those arrays, with
+no per-hotspot step; a ``Hotspot`` is one row of it, built only when a
+caller indexes the table.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ class HotspotParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN fails too
                 raise ValueError(f"{f.name} must be strictly positive")
+        if not self.fov_diag_deg < 180.0:
+            raise ValueError(f"diagonal FOV {self.fov_diag_deg} outside (0, 180)")
 
 
 @dataclass(frozen=True)
@@ -71,31 +74,30 @@ class Hotspot(Record):
             raise ValueError("radius inconsistent with area (r^2 * pi != A)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HotspotTable(Table):
-    """The valid hotspots of a frame, in id order, as one tuple per ``Hotspot`` field.
+    """The valid hotspots of a frame, in id order, as a ``records.Table`` of ``Hotspot`` rows.
 
-    ``table[i]`` is the i-th ``Hotspot``; the JSON documents hold the table as
-    the list of its rows. ``Hotspot``'s invariants are checked once over the
-    columns, with the same float operations, so a table raises exactly when
-    one of its rows would.
+    The pair fields are (n, 2) columns of (x, y). ``Hotspot``'s invariants are
+    checked over the columns with the same float operations, so a table
+    raises exactly when one of its rows would.
     """
 
     row = Hotspot
 
-    id: tuple[int, ...]
-    pixel_count: tuple[int, ...]
-    centroid_px: tuple[tuple[float, float], ...]
-    centroid_m: tuple[tuple[float, float], ...]
-    area_m2: tuple[float, ...]
-    radius_m: tuple[float, ...]
-    peak_temp_c: tuple[float, ...]
-    peak_px: tuple[tuple[int, int], ...]
+    id: np.ndarray
+    pixel_count: np.ndarray
+    centroid_px: np.ndarray
+    centroid_m: np.ndarray
+    area_m2: np.ndarray
+    radius_m: np.ndarray
+    peak_temp_c: np.ndarray
+    peak_px: np.ndarray
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        count, area, radius = np.array(self.pixel_count), np.array(self.area_m2), np.array(self.radius_m)
-        if (count < 1).any():
+        area, radius = self.area_m2, self.radius_m
+        if (self.pixel_count < 1).any():
             raise ValueError("hotspot must contain at least one pixel")
         if (area <= 0).any() or (radius <= 0).any():
             raise ValueError("hotspot area and radius must be positive")
@@ -198,6 +200,8 @@ def gsd(agl_m: float, fov_diag_deg: float, width_px: int) -> float:
     """
     if not math.isfinite(agl_m) or agl_m <= 0:
         raise ValueError(f"altitude must be positive and finite, got {agl_m}")
+    if not 0.0 < fov_diag_deg < 180.0:
+        raise ValueError(f"diagonal FOV {fov_diag_deg} outside (0, 180)")
     if width_px < 1:
         raise ValueError("image width must be >= 1 px")
     return 2.0 * agl_m * math.tan(math.radians(fov_diag_deg) / 2.0) / width_px
@@ -228,16 +232,11 @@ def extract_hotspots(
     # Stable sort of the kept pixels: within a component the first row-major pixel wins peak ties.
     sel = np.flatnonzero(np.isin(comp, kept))
     p = sel[np.lexsort((-temps[sel], comp[sel]))][np.cumsum(counts[kept]) - counts[kept]]
-    cx, cy = cx[kept], cy[kept]
+    centroid = np.stack((cx[kept], cy[kept]), axis=1)
     return HotspotTable(
-        id=tuple(kept.tolist()),
-        pixel_count=tuple(counts[kept].tolist()),
-        centroid_px=tuple(zip(cx.tolist(), cy.tolist())),
-        centroid_m=tuple(zip((cx * g).tolist(), (cy * g).tolist())),
-        area_m2=tuple(area[kept].tolist()),
-        radius_m=tuple(radius[kept].tolist()),
-        peak_temp_c=tuple(temps[p].tolist()),
-        peak_px=tuple(zip(xs[p].tolist(), ys[p].tolist())),
+        id=kept, pixel_count=counts[kept], area_m2=area[kept], radius_m=radius[kept],
+        centroid_px=centroid, centroid_m=centroid * g,
+        peak_temp_c=temps[p], peak_px=np.stack((xs[p], ys[p]), axis=1),
     )
 
 
@@ -254,9 +253,8 @@ def hottest_location(raster: ThermalRaster, hotspots: HotspotTable, params: Hots
     """
     if not hotspots:
         return REGION_NO_HOTSPOTS
-    top = max(hotspots.peak_temp_c)
-    peaks = (xy for xy, t in zip(hotspots.peak_px, hotspots.peak_temp_c) if t == top)
-    x, y = min(peaks, key=lambda xy: (xy[1], xy[0]))
+    peak = hotspots.peak_temp_c
+    x, y = min(hotspots.peak_px[peak == peak.max()].tolist(), key=lambda xy: (xy[1], xy[0]))
     return locate_pixel(x, y, raster.width, raster.height)
 
 

@@ -199,7 +199,7 @@ def bin_peak_temp(analysis: FrameAnalysis) -> str:
     """
     if not analysis.hotspots:
         return choices("CMR4")[-1]
-    return bin_option("CMR4", max(analysis.hotspots.peak_temp_c))
+    return bin_option("CMR4", analysis.hotspots.peak_temp_c.max().item())
 
 
 _DS3_WORDING = {

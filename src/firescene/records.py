@@ -9,10 +9,10 @@ bytes are part of the format, since the golden digests are taken over them. It
 does not run CPython's pure-Python encoder, which ``json.dumps`` falls back to
 whenever an ``indent`` is given; ``_dumps`` has the C encoder write the leaves.
 
-A ``Table`` is a record of equal-length columns that stands for a list of row
-records. ``as_dict`` and the JSON documents hold it as that list of row dicts,
-so a table field writes the same bytes as a list of rows; ``to_json`` writes
-it from the columns, without building a row.
+A ``Table`` is the package's one column table: read-only numpy columns that
+stand for a list of row records. ``as_dict`` and the JSON documents hold it as
+that list of row dicts; ``to_json`` writes it from the columns, without
+building a row.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import types
 import typing
 from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 _R = TypeVar("_R", bound="Record")
 _T = TypeVar("_T", bound="Table")
@@ -41,8 +43,8 @@ class Record:
     ``list[X]``, ``tuple[X, ...]``, fixed tuples, ``dict[str, X]`` and
     scalars; a ``float`` field reads an ``int`` as a float. An absent key
     takes its field default. An unknown key, a missing required key, a value
-    of the wrong type or a broken ``__post_init__`` invariant raises
-    ``ValueError``.
+    of the wrong type or out of range, or a broken ``__post_init__``
+    invariant raises ``ValueError``.
     """
 
     def as_dict(self) -> dict[str, Any]:
@@ -53,7 +55,7 @@ class Record:
         decoders = _codec(cls)[1]
         try:
             return cls(**{key: decoders[key](value) for key, value in d.items()})
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise ValueError(f"malformed {cls.__name__} document: {exc!r}") from exc
 
     def to_json(self) -> str:
@@ -66,17 +68,28 @@ class Record:
 
 
 class Table:
-    """Mixin for a frozen dataclass of equal-length column tuples that stands
-    for the list of its ``row`` records.
+    """Mixin for a ``@dataclass(frozen=True, eq=False)`` of equal-length array
+    columns that stands for the list of its ``row`` dataclass's records.
 
-    Each field is the column of the ``row`` field of the same name, and the
-    instance ``__dict__`` holds the columns and nothing else. A column holds
-    scalars, or fixed-length tuples of scalars, one per row.
+    The fields are the row's, in its order; ``__dict__`` holds each column as
+    a read-only view of the array given. A ``float`` row field takes a float64
+    (n,) column, an ``int`` an int64 (n,) one, a fixed tuple of k of either an
+    (n, k) one; any other column, or unequal lengths, raise ``ValueError``.
+    Rows give Python scalars and tuples. ``==`` compares the columns (NaN
+    equal to NaN), where a dataclass-generated ``__eq__`` would raise.
     """
 
-    row: ClassVar[type[Record]]
+    row: ClassVar[type]
 
     def __post_init__(self) -> None:
+        for field, dtype, shape in _column_spec(type(self)):
+            column = getattr(self, field)
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype
+                    and column.ndim and column.shape[1:] == shape):
+                raise ValueError(f"{type(self).__name__} column {field} must be a {dtype} array with row shape {shape}")
+            view = column.view()
+            view.flags.writeable = False
+            object.__setattr__(self, field, view)
         if len({len(column) for column in vars(self).values()}) > 1:
             raise ValueError(f"{type(self).__name__} columns differ in length")
 
@@ -84,20 +97,54 @@ class Table:
         return len(next(iter(vars(self).values())))
 
     def __getitem__(self, i: int) -> Any:
-        return self.row(**{name: column[i] for name, column in vars(self).items()})
+        columns = vars(self).values()
+        return self.row(*(c.item(i) if c.ndim == 1 else tuple(c[i].tolist()) for c in columns))
 
     def __iter__(self) -> Iterator[Any]:
-        return map(self.__getitem__, range(len(self)))
+        return map(self.row, *map(_values, vars(self).values()))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(vars(self).values(), vars(other).values()))
 
     @classmethod
-    def from_rows(cls: type[_T], rows: Iterable[Record]) -> _T:
+    def from_rows(cls: type[_T], rows: Iterable[Any]) -> _T:
+        """A table of ``rows``; an int beyond int64 raises ``OverflowError``."""
         rows = list(rows)
-        return cls(**{f.name: tuple(getattr(r, f.name) for r in rows) for f in dataclasses.fields(cls)})
+        return cls(*(
+            np.array([getattr(r, field) for r in rows], dtype=dtype).reshape(len(rows), *shape)
+            for field, dtype, shape in _column_spec(cls)
+        ))
+
+    def take(self: _T, index: Any) -> _T:
+        """The rows at ``index``, in its order, as a new table."""
+        return type(self)(*(column[index] for column in vars(self).values()))
 
     def row_dicts(self) -> list[dict[str, Any]]:
         """Each row's ``as_dict``, built from the columns."""
         names = tuple(vars(self))
-        return [dict(zip(names, values)) for values in zip(*vars(self).values())]
+        return [dict(zip(names, values)) for values in zip(*map(_values, vars(self).values()))]
+
+
+@functools.cache
+def _column_spec(cls: type) -> tuple[tuple[str, np.dtype, tuple[int, ...]], ...]:
+    """Each column's name, dtype and row shape, from the ``row`` field of the same name."""
+    dtypes = {float: np.dtype(np.float64), int: np.dtype(np.int64)}
+    hints = typing.get_type_hints(cls.row)
+    spec = []
+    for f in dataclasses.fields(cls.row):
+        tp = hints[f.name]
+        args = typing.get_args(tp) if typing.get_origin(tp) is tuple else (tp,)
+        if len(set(args)) != 1 or args[0] not in dtypes:
+            raise TypeError(f"{cls.__name__}: no column type for {f.name}: {tp}")
+        spec.append((f.name, dtypes[args[0]], () if tp is args[0] else (len(args),)))
+    return tuple(spec)
+
+
+def _values(column: np.ndarray) -> list[Any]:
+    """A column's values as Python scalars, or as tuples of them for an (n, k) column."""
+    return list(map(tuple, column.tolist())) if column.ndim > 1 else column.tolist()
 
 
 # Writes a list of scalars as their JSON texts between "[" and "]", separated
@@ -151,18 +198,14 @@ def _dumps(doc: Any) -> str:
             append(dict_close)
         elif isinstance(v, Table):
             columns = vars(v)
-            first = {name: column[0] for name, column in columns.items()}
+            first = {name: _values(column[:1])[0] for name, column in columns.items()}
             mark, marked = len(layout), len(leaves)
             walk(first, depth + 1)
             row = "".join(layout[mark:])
             del layout[mark:], leaves[marked:]
             append(list_open + row + (sep + row) * (len(v) - 1) + list_close)
-            # The row layout visits the keys sorted and each tuple in order.
-            flat = [
-                part
-                for name in sorted(columns)
-                for part in (zip(*columns[name]) if isinstance(first[name], (list, tuple)) else (columns[name],))
-            ]
+            # The row layout visits the keys sorted, then each (n, k) column's k values in order.
+            flat = [part for name in sorted(columns) for part in columns[name].reshape(len(v), -1).T.tolist()]
             leaves.extend(itertools.chain.from_iterable(zip(*flat)))
         else:
             prefix = list_open
@@ -253,10 +296,7 @@ def _decoder(tp: Any) -> _Decoder:
 
 def _float(v: Any) -> float:
     """An int or float as a float, so that a read-back record writes its canonical bytes."""
-    try:
-        return float(_checked(v, (int, float)))
-    except OverflowError as exc:
-        raise ValueError("integer too large for a float field") from exc
+    return float(_checked(v, (int, float)))
 
 
 def _checked(v: Any, accepted: tuple[type, ...]) -> Any:

@@ -1,7 +1,7 @@
 """Spatial organization of hotspots: clustering, distribution, intensity.
 
-The classifiers take a frame's ``HotspotTable`` and read its columns.
-Hotspot centroids are clustered by single linkage on ground-projected
+The classifiers read a frame's ``HotspotTable`` columns as they are; the
+(n, 2) ``centroid_px`` are clustered by single linkage on ground-projected
 distances; the largest-area cluster is the main fire. The frame-level labels
 are the spatial distribution (linearity via PCA of centroids, then a
 compactness test against the equivalent radius of the combined area) and the
@@ -67,7 +67,7 @@ class SpatialParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN fails too
                 raise ValueError(f"{f.name} must be positive")
         if not 0.5 < self.tau_lin <= 1.0:
             raise ValueError("tau_lin must lie in (0.5, 1]")
@@ -86,11 +86,6 @@ class ClusterSet(Record):
     clusters: tuple[tuple[int, ...], ...]
     main_index: int | None
     total_area_m2: tuple[float, ...]
-
-
-def _centroids(hotspots: HotspotTable) -> np.ndarray:
-    """(n, 2) float64 array of pixel centroids (x, y)."""
-    return np.array(hotspots.centroid_px, dtype=np.float64).reshape(-1, 2)
 
 
 def _distances(pa: np.ndarray, pb: np.ndarray, gsd: float) -> np.ndarray:
@@ -244,13 +239,13 @@ def single_linkage_clusters(
     if n == 0:
         return ClusterSet(clusters=(), main_index=None, total_area_m2=())
 
-    pts = _centroids(hotspots)
+    pts = hotspots.centroid_px
     i, j = _pairs_within(pts, params.d_merge_m / gsd)
     near = _pair_distances(pts, i, j, gsd) <= params.d_merge_m
     ids, _ = components(n, i[near], j[near])
     order = np.argsort(ids, kind="stable")  # stable: each cluster's members stay ascending
     clusters = tuple(tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1]))
-    area = hotspots.area_m2
+    area = hotspots.area_m2.tolist()
     totals = tuple(sum(area[i] for i in c) for c in clusters)
     main = totals.index(max(totals))  # ties stay with the lowest id
     return ClusterSet(clusters=clusters, main_index=main, total_area_m2=totals)
@@ -267,18 +262,22 @@ def isolated_heat_sources(
     Yes when some non-main cluster's closest hotspot sits at least
     ``isolation_m`` from every hotspot of the main cluster, that is, when no
     member of that cluster lies strictly closer than ``isolation_m`` to a
-    main-cluster member.
+    main-cluster member. With hotspots, ``clusters`` without a main cluster
+    or with an index outside the table raise ``ValueError``.
     """
     params = params or SpatialParams()
     if not hotspots:
         return IsolationVerdict.NO_FIRE
-    assert clusters.main_index is not None
-    others = [(k, i) for k, c in enumerate(clusters.clusters) if k != clusters.main_index for i in c]
+    main_index, n = clusters.main_index, len(hotspots)
+    members = [i for c in clusters.clusters for i in c]
+    if main_index is None or not 0 <= main_index < len(clusters.clusters) or not all(0 <= i < n for i in members):
+        raise ValueError(f"clusters need a main cluster and indices in [0, {n})")
+    others = [(k, i) for k, c in enumerate(clusters.clusters) if k != main_index for i in c]
     if not others:
         return IsolationVerdict.NO
     owner, idx = np.array(others).T
-    main = np.array(clusters.clusters[clusters.main_index])
-    pts = _centroids(hotspots)
+    main = np.array(clusters.clusters[main_index])
+    pts = hotspots.centroid_px
     i, j = _pairs_across(pts[idx], pts[main], params.isolation_m / gsd)
     near = _pair_distances(pts, idx[i], main[j], gsd) < params.isolation_m
     reached = np.zeros(len(clusters.clusters), dtype=bool)
@@ -295,12 +294,7 @@ def linearity_score(hotspots: HotspotTable, gsd: float) -> float:
     """
     if len(hotspots) < 2:
         raise ValueError("linearity needs at least 2 hotspots")
-    return _linearity(_centroids(hotspots), gsd)
-
-
-def _linearity(points_px: np.ndarray, gsd: float) -> float:
-    """``linearity_score`` of two or more (n, 2) pixel centroids."""
-    pts = points_px * gsd
+    pts = hotspots.centroid_px * gsd
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     lam = np.linalg.eigvalsh(cov)  # ascending
@@ -329,12 +323,11 @@ def classify_distribution(
     if n == 0:
         return SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
-    a_tot = sum(hotspots.area_m2)
+    a_tot = sum(hotspots.area_m2.tolist())
     r_eq = math.sqrt(a_tot / math.pi)
-    pts = _centroids(hotspots)
-    d_max = _extent(pts, gsd, (params.d_lin_m, params.alpha * r_eq))
+    d_max = _extent(hotspots.centroid_px, gsd, (params.d_lin_m, params.alpha * r_eq))
     if n >= 2 and d_max > params.d_lin_m:
-        if n == 2 or _linearity(pts, gsd) >= params.tau_lin:
+        if n == 2 or linearity_score(hotspots, gsd) >= params.tau_lin:
             return SpatialDistributionLabel.LINEAR
 
     if d_max <= params.alpha * r_eq:
@@ -356,7 +349,7 @@ def intensity_consistency(
         return IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS
     peaks = hotspots.peak_temp_c
     rcv = robust_cv(peaks, params.epsilon)
-    if rcv <= params.tau_sim or max(peaks) - min(peaks) <= params.delta_t_sim_c:
+    if rcv <= params.tau_sim or peaks.max() - peaks.min() <= params.delta_t_sim_c:
         return IntensityConsistencyLabel.SIMILAR
     return IntensityConsistencyLabel.CLEARLY_DIFFERENT
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factories import make_hotspot
 from imagefix import noise_image, rigid_points, synthetic_texture, warp_rigid
 from firescene.features import (
     GrayImage,
@@ -48,6 +49,7 @@ from firescene.features.detect import (
 )
 from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
+from firescene.hotspots import HotspotTable
 
 # The package exports the describe and detect functions under their modules' names.
 describe_module = importlib.import_module("firescene.features.describe")
@@ -209,21 +211,47 @@ def _columns(table):
     return [getattr(table, name) for name in ("x", "y", "response", "angle")]
 
 
+def _rejected_columns(good):
+    """Columns a table must reject where it accepts ``good``, by case name ("2-D": one axis too many)."""
+    other = np.float64 if good.dtype == np.int64 else np.int64
+    cases = {
+        "2-D": good[..., None],
+        "float32": good.astype(np.float32),
+        np.dtype(other).name: good.astype(other),
+        "list": good.tolist(),
+        "tuple": tuple(map(tuple, good.tolist())) if good.ndim > 1 else tuple(good.tolist()),
+        "0-D": good.dtype.type(0),
+    }
+    if good.ndim > 1:
+        cases |= {"1-D": good[:, 0], "3-wide": np.zeros((len(good), 3), dtype=good.dtype)}
+    return cases
+
+
+_VALID_TABLES = (
+    KeypointTable(*np.zeros((4, 3))),
+    HotspotTable.from_rows(make_hotspot(k, 1.5 * k, 2.0, area_m2=4.0) for k in range(3)),
+)
+# Field names differ between the tables, so "<field>-<case>" names each case.
+_REJECTED_COLUMNS = [
+    pytest.param(table, field, column, id=f"{field}-{case}")
+    for table in _VALID_TABLES
+    for field, good in vars(table).items()
+    for case, column in _rejected_columns(good).items()
+]
+
+
 class TestKeypointTable:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="length"):
             KeypointTable(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3))
 
-    @pytest.mark.parametrize(
-        "column",
-        [np.zeros((3, 1)), np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64), [0.0, 0.0, 0.0], np.float64(0)],
-        ids=["2-D", "float32", "int64", "list", "0-D"],
-    )
-    @pytest.mark.parametrize("field", ["x", "y", "response", "angle"])
-    def test_columns_must_be_1d_float64(self, field, column):
-        columns = {name: np.zeros(3) for name in ("x", "y", "response", "angle")} | {field: column}
-        with pytest.raises(ValueError, match=field):
-            KeypointTable(**columns)
+    @pytest.mark.parametrize("table, field, column", _REJECTED_COLUMNS)
+    def test_columns_must_be_1d_float64(self, table, field, column):
+        """Every ``records.Table`` column: the keypoint columns are float64 (n,), the hotspot
+        columns int64 (n,), float64 (n,) or (n, 2) pairs; anything else names its field."""
+        columns = dict(vars(table)) | {field: column}
+        with pytest.raises(ValueError, match=f"column {field} must be a"):
+            type(table)(**columns)
 
     def test_describe_takes_only_a_table(self):
         img = synthetic_texture(64, 64, 4)

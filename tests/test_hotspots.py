@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ class TestGsd:
         with pytest.raises(ValueError):
             gsd(-10.0, 61.0, 640)
 
+    @pytest.mark.parametrize("fov", [0.0, -10.0, 180.0, 200.0, math.inf, math.nan])
+    def test_fov_outside_0_180_rejected(self, fov):
+        with pytest.raises(ValueError, match=r"FOV .* outside \(0, 180\)"):
+            gsd(100.0, fov, 640)
+
+
+class TestHotspotParams:
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(HotspotParams)])
+    def test_non_positive_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be strictly positive"):
+            HotspotParams(**{field: value})
+
+    @pytest.mark.parametrize("fov", [180.0, 200.0, math.inf])
+    def test_fov_of_180_or_more_rejected(self, fov):
+        with pytest.raises(ValueError, match=r"FOV .* outside \(0, 180\)"):
+            HotspotParams(fov_diag_deg=fov)
+
 
 def _blob_raster(size, coords, temp=450.0, background=25.0):
     arr = np.full(size, background)
@@ -467,7 +486,7 @@ class TestHotspotTable:
         table = HotspotTable.from_rows(rows)
         assert len(table) == 3 and bool(table) and not NO_SPOTS and len(NO_SPOTS) == 0
         assert list(table) == rows and table[1] == rows[1] and table[-1] == rows[2]
-        assert table.pixel_count == (5, 6, 7) and table.centroid_px == ((1.5, 2.5),) * 3
+        assert table.pixel_count.tolist() == [5, 6, 7] and table.centroid_px.tolist() == [[1.5, 2.5]] * 3
         assert HotspotTable.from_rows(table) == table
         with pytest.raises(IndexError):
             table[3]
@@ -475,7 +494,7 @@ class TestHotspotTable:
     def test_columns_of_different_lengths_raise(self):
         columns = {name: column[:1] for name, column in vars(HotspotTable.from_rows(
             [Hotspot(**_row_fields(k, 5, math.pi, 1.0)) for k in range(2)])).items()}
-        columns["peak_px"] += ((0, 0),)
+        columns["peak_px"] = np.concatenate([columns["peak_px"], [[0, 0]]])
         with pytest.raises(ValueError, match="columns differ in length"):
             HotspotTable(**columns)
 
@@ -483,8 +502,23 @@ class TestHotspotTable:
     @settings(max_examples=300, deadline=None)
     def test_raises_if_and_only_if_a_row_raises(self, rows):
         rows_raise = any(_raises_value_error(lambda row=row: Hotspot(**row)) for row in rows)
-        columns = {name: tuple(row[name] for row in rows) for name in _row_fields(0, 1, 1.0, 1.0)}
+        columns = {
+            name: np.array([row[name] for row in rows], dtype=column.dtype).reshape(len(rows), *column.shape[1:])
+            for name, column in vars(NO_SPOTS).items()
+        }
         assert _raises_value_error(lambda: HotspotTable(**columns)) == rows_raise
+
+    def test_columns_are_read_only(self):
+        arr = np.full((40, 40), 25.0)
+        arr[5:10, 5:10] = arr[20:30, 22:30] = 450.0
+        table = extract_hotspots(_raster(arr), 10.0)
+        assert len(table) == 2
+        for column in vars(table).values():
+            assert len(column) == len(table)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        with pytest.raises(AttributeError):
+            table.id = np.arange(2)
 
 
 class TestHottestLocation:

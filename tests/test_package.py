@@ -1,11 +1,18 @@
-"""The package needs numpy alone at run time: scipy and hypothesis are test tools."""
+"""The package needs numpy alone at run time: scipy and hypothesis are test tools.
+Its column tables all follow ``records.Table``'s one rule."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import firescene
+from firescene.records import Table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,3 +35,21 @@ def test_every_module_imports_without_scipy_or_hypothesis():
         for p in (SRC / "firescene").rglob("*.py")
     }
     assert set(out.stdout.split()) == modules - {"firescene"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_table_is_a_frozen_dataclass_of_its_row_fields():
+    for m in pkgutil.walk_packages(firescene.__path__, "firescene."):
+        importlib.import_module(m.name)
+    tables = [cls for cls in _subclasses(Table) if cls.__module__.startswith("firescene.")]
+    assert {cls.__name__ for cls in tables} >= {"HotspotTable", "KeypointTable"}
+    for cls in tables:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
+        # A dataclass-generated __eq__ would compare arrays and raise.
+        assert cls.__eq__ is Table.__eq__, cls
+        assert [f.name for f in dataclasses.fields(cls)] == [f.name for f in dataclasses.fields(cls.row)], cls

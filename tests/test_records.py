@@ -62,6 +62,19 @@ RECORDS = {
 }
 
 
+# One changed leaf per hotspot field; area and radius move within the invariant's 1e-9 tolerance.
+_LEAF_CHANGES = {
+    "id": lambda v: v + 1,
+    "pixel_count": lambda v: v + 1,
+    "centroid_px": lambda v: [v[0] + 0.5, v[1]],
+    "centroid_m": lambda v: [v[0], v[1] - 0.25],
+    "area_m2": lambda v: v * (1 + 1e-12),
+    "radius_m": lambda v: v * (1 - 1e-12),
+    "peak_temp_c": lambda v: v + 0.5,
+    "peak_px": lambda v: [v[0], v[1] + 1],
+}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_dict_and_json_round_trip(self, name):
@@ -86,6 +99,15 @@ class TestRoundTrip:
         assert d["hotspots"][0]["peak_px"] == [12, 9]
         assert d["clusters"]["clusters"] == [[0, 1], [2]]
         assert json.loads(RECORDS["match"]().to_json())["homography"] == list(range(9))
+
+    @pytest.mark.parametrize("key", sorted(_LEAF_CHANGES))
+    def test_analysis_equality_reads_every_hotspot_column(self, key):
+        a = RECORDS["analysis"]()
+        assert FrameAnalysis.from_json(a.to_json()) == a
+        d = json.loads(a.to_json())
+        d["hotspots"][2][key] = _LEAF_CHANGES[key](d["hotspots"][2][key])
+        changed = FrameAnalysis.from_dict(d)
+        assert changed != a and a != changed and changed.hotspots != a.hotspots
 
     def test_as_dict_shares_no_record(self):
         a = RECORDS["analysis"]()
@@ -245,6 +267,14 @@ class TestMalformed:
         with pytest.raises(ValueError, match="too large"):
             RadiometricSummary.from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [("id", 2**63), ("pixel_count", 2**70), ("peak_px", [0, -(2**63) - 1])],
+                             ids=["id", "pixel_count", "peak_px"])
+    def test_int_beyond_int64_in_a_table_raises_value_error(self, key, value):
+        d = RECORDS["analysis"]().as_dict()
+        d["hotspots"][1][key] = value
+        with pytest.raises(ValueError, match="too large"):
+            FrameAnalysis.from_dict(d)
+
     def test_bool_in_a_float_field_raises_value_error(self):
         d = RECORDS["summary"]().as_dict()
         d["pct_above_400"] = True
@@ -282,6 +312,7 @@ def _stdlib_json(doc) -> str:
 # Strings and keys with unicode, control characters, NUL, quotes, "%" and ",".
 _TEXT = st.text() | st.text(alphabet="%,\0\x01\x1f\x7f\"\\/ aZé \U0001f525", max_size=8)
 _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+_INT64 = st.integers(-(2**63), 2**63 - 1)  # a table's int columns are int64
 _SCALARS = (
     st.none()
     | st.booleans()
@@ -309,15 +340,16 @@ def _hotspots(draw) -> Hotspot:
     """A valid hotspot with drawn ids, pixel counts, centroids and peaks, non-finite ones too."""
     area = draw(st.floats(1e-3, 1e6))
     return Hotspot(
-        id=draw(st.integers()),
-        pixel_count=draw(st.integers(1)),
+        id=draw(_INT64),
+        pixel_count=draw(st.integers(1, 2**63 - 1)),
         centroid_px=(draw(_FLOATS), draw(_FLOATS)),
         centroid_m=(draw(_FLOATS), draw(_FLOATS)),
         area_m2=area,
         radius_m=math.sqrt(area / math.pi),
         peak_temp_c=draw(_FLOATS),
-        peak_px=(draw(st.integers()), draw(st.integers())),
+        peak_px=(draw(_INT64), draw(_INT64)),
     )
+
 
 
 class TestWriter:
@@ -371,7 +403,8 @@ class TestWriter:
         rows = data.draw(st.lists(_hotspots(), max_size=6) | st.lists(_hotspots(), min_size=1, max_size=1))
         table = HotspotTable.from_rows(rows)
         doc, want = table, [h.as_dict() for h in rows]
-        assert table.row_dicts() == want
+        # As text: a NaN leaf is a new float object, unequal to the row's. Tables compare NaN equal.
+        assert _stdlib_json(table.row_dicts()) == _stdlib_json(want) and HotspotTable.from_rows(rows) == table
         for _ in range(data.draw(st.integers(0, 3))):
             key = data.draw(_TEXT)
             wrap = data.draw(st.sampled_from([

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,6 +127,31 @@ class TestIsolatedHeatSources:
         spots = spots_at([(0, 0), (30, 0)], area=5.0)
         cs = single_linkage_clusters(spots, 1.0)
         assert isolated_heat_sources(cs, spots, 1.0) == IsolationVerdict.YES
+
+    @pytest.mark.parametrize(
+        "clusters, main",
+        [((), None), (((0,), (1,)), None), (((0,), (1,)), 2), (((0,), (1,)), -1)],
+        ids=["empty", "none", "past-end", "negative"],
+    )
+    def test_clusters_without_a_main_cluster_rejected(self, clusters, main):
+        cs = ClusterSet(clusters=clusters, main_index=main, total_area_m2=(2.0,) * len(clusters))
+        with pytest.raises(ValueError, match="need a main cluster"):
+            isolated_heat_sources(cs, spots_at([(0, 0), (45, 0)]), 1.0)
+
+    @pytest.mark.parametrize("clusters", [((0,), (2,)), ((0, 1), (-1,)), ((5,), (1,))],
+                             ids=["other-past-end", "negative", "main-past-end"])
+    def test_indices_outside_the_table_rejected(self, clusters):
+        cs = ClusterSet(clusters=clusters, main_index=0, total_area_m2=(2.0, 2.0))
+        with pytest.raises(ValueError, match=r"indices in \[0, 2\)"):
+            isolated_heat_sources(cs, spots_at([(0, 0), (45, 0)]), 1.0)
+
+
+class TestSpatialParams:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(SpatialParams)])
+    def test_non_positive_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            SpatialParams(**{field: value})
 
 
 class TestLinearityScore:
