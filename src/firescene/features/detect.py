@@ -1,35 +1,35 @@
 """Corner detection: FAST-9 segment test, Harris ranking, patch orientation.
 
-Single scale by design; near-duplicate UAV frames share scale closely.
-Candidates need a contiguous arc of 9 circle pixels all brighter (or all
-darker) than the center by the intensity threshold, survive a 3x3
-non-maximum suppression on the Harris response, and carry the
-intensity-centroid orientation of their 31x31 circular patch.
+Single scale by design; near-duplicate UAV frames share scale closely. A
+keypoint passes two independent per-pixel tests: a contiguous arc of 9
+circle pixels all brighter (or all darker) than the center by the
+intensity threshold, and a Harris response above its 8 neighbours' (3x3
+non-maximum suppression, exact ties to the row-major earlier pixel). It
+carries the intensity-centroid orientation of its 31x31 circular patch.
 
-The segment test, Sobel, the Harris window sums, the response and the
-suppression run over bands of ``_BAND_ROWS`` interior rows, through
-buffers allocated once per call and reused by every band, so no plane is
-larger than a band. A band reads ``_HALO`` rows and columns of the image
-beyond its own: 1 for the suppression ring, 3 for the 7x7 window and 1 for
-Sobel. ``BORDER_MARGIN`` is wider than that halo, so every pixel a band
-reads lies inside the image and nothing is padded; the suppression ring is
--inf only where it falls outside the interior. Each band's surviving
-corners come out row-major, so the bands joined in order are the
-whole-image candidates in the same order, and one stable sort on the score
-ranks them.
+The cheap test runs first. Sobel, the Harris window sums, the response and
+its 3x3 maximum run over bands of ``_BAND_ROWS`` interior rows, in buffers
+allocated once per call. A band reads ``_HALO`` rows and columns beyond its
+own (1 for the suppression ring, 3 for the 7x7 window, 1 for Sobel), which
+``BORDER_MARGIN`` holds, so nothing is padded; the ring is -inf only outside
+the interior. Only the band's local maxima, a few percent of its pixels,
+take the segment test, at their 16 circle pixels. Neither test reads the
+other's result, so this order keeps the same pixels, row-major in each band:
+the bands joined in order are the whole-image candidates, and one stable
+sort on the score ranks them. The band buffers are freed before the moments
+are taken, or the size of the moments' chunk temporary decides whether
+glibc returns the freed pages and faults them in again on every call.
 
 Each step is exact, so it equals bit for bit a float64 evaluation of the
 same formulas in any summation order, whatever the band height. The
-segment test packs the 16 circle comparisons of a pixel into one word per
+segment test packs a pixel's 16 circle comparisons into one word per
 polarity and looks the word up in a table of arcs. Sobel gradients and
 Harris window sums are int32 integers that cannot overflow
 (``_HARRIS_SUM_BOUND``), and only ``det - k * trace^2`` is taken in
 float64, from those exact sums. The centroid moments are integer sums far
 below 2^53, which a float64 matrix product computes exactly. Each angle is
-``math.atan2`` of the two moments, one ``map`` over the moment columns:
-``np.arctan2`` differs from it in the last bit on some keypoints. The
-keypoints come out as a ``KeypointTable`` of the arrays already at hand,
-never as one object per keypoint.
+``math.atan2`` of the two moments: ``np.arctan2`` differs from it in the
+last bit on some keypoints.
 """
 from __future__ import annotations
 
@@ -108,8 +108,22 @@ def _arc_table() -> np.ndarray:
 _ARC = _arc_table()
 
 
+def _segment_test(img: np.ndarray, ys: np.ndarray, xs: np.ndarray, threshold: int) -> np.ndarray:
+    """bool (n,): whether each pixel (ys, xs) of ``img``, its circle inside ``img``, passes the segment test.
+
+    Bit i of a pixel's bright (dark) word is set when circle pixel i is at least ``threshold``
+    brighter (darker) than the center, compared in int16 so that centers near 0 and 255 do not wrap.
+    """
+    flat, at = img.ravel(), ys * img.shape[1] + xs
+    center = flat[at].astype(np.int16)[:, None]
+    ring = flat[at[:, None] + np.dot(CIRCLE, (1, img.shape[1]))]  # (n, 16), circle order
+    flags = np.concatenate((ring >= center + threshold, ring <= center - threshold), axis=1)
+    words = np.packbits(flags, bitorder="little").view("<u2")  # bright, dark per row; bit i is circle pixel i
+    return _ARC[words].reshape(-1, 2).any(axis=1)
+
+
 class _Bands:
-    """The detection kernels over row bands of one image's interior, with buffers every band reuses.
+    """The Harris response and its local maxima over row bands of one image's interior, with buffers every band reuses.
 
     The interior is the image less ``margin`` rows and columns on each
     side. A band is interior rows [y0, y1), at most ``rows`` of them, and
@@ -119,14 +133,9 @@ class _Bands:
 
     def __init__(self, img: np.ndarray, margin: int, rows: int) -> None:
         h, w = img.shape
-        self.img, self.m, self.h = img, margin, h
+        self.img, self.m, self.h = np.ascontiguousarray(img), margin, h  # _segment_test gathers from its ravel()
         self.w = w - 2 * margin  # interior width
         n, c, r = rows, self.w, _HALO  # band rows, band columns, halo
-        # Segment test: the band with the circle's 3-pixel halo in int16, and one plane per step.
-        self.src16 = np.empty((n + 6, c + 6), dtype=np.int16)
-        self.hi, self.lo = np.empty((2, n, c), dtype=np.int16)
-        self.bright, self.dark, self.bit = np.empty((3, n, c), dtype=np.uint16)
-        self.test, self.corner = np.empty((2, n, c), dtype=bool)
         # Harris: the band with its halo in int32, Sobel, one window sum at a time, float64 sums.
         self.src32 = np.empty((n + 2 * r, c + 2 * r), dtype=np.int32)
         self.diff = np.empty((n + 2 * r, c + 2 * r - 2), dtype=np.int32)
@@ -134,30 +143,8 @@ class _Bands:
         self.rowsum = np.empty((n + 2, c + 2 * r - 2), dtype=np.int32)
         self.sum32 = np.empty((n + 2, c + 2), dtype=np.int32)
         self.sxx, self.syy, self.sxy, self.det = np.empty((4, n + 2, c + 2), dtype=np.float64)
-
-    def corners(self, threshold: int, y0: int, y1: int) -> np.ndarray:
-        """(y1 - y0, interior width) segment-test mask of the band.
-
-        Bit i of a pixel's bright (dark) word is set when circle pixel i is
-        at least ``threshold`` brighter (darker) than the center. The
-        comparisons are made in int16, so centers near 0 and 255 do not wrap.
-        """
-        n, c, m = y1 - y0, self.w, self.m
-        src = self.src16[: n + 6]
-        np.copyto(src, self.img[y0 - 3 : y1 + 3, m - 3 : m + c + 3])
-        center = src[3 : 3 + n, 3 : 3 + c]
-        hi = np.add(center, threshold, out=self.hi[:n])
-        lo = np.subtract(center, threshold, out=self.lo[:n])
-        bright, dark, bit, test = self.bright[:n], self.dark[:n], self.bit[:n], self.test[:n]
-        bright.fill(0)
-        dark.fill(0)
-        for i, (dx, dy) in enumerate(CIRCLE):
-            ring = src[3 + dy : 3 + dy + n, 3 + dx : 3 + dx + c]
-            bright |= np.multiply(np.greater_equal(ring, hi, out=test), np.uint16(1 << i), out=bit)
-            dark |= np.multiply(np.less_equal(ring, lo, out=test), np.uint16(1 << i), out=bit)
-        # A uint16 word always indexes the 65,536-entry table; "clip" spares take a copy of ``out``.
-        corner = np.take(_ARC, bright, out=self.corner[:n], mode="clip")
-        return np.logical_or(corner, np.take(_ARC, dark, out=test, mode="clip"), out=corner)
+        # The 3x3 maximum, across the columns and then down the rows, and the pixels that reach it.
+        self.across, self.peak, self.top = np.empty((n + 2, c)), np.empty((n, c)), np.empty((n, c), dtype=bool)
 
     def gradients(self, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
         """int32 Sobel (gx, gy) of the band widened by ``_HALO - 1`` pixels on each side.
@@ -210,28 +197,30 @@ class _Bands:
     def candidates(self, threshold: int, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Image rows, columns and responses of the band's corners that survive the NMS, row-major.
 
-        The 3x3 non-max suppression gives exact ties to the row-major
-        earlier pixel, and treats the ring outside the interior as -inf.
+        A pixel at its 3x3 maximum is at least its four later neighbours;
+        the gather keeps those above their four earlier ones, so exact ties
+        go to the row-major earlier pixel. Only those take the segment test.
         """
-        ys, xs = np.nonzero(self.corners(threshold, y0, y1))
-        if not len(ys):
-            return ys, xs, np.empty(0)
+        n = y1 - y0
         response = self.response(y0, y1)
         response[:, 0] = response[:, -1] = -np.inf
         if y0 == self.m:
             response[0] = -np.inf
         if y1 == self.h - self.m:
             response[-1] = -np.inf
+        across = np.maximum(response[:, :-2], response[:, 1:-1], out=self.across[: n + 2])
+        np.maximum(across, response[:, 2:], out=across)
+        peak = np.maximum(across[:-2], across[1:-1], out=self.peak[:n])
+        np.maximum(peak, across[2:], out=peak)
+        ys, xs = np.nonzero(np.greater_equal(response[1:-1, 1:-1], peak, out=self.top[:n]))
         stride = response.shape[1]
         flat = response.ravel()
         at = (ys + 1) * stride + (xs + 1)
         score = flat[at]
-        keep = np.ones(len(at), dtype=bool)
-        for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
-            keep &= score > flat[at + (dy * stride + dx)]
-        for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            keep &= score >= flat[at + (dy * stride + dx)]
-        return ys[keep] + y0, xs[keep] + self.m, score[keep]
+        keep = np.logical_and.reduce([score > flat[at - back] for back in (stride + 1, stride, stride - 1, 1)])
+        ys, xs, score = ys[keep] + y0, xs[keep] + self.m, score[keep]
+        corner = _segment_test(self.img, ys, xs, threshold)
+        return ys[corner], xs[corner], score[corner]
 
 
 def _disc_weights() -> np.ndarray:
@@ -293,6 +282,7 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
     top, bottom = m, image.height - m
     bands = _Bands(img, m, min(_BAND_ROWS, bottom - top))
     found = [bands.candidates(threshold, y0, min(y0 + _BAND_ROWS, bottom)) for y0 in range(top, bottom, _BAND_ROWS)]
+    del bands  # before _moments: see the module docstring
     ys, xs, scores = (np.concatenate(part) for part in zip(*found))
 
     # The bands are row-major, so a stable sort on the score alone breaks ties by position.

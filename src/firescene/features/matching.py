@@ -72,10 +72,12 @@ def match(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float = 0.8) -> tuple[n
     whatever the ratio. Ties break to the lower index in B. A
     single-descriptor B list has no second neighbor, which means no ambiguity:
     every nearest match is kept. Distances are reduced block by block of A
-    rows; no Na x Nb matrix is built.
+    rows; no Na x Nb matrix is built. A negative or NaN ratio raises ValueError.
 
     Returns (pairs, distances): pairs is (M, 2) int64 of (index_a, index_b).
     """
+    if not ratio >= 0:
+        raise ValueError(f"ratio must be non-negative, got {ratio!r}")
     a, b = _words(desc_a), _words(desc_b)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("descriptor lists must be non-empty")

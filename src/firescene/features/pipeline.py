@@ -32,6 +32,14 @@ class MatchConfig:
     seed: int = 0
     min_inliers: int = 15
 
+    def __post_init__(self) -> None:
+        lowest = dict(ratio=0, max_features=0, fast_threshold=0, min_inliers=0, ransac_iterations=1, seed=0)
+        for name, low in lowest.items():
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        if not self.reproj_threshold_px > 0:
+            raise ValueError(f"reproj_threshold_px must be positive, got {self.reproj_threshold_px!r}")
+
 
 @dataclass(frozen=True)
 class MatchResult(Record):

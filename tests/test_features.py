@@ -46,6 +46,7 @@ from firescene.features.detect import (
     _HARRIS_SUM_BOUND,
     _Bands,
     _moments,
+    _segment_test,
 )
 from firescene.features.matching import _BLOCK_ROWS
 from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
@@ -151,6 +152,15 @@ class TestDetect:
         assert len(kps) == 50
         responses = [kp.response for kp in kps]
         assert responses == sorted(responses, reverse=True)
+
+    def test_strided_pixels_detect_like_a_contiguous_copy(self):
+        # The segment test gathers through flat indices into the pixels.
+        base = synthetic_texture(256, 192, 2).pixels
+        wide = np.zeros((192, 512), dtype=np.uint8)
+        wide[:, ::2] = base
+        strided = GrayImage(width=256, height=192, pixels=wide[:, ::2])
+        assert not strided.pixels.flags.c_contiguous
+        assert _bits(detect(strided)) == _bits(detect(GrayImage.from_array(base)))
 
     def test_border_margin(self):
         img = synthetic_texture(256, 192, 2)
@@ -375,9 +385,10 @@ def _one_band(img, margin):
 
 
 def _fast_corner_mask(img, threshold, margin):
-    """The segment-test kernel over the whole interior."""
-    bands, y0, y1 = _one_band(img, margin)
-    return bands.corners(threshold, y0, y1)
+    """The segment-test kernel at every interior pixel, as a mask of the interior."""
+    h, w = img.shape
+    ys, xs = np.mgrid[margin : h - margin, margin : w - margin]
+    return _segment_test(img, ys.ravel(), xs.ravel(), threshold).reshape(ys.shape)
 
 
 def _loop_angle(img, y, x):
@@ -465,8 +476,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 _FAULTS_PER_DETECT = """
 import resource
 from firescene.features import detect
-from imagefix import synthetic_texture
-img = synthetic_texture(640, 512, 3)
+from imagefix import synthetic_texture, warp_rigid
+img = {image}
 n = len(detect(img))  # warm-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
@@ -480,6 +491,23 @@ class TestDetectOracle:
     @settings(max_examples=150, deadline=None)
     def test_fast_mask_matches_roll_oracle(self, img, threshold):
         assert np.array_equal(_fast_corner_mask(img, threshold, 3), _roll_fast_corner_mask(img, threshold, 3))
+
+    @given(_gray_arrays(7, 64), st.sampled_from(_THRESHOLDS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_segment_test_at_points_matches_roll_oracle(self, img, threshold, data):
+        # Any subset of the interior, in any order, repeats allowed.
+        h, w = img.shape
+        points = st.tuples(st.integers(3, h - 4), st.integers(3, w - 4))
+        ys, xs = np.array(data.draw(st.lists(points, max_size=60)), dtype=np.intp).reshape(-1, 2).T
+        want = _roll_fast_corner_mask(img, threshold, 3)[ys - 3, xs - 3]
+        got = _segment_test(img, ys, xs, threshold)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_segment_test_of_no_points_is_empty(self):
+        img = synthetic_texture(64, 64, 4).pixels
+        none = np.empty(0, dtype=np.intp)
+        got = _segment_test(img, none, none, 20)
+        assert got.dtype == bool and got.shape == (0,)
 
     @pytest.mark.parametrize(
         "center, ring, corner",
@@ -563,6 +591,19 @@ class TestDetectOracle:
             got = detect(img, max_features, threshold)
         assert _bits(got) == _bits(_oracle_detect(img, max_features, threshold))
 
+    @pytest.mark.parametrize("band_rows", [1, 64])
+    @pytest.mark.parametrize("seed, angle, shift", [(3, 10.0, (20.0, 0.0)), (140, -6.0, (14.0, 3.0))])
+    def test_detect_matches_oracle_on_zero_filled_corners(self, band_rows, seed, angle, shift):
+        # The warp leaves flat zero regions: every pixel there equals its 3x3
+        # maximum, so only the strict gather over earlier neighbours drops them.
+        img = warp_rigid(synthetic_texture(640, 512, seed), angle, shift)
+        assert (img.pixels[:BORDER_MARGIN + 8, :BORDER_MARGIN + 8] == 0).all()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect_module, "_BAND_ROWS", band_rows)
+            got = detect(img)
+        want = _oracle_detect(img, 8000, 20)
+        assert len(want) > 1000 and _bits(got) == _bits(want)
+
     @pytest.mark.parametrize("max_features", [8000, 30])
     def test_tied_responses_keep_row_major_order(self, max_features):
         # Four square brightnesses in turn: four groups of equal responses,
@@ -593,16 +634,28 @@ class TestDetectOracle:
     def test_repeated_calls_do_not_fault_fresh_pages(self):
         # Whole-image planes of 0.6-2.6 MB were mapped and unmapped on every
         # call: about 5050 minor faults a call on this texture. A band's
-        # buffers stay on the heap between calls. Run in a fresh process with
-        # glibc's default allocator settings, because earlier tests in this
-        # one may have raised its mmap threshold and hidden the faults.
-        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-        env["PYTHONPATH"] = os.pathsep.join([str(_SRC), str(Path(__file__).parent)])
-        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_DETECT], env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        kps, faults = out.stdout.split()
-        assert int(kps) > 1000
-        assert float(faults) < 500
+        # buffers stay on the heap between calls.
+        _assert_few_faults_per_detect("synthetic_texture(640, 512, 3)")
+
+    def test_repeated_calls_on_a_warped_texture_do_not_fault_fresh_pages(self):
+        # Its zero-filled corners raise the local-maximum candidates by half.
+        _assert_few_faults_per_detect("warp_rigid(synthetic_texture(640, 512, 3), 10.0, (20.0, 0.0))")
+
+
+def _assert_few_faults_per_detect(image):
+    """``detect`` on ``image`` (an expression) faults under 500 pages a call, warm, in a fresh process.
+
+    The process gets glibc's default allocator settings, because earlier
+    tests in this one may have raised its mmap threshold and hidden the faults.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([str(_SRC), str(Path(__file__).parent)])
+    script = _FAULTS_PER_DETECT.format(image=image)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    kps, faults = out.stdout.split()
+    assert int(kps) > 1000
+    assert float(faults) < 500
 
 
 def _loop_describe(image, keypoints):
@@ -916,6 +969,13 @@ class TestMatch:
         assert dist[0, 0] == dist[0, 1] == 1
         pairs, _ = match(a, b, ratio=10.0)  # permissive ratio: keep the nearest
         assert pairs.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("ratio", [-1.0, -1e-300, float("nan"), float("-inf")])
+    def test_negative_or_nan_ratio_rejected(self, ratio):
+        # A NaN ratio kept no match at all: d1 < nan * d2 is always false.
+        d = np.random.default_rng(1).integers(0, 256, size=(5, 32), dtype=np.uint8)
+        with pytest.raises(ValueError, match="ratio"):
+            match(d, d, ratio=ratio)
 
     def test_exact_duplicate_tie_dropped(self):
         a = np.zeros((1, 32), dtype=np.uint8)
@@ -1531,3 +1591,48 @@ class TestMatchImages:
         img = GrayImage.from_array(np.full((64, 64), 50, dtype=np.uint8))
         res = match_images(img, img)
         assert res.putative == 0 and not res.near_duplicate
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestMatchConfig:
+    def test_lowest_values_accepted(self):
+        config = MatchConfig(ratio=0.0, max_features=0, fast_threshold=0, min_inliers=0, ransac_iterations=1)
+        assert config.ratio == 0.0 and MatchConfig(reproj_threshold_px=1e-300).reproj_threshold_px > 0
+
+    @pytest.mark.parametrize("ratio", [-1.0, -1e-300, _NAN, -_INF])
+    def test_negative_or_nan_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            MatchConfig(ratio=ratio)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.0, -3.0, _NAN, -_INF])
+    def test_non_positive_or_nan_reproj_threshold_rejected(self, threshold):
+        # It raised only once a pair reached RANSAC.
+        with pytest.raises(ValueError, match="reproj_threshold"):
+            MatchConfig(reproj_threshold_px=threshold)
+
+    @pytest.mark.parametrize("value", [-1, -5, _NAN])
+    def test_negative_max_features_rejected(self, value):
+        with pytest.raises(ValueError, match="max_features"):
+            MatchConfig(max_features=value)
+
+    @pytest.mark.parametrize("value", [-1, -20, _NAN])
+    def test_negative_fast_threshold_rejected(self, value):
+        with pytest.raises(ValueError, match="fast_threshold"):
+            MatchConfig(fast_threshold=value)
+
+    @pytest.mark.parametrize("value", [-1, -5, _NAN])
+    def test_negative_min_inliers_rejected(self, value):
+        with pytest.raises(ValueError, match="min_inliers"):
+            MatchConfig(min_inliers=value)
+
+    @pytest.mark.parametrize("value", [0, -1, _NAN])
+    def test_ransac_iterations_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="ransac_iterations"):
+            MatchConfig(ransac_iterations=value)
+
+    def test_negative_seed_rejected(self):
+        # RANSAC's generator refuses it, but only once a pair reached RANSAC.
+        with pytest.raises(ValueError, match="seed"):
+            MatchConfig(seed=-1)
