@@ -7,7 +7,11 @@ area through the field-of-view based ground sampling distance.
 
 Components come from one run-labeling pass over the whole mask (``_label``);
 sizes, centroids, peaks and the filters are then computed for all components
-at once. The kept components form a ``HotspotTable`` of those arrays, with
+at once. A hotspot's peak is its hottest pixel, the first in row-major order
+among ties: a scatter maximum over the kept components' pixels gives each
+peak temperature, and a scatter minimum of the flat index over the pixels
+that reach it gives the pixel, so the cost follows the kept pixels, with no
+sort. The kept components form a ``HotspotTable`` of those arrays, with
 no per-hotspot step; a ``Hotspot`` is one row of it, built only when a
 caller indexes the table.
 """
@@ -229,9 +233,17 @@ def extract_hotspots(
     # Integer coordinate sums are exact in float64, so sum / count equals the mean.
     cx = np.bincount(comp, weights=xs, minlength=n_comp) / counts
     cy = np.bincount(comp, weights=ys, minlength=n_comp) / counts
-    # Stable sort of the kept pixels: within a component the first row-major pixel wins peak ties.
-    sel = np.flatnonzero(np.isin(comp, kept))
-    p = sel[np.lexsort((-temps[sel], comp[sel]))][np.cumsum(counts[kept]) - counts[kept]]
+    # Each kept component's highest temperature, then its first row-major pixel at it.
+    keep = np.zeros(n_comp, dtype=bool)
+    keep[kept] = True
+    sel = np.flatnonzero(keep[comp])
+    sel_comp, sel_temps = comp[sel], temps[sel]
+    peak = np.full(n_comp, -np.inf)
+    np.maximum.at(peak, sel_comp, sel_temps)
+    top = sel_temps == peak[sel_comp]
+    first = np.full(n_comp, len(pixels))
+    np.minimum.at(first, sel_comp[top], sel[top])
+    p = first[kept]
     centroid = np.stack((cx[kept], cy[kept]), axis=1)
     return HotspotTable(
         id=kept, pixel_count=counts[kept], area_m2=area[kept], radius_m=radius[kept],

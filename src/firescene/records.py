@@ -12,7 +12,10 @@ whenever an ``indent`` is given; ``_dumps`` has the C encoder write the leaves.
 A ``Table`` is the package's one column table: read-only numpy columns that
 stand for a list of row records. ``as_dict`` and the JSON documents hold it as
 that list of row dicts; ``to_json`` writes it from the columns, without
-building a row.
+building a row, and writes each distinct float bit pattern of a table once:
+equal bits always give equal text, so the bytes are those of one text per
+leaf. ``from_json`` reads the rows' values straight into the columns, without
+building a row either.
 """
 
 from __future__ import annotations
@@ -161,10 +164,11 @@ def _dumps(doc: Any) -> str:
 
     The walk lays the document out as a ``%`` template: brackets, indents and
     keys (each ``%`` doubled), with a ``%s`` slot per scalar leaf in document
-    order. A table's rows share one layout, taken from its first row, and
-    their leaves come from its columns, row by row. The C encoder then writes
-    every leaf in one call. It escapes a NUL
+    order. The C encoder then writes every leaf in one call. It escapes a NUL
     inside a string, so splitting its output on NUL gives one text per slot.
+    A table's rows share one layout, taken from its first row, which
+    ``_table_texts`` fills from the columns; the filled rows enter the
+    template as text, each ``%`` doubled.
     An unsupported leaf raises ``TypeError``, as in ``json.dumps``. Keys must be
     ``str``, as every record's are; ``json.dumps`` would also write number,
     bool and None keys, and here they raise ``TypeError``.
@@ -203,10 +207,8 @@ def _dumps(doc: Any) -> str:
             walk(first, depth + 1)
             row = "".join(layout[mark:])
             del layout[mark:], leaves[marked:]
-            append(list_open + row + (sep + row) * (len(v) - 1) + list_close)
-            # The row layout visits the keys sorted, then each (n, k) column's k values in order.
-            flat = [part for name in sorted(columns) for part in columns[name].reshape(len(v), -1).T.tolist()]
-            leaves.extend(itertools.chain.from_iterable(zip(*flat)))
+            body = list_open + row + (sep + row) * (len(v) - 1) + list_close
+            append((body % _table_texts(v)).replace("%", "%%"))
         else:
             prefix = list_open
             for x in v:
@@ -229,6 +231,41 @@ def _dumps(doc: Any) -> str:
     texts = "".join(_LEAF_WRITER(leaves, 0))[1:-1].split("\0") if leaves else []
     leaves.clear()
     return template % tuple(texts)
+
+
+def _table_texts(table: Table) -> tuple[str, ...]:
+    """The JSON texts of a non-empty table's leaves, row by row, each row in
+    its layout's order: the keys sorted, then each (n, k) column's k values.
+
+    The float leaves are written once per distinct bit pattern, so equal
+    bits always give equal text (-0.0, each NaN payload and the infinities
+    included); the int leaves are written one by one. Both go through one
+    C-encoder call.
+    """
+    n = len(table)
+    columns = vars(table)
+    float_names, int_names, float_at, int_at = _leaf_layout(type(table))
+    # The (n, 0) blocks keep each stack defined, and of its dtype, for a table without such columns.
+    floats = np.column_stack([np.empty((n, 0)), *(columns[name] for name in float_names)])
+    ints = np.column_stack([np.empty((n, 0), dtype=np.int64), *(columns[name] for name in int_names)])
+    bits, inverse = np.unique(floats.ravel().view(np.uint64), return_inverse=True)
+    texts = "".join(_LEAF_WRITER(bits.view(np.float64).tolist() + ints.ravel().tolist(), 0))[1:-1].split("\0")
+    at = np.empty((n, len(float_at) + len(int_at)), dtype=np.intp)  # each leaf's index into texts
+    at[:, float_at] = inverse.reshape(floats.shape)
+    at[:, int_at] = np.arange(len(bits), len(texts)).reshape(ints.shape)
+    return tuple(np.array(texts, dtype=object)[at].ravel().tolist())
+
+
+@functools.cache
+def _leaf_layout(cls: type) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+    """A table's float and int column names, sorted, and where their leaves sit in a row's layout."""
+    names, at, k = {"f": [], "i": []}, {"f": [], "i": []}, 0
+    for name, dtype, shape in sorted(_column_spec(cls)):
+        width = shape[0] if shape else 1
+        names[dtype.kind].append(name)
+        at[dtype.kind].extend(range(k, k + width))
+        k += width
+    return tuple(names["f"]), tuple(names["i"]), np.array(at["f"], dtype=np.intp), np.array(at["i"], dtype=np.intp)
 
 
 @functools.cache
@@ -285,13 +322,42 @@ def _decoder(tp: Any) -> _Decoder:
         decode_key, decode = _decoder(args[0]), _decoder(args[1])
         return lambda v: {decode_key(k): decode(x) for k, x in v.items()}
     if issubclass(tp, Table):
-        decode_row = tp.row.from_dict
-        return lambda v: tp.from_rows(decode_row(x) for x in _checked(v, (list, tuple)))
+        return functools.partial(_decode_table, tp)
     if issubclass(tp, (Record, enum.Enum)):
         return tp.from_dict if issubclass(tp, Record) else tp
     if tp is float:
         return _float
     return functools.partial(_checked, accepted=(tp,))
+
+
+def _decode_table(cls: type[_T], v: Any) -> _T:
+    """A table from its list of row dicts, gathered column by column.
+
+    Each row is a dict with exactly the row's keys. Each leaf is what the
+    row's field takes: an int for an int, an int or a float for a float
+    (read as a float), a list or tuple of k of them for a fixed tuple; its
+    type is checked once per distinct type in the column. The table's own
+    ``__post_init__`` then checks the row invariants over the columns.
+    """
+    rows = _checked(v, (list, tuple))
+    spec = _column_spec(cls)
+    _check_types(set(map(type, rows)), (dict,))
+    if any(len(row) != len(spec) for row in rows):
+        raise KeyError(f"{cls.row.__name__} rows need exactly the keys {[name for name, _, _ in spec]}")
+    columns = []
+    for name, dtype, shape in spec:
+        values = [row[name] for row in rows]
+        if shape:
+            _check_types(set(map(type, values)), (list, tuple))
+            if any(len(x) != shape[0] for x in values):
+                raise ValueError(f"{name} needs {shape[0]} values")
+            values = list(itertools.chain.from_iterable(values))
+        kinds = set(map(type, values))
+        _check_types(kinds, (int, float) if dtype == np.float64 else (int,))
+        if dtype == np.float64 and kinds - {float}:
+            values = list(map(float, values))
+        columns.append(np.array(values, dtype=dtype).reshape(len(rows), *shape))
+    return cls(*columns)
 
 
 def _float(v: Any) -> float:
@@ -301,6 +367,13 @@ def _float(v: Any) -> float:
 
 def _checked(v: Any, accepted: tuple[type, ...]) -> Any:
     """``v`` when it is an instance of ``accepted``; a bool only where bool is accepted."""
-    if not isinstance(v, accepted) or (isinstance(v, bool) and bool not in accepted):
-        raise TypeError(f"expected {' or '.join(t.__name__ for t in accepted)}, got {type(v).__name__}")
+    _check_types((type(v),), accepted)
     return v
+
+
+def _check_types(kinds: Iterable[type], accepted: tuple[type, ...]) -> None:
+    """Raise ``TypeError`` unless each of ``kinds`` is a subclass of ``accepted``,
+    and not of bool where bool is not accepted."""
+    for kind in kinds:
+        if not issubclass(kind, accepted) or (issubclass(kind, bool) and bool not in accepted):
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in accepted)}, got {kind.__name__}")

@@ -16,8 +16,13 @@ decision is the same float comparison as over all pairs. Clusters are the
 graph components (``hotspots.components``) of the pairs within the merge
 distance. The extent is the largest distance between convex-hull vertices,
 where the farthest pair lies (Shamos 1978); only within a hair of a
-threshold is it taken over all pairs, in row chunks. Time and memory grow
-with n times the number of hotspots within a threshold of each, not n^2.
+threshold is it taken over all pairs, in row chunks. Before the hull's
+monotone chain, one vectorised pass drops every centroid certainly and
+strictly inside the octagon of the extreme centroids in the directions
++-x, +-(x+y), +-y and +-(y-x) (Akl & Toussaint, "A fast convex hull
+algorithm", IPL 1978), so the chain's Python loop sees about the frame's
+outline, not every hotspot. Time and memory grow with n times the number of
+hotspots within a threshold of each, not n^2.
 """
 
 from __future__ import annotations
@@ -125,14 +130,55 @@ def _farthest(points_px: np.ndarray, gsd: float) -> float:
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
+# Directions of the Akl-Toussaint octagon, counter-clockwise: +x, +(x+y), +y, +(y-x) and their opposites.
+_OCTAGON = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=np.float64)
+_NEXT = np.roll(np.arange(len(_OCTAGON)), -1)
+
+
+def _outside_octagon(points_px: np.ndarray) -> np.ndarray:
+    """Indices of the points not certainly and strictly inside the octagon
+    of the extreme points in the ``_OCTAGON`` directions.
+
+    Those extremes are points of the set, met in that order around it. A
+    point strictly left of every edge between consecutive distinct ones lies
+    within their hull without being one of them, so it is no hull vertex
+    (Akl & Toussaint 1978). Orientations are the chain's, and count only
+    outside ``_ORIENT_ERR``'s bound; a NaN or an overflow never does.
+    """
+    if len(points_px) < 3:
+        return np.arange(len(points_px))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ext = np.argmax(points_px @ _OCTAGON.T, axis=0)
+        corners = ext[ext != ext[_NEXT]]  # the last of each run of equal extremes
+        if len(corners) < 3:
+            return np.arange(len(points_px))
+        x, y = points_px.T
+        o = points_px[corners]
+        ex, ey = (np.concatenate((o[1:], o[:1])) - o).T
+        # ``chain``'s left and right for each edge (o, o + e) and point k, as (corners, n) arrays.
+        left = y - o[:, 1:]
+        left *= ex[:, None]
+        right = x - o[:, :1]
+        right *= ey[:, None]
+        det = left - right
+        bound = np.abs(left, out=left)
+        bound += np.abs(right, out=right)
+        bound *= _ORIENT_ERR
+        inside = np.logical_and.reduce(det > bound)
+    return np.flatnonzero(~inside)
+
+
 def _hull(points_px: np.ndarray) -> np.ndarray:
-    """Indices of the points on the convex hull, by Andrew's monotone chain.
+    """Indices of the points on the convex hull, by Andrew's monotone chain
+    over the points outside the octagon (``_outside_octagon``).
 
     A point leaves a chain only when it certainly makes a right turn, with
     the orientation outside its rounding-error bound, so every strict
-    vertex stays; collinear and nearly collinear points stay as well.
+    vertex stays; collinear and nearly collinear points stay as well, and so
+    does every point with a non-finite coordinate.
     """
-    order = np.lexsort((points_px[:, 1], points_px[:, 0]))
+    idx = _outside_octagon(points_px)
+    order = idx[np.lexsort((points_px[idx, 1], points_px[idx, 0]))]
     xs, ys = points_px[order].T.tolist()
 
     def chain(seq: range) -> list[int]:
@@ -142,7 +188,7 @@ def _hull(points_px: np.ndarray) -> np.ndarray:
                 o, a = out[-2], out[-1]
                 left = (xs[a] - xs[o]) * (ys[k] - ys[o])
                 right = (ys[a] - ys[o]) * (xs[k] - xs[o])
-                if left - right >= -_ORIENT_ERR * (abs(left) + abs(right)):
+                if not left - right < -_ORIENT_ERR * (abs(left) + abs(right)):  # NaN: not certain
                     break
                 out.pop()
             out.append(k)

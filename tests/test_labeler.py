@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,41 @@ class TestAnalyzeFrame:
         floats = [v for v in leaves if isinstance(v, float)]
         assert len(floats) > 10
         assert {type(v) for v in floats} == {float}
+
+
+_FAULTS_PER_LABEL = """
+import resource
+from firescene.labeler import analyze_frame, answer_sheet
+from firescene.raster import ThermalRaster
+from test_golden import ember_field
+temps = ember_field(0, alternating=False)
+def label():
+    analysis = analyze_frame(ThermalRaster.from_array(temps), agl_m=300.0)
+    return len(analysis.hotspots), analysis.to_json(), answer_sheet(analysis).to_json()
+n = label()[0]  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    label()
+print(n, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+def test_crowded_frame_labels_without_faulting_fresh_pages():
+    """Labeling a 2000-hotspot frame and writing its JSON faults under 250 pages an
+    operation, warm, in a fresh process with glibc's default allocator settings.
+
+    Writing one text per float leaf of the hotspot table, 14,000 of them, made
+    about 530 minor faults an operation; once per distinct value, about 2,540,
+    it makes under 65.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    tests = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_LABEL], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    hotspots, faults = out.stdout.split()
+    assert int(hotspots) == 2000
+    assert float(faults) < 250
 
 
 # Options after the last bin of each binned slot: the null options only.

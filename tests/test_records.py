@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from firescene.hotspots import Hotspot, HotspotTable
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
 from firescene.questions import QUESTIONS, choices
 from firescene.raster import RadiometricSummary, ThermalRaster
+from firescene import records
 from firescene.records import _dumps
 from firescene.spatial import ClusterSet
 from test_golden import ember_field
@@ -187,8 +191,40 @@ def _mutations():
     def null_record(d):
         d["summary"] = None
 
+    def unknown_row_key(d):
+        d["hotspots"][1]["peak_py"] = d["hotspots"][1].pop("peak_px")
+
+    def extra_row_key(d):
+        d["hotspots"][2]["note"] = "x"
+
+    def missing_row_key(d):
+        del d["hotspots"][0]["radius_m"]
+
+    def array_for_row(d):
+        d["hotspots"][1] = list(d["hotspots"][1].values())
+
+    def long_tuple(d):
+        d["hotspots"][2]["peak_px"] = [1, 2, 3]
+
+    def number_for_tuple(d):
+        d["hotspots"][0]["centroid_m"] = 1.5
+
+    def bool_in_tuple(d):
+        d["hotspots"][1]["peak_px"] = [1, False]
+
+    def text_in_tuple(d):
+        d["hotspots"][2]["centroid_px"] = [1.0, "2.0"]
+
+    def null_leaf(d):
+        d["hotspots"][0]["peak_temp_c"] = None
+
+    def broken_invariant(d):
+        d["hotspots"][2]["radius_m"] *= 2
+
     return [unknown, missing, text_for_float, bool_for_int, float_for_int, short_tuple,
-            object_for_array, array_for_object, bad_enum, null_record]
+            object_for_array, array_for_object, bad_enum, null_record, unknown_row_key, extra_row_key,
+            missing_row_key, array_for_row, long_tuple, number_for_tuple, bool_in_tuple, text_in_tuple,
+            null_leaf, broken_invariant]
 
 
 class TestMalformed:
@@ -351,6 +387,43 @@ def _hotspots(draw) -> Hotspot:
     )
 
 
+# A small pool of float and int leaves, so that rows repeat them: both zeros, NaNs of
+# distinct payloads, both infinities and the int64 extremes.
+_NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+         for bits in (0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000DAD)]
+_POOL_FLOATS = st.sampled_from([0.0, -0.0, *_NANS, math.inf, -math.inf, 0.1, 1e16, 5e-324])
+_POOL_INTS = st.sampled_from([-(2**63), 2**63 - 1, 0, -1, 7])
+_POOL_AREAS = st.sampled_from([1.0, 2.0, 1e6])
+
+
+@st.composite
+def _pooled_hotspots(draw) -> Hotspot:
+    """A valid hotspot whose leaves come from the small pools above."""
+    area = draw(_POOL_AREAS)
+    return Hotspot(
+        id=draw(_POOL_INTS),
+        pixel_count=draw(st.sampled_from([1, 25, 2**63 - 1])),
+        centroid_px=(draw(_POOL_FLOATS), draw(_POOL_FLOATS)),
+        centroid_m=(draw(_POOL_FLOATS), draw(_POOL_FLOATS)),
+        area_m2=area,
+        radius_m=math.sqrt(area / math.pi),
+        peak_temp_c=draw(_POOL_FLOATS),
+        peak_px=(draw(_POOL_INTS), draw(_POOL_INTS)),
+    )
+
+
+def _float_leaves(doc):
+    """Every float leaf of a document of dicts, lists and tuples, in document order."""
+    if isinstance(doc, dict):
+        return [v for x in doc.values() for v in _float_leaves(x)]
+    if isinstance(doc, (list, tuple)):
+        return [v for x in doc for v in _float_leaves(x)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
 
 class TestWriter:
     """``records._dumps`` against ``json.dumps(doc, sort_keys=True, indent=2)``."""
@@ -400,7 +473,11 @@ class TestWriter:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_table_matches_json_dumps_of_its_rows(self, data):
-        rows = data.draw(st.lists(_hotspots(), max_size=6) | st.lists(_hotspots(), min_size=1, max_size=1))
+        rows = data.draw(
+            st.lists(_hotspots(), max_size=6)
+            | st.lists(_hotspots(), min_size=1, max_size=1)
+            | st.lists(_pooled_hotspots(), min_size=1, max_size=12)
+        )
         table = HotspotTable.from_rows(rows)
         doc, want = table, [h.as_dict() for h in rows]
         # As text: a NaN leaf is a new float object, unequal to the row's. Tables compare NaN equal.
@@ -415,6 +492,27 @@ class TestWriter:
             doc, want = wrap(doc), wrap(want)
         assert _dumps(doc) == _stdlib_json(want)
 
+    def test_pooled_table_keeps_distinct_nan_payloads(self):
+        rows = [replace(make_hotspot(i, 1.0, 2.0), centroid_px=(nan, -0.0 if i % 2 else 0.0))
+                for i, nan in enumerate(_NANS)]
+        table = HotspotTable.from_rows(rows)
+        assert len(set(table.centroid_px[:, 0].view(np.uint64).tolist())) == len(_NANS)
+        assert _dumps({"t": table}) == _stdlib_json({"t": [h.as_dict() for h in rows]})
+
+    def test_crowded_analysis_formats_each_distinct_hotspot_float_once(self, monkeypatch):
+        """The C encoder receives each distinct hotspot float once, plus once per other leaf equal to it."""
+        a = analyze_frame(ThermalRaster.from_array(ember_field(0, alternating=False)), agl_m=300.0)
+        seen, write = [], records._LEAF_WRITER
+        monkeypatch.setattr(records, "_LEAF_WRITER", lambda leaves, depth: (seen.extend(leaves), write(leaves, depth))[1])
+        text = a.to_json()
+        assert text == _stdlib_json(a.as_dict()) + "\n"
+        doc = a.as_dict()
+        hotspot_floats = set(map(_bits, _float_leaves(doc.pop("hotspots"))))
+        others = Counter(map(_bits, _float_leaves(doc)))
+        written = Counter(_bits(v) for v in seen if type(v) is float)
+        assert 2000 < len(hotspot_floats) < 3000  # of 14,000 float leaves
+        assert {b: written[b] for b in hotspot_floats} == {b: 1 + others[b] for b in hotspot_floats}
+
     def test_empty_and_one_row_tables(self):
         assert _dumps(HotspotTable.from_rows([])) == "[]"
         assert _dumps({"t": HotspotTable.from_rows([])}) == '{\n  "t": []\n}'
@@ -422,17 +520,17 @@ class TestWriter:
         assert _dumps([HotspotTable.from_rows([one])]) == _stdlib_json([[one.as_dict()]])
 
     def test_crowded_analysis_round_trip_builds_no_hotspot(self, monkeypatch):
-        """Analysing and writing a 2000-hotspot frame builds no ``Hotspot``; reading it back does."""
+        """Analysing, writing and reading back a 2000-hotspot frame builds no ``Hotspot``."""
         built = []
         check = Hotspot.__post_init__
         monkeypatch.setattr(Hotspot, "__post_init__", lambda h: (built.append(h.id), check(h)))
         a = analyze_frame(ThermalRaster.from_array(ember_field(0, alternating=False)), agl_m=300.0)
         text, sheet = a.to_json(), answer_sheet(a).to_json()
         assert len(a.hotspots) == 2000 and json.loads(sheet)["answers"]["PD1"]["option"] == "Yes"
+        back = FrameAnalysis.from_json(text)
+        assert back == a and back.to_json() == text
         assert built == []
         assert a.as_dict()["hotspots"] == [h.as_dict() for h in a.hotspots]
-        back = FrameAnalysis.from_json(text)
-        assert back == a and back.to_json() == text and len(built) == 2 * 2000
 
     def test_crowded_analysis_peak_at_most_stdlib(self):
         """One ``to_json`` of a 2000-hotspot analysis peaks no higher than ``json.dumps``."""

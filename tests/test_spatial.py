@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from firescene.spatial import (
     robust_cv,
     single_linkage_clusters,
 )
+from firescene.spatial import _extent, _farthest, _hull, _outside_octagon
 
 
 def centroid_distance(a, b, gsd):
@@ -391,11 +393,15 @@ def _brute_isolated(spots, gsd, clusters, main, p):
 
 def _brute_distribution(table, gsd, p):
     spots = list(table)
-    d_max = max(centroid_distance(a, b, gsd) for a in spots for b in spots)
-    if len(spots) >= 2 and d_max > p.d_lin_m:
-        if len(spots) == 2 or linearity_score(table, gsd) >= p.tau_lin:
+    return _distribution_at(table, gsd, p, max(centroid_distance(a, b, gsd) for a in spots for b in spots))
+
+
+def _distribution_at(table, gsd, p, d_max):
+    """``classify_distribution``'s rule for an extent found elsewhere."""
+    if len(table) >= 2 and d_max > p.d_lin_m:
+        if len(table) == 2 or linearity_score(table, gsd) >= p.tau_lin:
             return SpatialDistributionLabel.LINEAR
-    r_eq = math.sqrt(sum(h.area_m2 for h in spots) / math.pi)
+    r_eq = math.sqrt(sum(h.area_m2 for h in table) / math.pi)
     if d_max <= p.alpha * r_eq:
         return SpatialDistributionLabel.CONCENTRATED
     return SpatialDistributionLabel.SCATTERED
@@ -543,6 +549,147 @@ class TestDistanceMatrixOracle:
             tracemalloc.stop()
         assert len(cs.clusters) > 20  # the singletons are clusters of their own
         assert peak <= 4096 * len(spots)  # the n x n matrices would take 1.6 GB
+
+
+def _strict_vertices(points):
+    """Oracle: the strict convex-hull vertices of finite (x, y) pairs, as ``Fraction`` pairs, by
+    the monotone chain in exact arithmetic, which also pops every collinear point."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
+    if len(pts) <= 2:
+        return set(pts)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0]) <= 0
+            ):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return set(chain(pts) + chain(reversed(pts)))
+
+
+def _ember_grid(seed, gsd, area=2.0):
+    """50 x 40 centroids on a 12 px grid with +-1 px jitter, as in the ember frames."""
+    rng = np.random.default_rng(seed)
+    gy, gx = np.mgrid[0:40, 0:50]
+    xs = 20 + 12 * gx + rng.integers(-1, 2, gx.shape)
+    ys = 16 + 12 * gy + rng.integers(-1, 2, gy.shape)
+    return HotspotTable.from_rows(make_hotspot(i, float(x), float(y), area_m2=area, gsd=gsd)
+                                  for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel())))
+
+
+# Coordinates whose orientation products stay normal floats, so that the error bound holds.
+_HULL_FLOATS = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+
+
+@st.composite
+def _hull_layouts(draw):
+    """1-60 points: on an integer or half-integer grid, from a few shared values (duplicates
+    and collinear runs), on a line computed in floats (nearly collinear), or drawn freely."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["grid", "half", "few", "line", "free"]))
+    if kind in ("grid", "half"):
+        span = draw(st.sampled_from([1, 3, 20]))
+        coords = [(draw(st.integers(-span, span)), draw(st.integers(-span, span))) for _ in range(n)]
+        return np.array(coords, dtype=np.float64) / (2.0 if kind == "half" else 1.0)
+    if kind == "few":
+        values = draw(st.lists(_HULL_FLOATS, min_size=1, max_size=3))
+        return np.array([(draw(st.sampled_from(values)), draw(st.sampled_from(values))) for _ in range(n)])
+    if kind == "line":
+        x0, y0, dx, dy = (draw(_HULL_FLOATS) for _ in range(4))
+        ts = [draw(st.floats(-10.0, 10.0)) for _ in range(n)]
+        return np.array([(x0 + t * dx, y0 + t * dy) for t in ts])
+    return np.array([(draw(_HULL_FLOATS), draw(_HULL_FLOATS)) for _ in range(n)])
+
+
+_HULL_EXAMPLES = {
+    "integer-grid": np.array([(x, y) for x in range(7) for y in range(5)], dtype=np.float64),
+    "half-integer-grid": np.array([(x / 2, y / 2) for x in range(-5, 6) for y in range(-3, 4)]),
+    "collinear-horizontal": np.array([(x, 4.0) for x in (3.0, -1.0, 7.5, 0.0, 2.0)]),
+    "collinear-diagonal": np.array([(t, t) for t in range(-6, 7)], dtype=np.float64),
+    "collinear-tenth-slope": np.array([(x, 0.1 * x) for x in range(-20, 21)], dtype=np.float64),
+    "duplicates": np.array([(1.0, 1.0)] * 4 + [(5.0, 1.0)] * 3 + [(3.0, 4.0)] * 2 + [(3.0, 2.0)] * 5),
+    "one-point-repeated": np.array([(2.5, -1.0)] * 6),
+    "one-point": np.array([(3.0, 4.0)]),
+    "two-points": np.array([(0.0, 0.0), (3.0, 4.0)]),
+    # Six points of a slope-1 line computed in floats: the rounded orientation of one of its
+    # strict vertices against an octagon edge comes out positive.
+    "rounded-diagonal-line": np.array([
+        (-916.2134555716466, -295.04578097612665), (1602.1014393508021, 2223.269113946322),
+        (-893.1682115375893, -272.00053694206946), (-1098.934801443577, -477.7671268480571),
+        (-2517.6806021362227, -1896.5129275407025), (1870.1445430986812, 2491.312217694201),
+    ]),
+    "ring-and-centre": np.array([(math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)) for k in range(16)]
+                                + [(0.0, 0.0), (0.25, -0.1)]),
+}
+
+
+class TestHull:
+    """``_hull`` keeps every strict vertex; the octagon filter drops only interior points."""
+
+    @staticmethod
+    def _assert_keeps_strict_vertices(points):
+        finite = np.isfinite(points).all(axis=1)
+        want = _strict_vertices(points[finite].tolist())
+        hull = _hull(points)
+        assert hull.dtype.kind == "i" and ((0 <= hull) & (hull < len(points))).all()
+        assert set(np.flatnonzero(~finite).tolist()) <= set(hull.tolist())
+        assert want <= {(Fraction(x), Fraction(y)) for x, y in points[hull[finite[hull]]].tolist()}
+        candidates = _outside_octagon(points[finite])
+        assert want <= {(Fraction(x), Fraction(y)) for x, y in points[finite][candidates].tolist()}
+
+    @given(_hull_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_every_strict_vertex(self, points):
+        self._assert_keeps_strict_vertices(points)
+
+    @pytest.mark.parametrize("name", sorted(_HULL_EXAMPLES))
+    def test_keeps_every_strict_vertex_of_layout(self, name):
+        self._assert_keeps_strict_vertices(_HULL_EXAMPLES[name])
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+                                     (math.nan, math.inf)])
+    def test_non_finite_points_are_kept(self, bad):
+        grid = _HULL_EXAMPLES["integer-grid"]
+        for at in (0, 17, len(grid)):
+            points = np.insert(grid, at, [bad, bad], axis=0)
+            self._assert_keeps_strict_vertices(points)
+            assert {at, at + 1} <= set(_hull(points).tolist())
+
+    def test_all_points_non_finite(self):
+        points = np.array([(math.nan, 0.0), (math.inf, math.inf)])
+        assert set(_hull(points).tolist()) == {0, 1}
+
+    def test_octagon_leaves_the_outline_of_a_crowded_field(self):
+        points = _ember_grid(0, 1.0).centroid_px
+        candidates = _outside_octagon(points)
+        assert len(candidates) < len(points) // 10
+        assert _strict_vertices(points.tolist()) <= set(map(tuple, points[candidates].tolist()))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("gsd", [0.552, 10.0 / 12.0, 1.0])
+    def test_ember_grid_label_matches_all_pairs(self, seed, gsd):
+        spots, p = _ember_grid(seed, gsd), SpatialParams()
+        points = spots.centroid_px
+        d_all = _farthest(points, gsd)
+        r_eq = math.sqrt(sum(spots.area_m2.tolist()) / math.pi)
+        assert _extent(points, gsd, (p.d_lin_m, p.alpha * r_eq)) == d_all
+        # The smallest alpha with alpha * r_eq at or above the all-pairs extent, then one ulp
+        # under it: the label turns between them, within the hull's rounding.
+        alpha = d_all / r_eq
+        while alpha * r_eq < d_all:
+            alpha = math.nextafter(alpha, math.inf)
+        while math.nextafter(alpha, -math.inf) * r_eq >= d_all:
+            alpha = math.nextafter(alpha, -math.inf)
+        for a, want in ((alpha, SpatialDistributionLabel.CONCENTRATED),
+                        (math.nextafter(alpha, -math.inf), SpatialDistributionLabel.SCATTERED)):
+            q = SpatialParams(alpha=a)
+            assert _distribution_at(spots, gsd, q, d_all) == want
+            assert classify_distribution(spots, gsd, q) == want
+        assert classify_distribution(spots, gsd, p) == _distribution_at(spots, gsd, p, d_all)
 
 
 class TestClusterSetSerialization:
