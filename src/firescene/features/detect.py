@@ -34,14 +34,13 @@ last bit on some keypoints.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..records import Table
-from .image import GrayImage
+from .image import GrayImage, integer_at_least
 
 BORDER_MARGIN = 16  # keeps every descriptor/orientation sample inside the image
 FAST_ARC = 9
@@ -255,20 +254,14 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
 
     Keypoints keep a BORDER_MARGIN-pixel margin so downstream description
     always samples inside the image. Ordering is deterministic: response
-    descending, then row-major position. A negative ``max_features`` raises
-    ``ValueError``; 0 returns no keypoints. ``threshold`` must be a
-    non-negative integer (``ValueError`` otherwise); above 255 no circle
-    pixel can pass the segment test, so no keypoints are returned. No
-    keypoints is an empty table.
+    descending, then row-major position. ``max_features`` and ``threshold``
+    must be non-negative integers (``ValueError`` otherwise). A
+    ``max_features`` of 0 returns no keypoints; above a ``threshold`` of 255
+    no circle pixel can pass the segment test, so none are returned either.
+    No keypoints is an empty table.
     """
-    if max_features < 0:
-        raise ValueError(f"max_features must be non-negative, got {max_features}")
-    try:
-        threshold = operator.index(threshold)
-    except TypeError:
-        raise ValueError(f"threshold must be an integer, got {threshold!r}") from None
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    max_features = integer_at_least("max_features", max_features, 0)
+    threshold = integer_at_least("threshold", threshold, 0)
     if image.width < MIN_IMAGE_SIDE or image.height < MIN_IMAGE_SIDE:
         raise ImageTooSmallError(
             f"image {image.width}x{image.height} below detection minimum "

@@ -8,9 +8,21 @@ for bit-reproducibility.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def integer_at_least(name: str, value: object, low: int) -> int:
+    """``value`` as an int, which must be an integer of at least ``low`` (``ValueError`` otherwise)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _as_uint8(arr: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from ..records import Record
 from .brief_pattern import PATCH_RADIUS
 from .describe import describe
 from .detect import BORDER_MARGIN, detect
-from .image import GrayImage
+from .image import GrayImage, integer_at_least
 from .matching import match
 from .ransac import RansacError, ransac_homography
 
@@ -33,10 +33,10 @@ class MatchConfig:
     min_inliers: int = 15
 
     def __post_init__(self) -> None:
-        lowest = dict(ratio=0, max_features=0, fast_threshold=0, min_inliers=0, ransac_iterations=1, seed=0)
-        for name, low in lowest.items():
-            if not getattr(self, name) >= low:  # NaN fails too
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        for name, low in dict(max_features=0, fast_threshold=0, min_inliers=0, ransac_iterations=1, seed=0).items():
+            integer_at_least(name, getattr(self, name), low)
+        if not self.ratio >= 0:  # NaN fails too
+            raise ValueError(f"ratio must be at least 0, got {self.ratio!r}")
         if not self.reproj_threshold_px > 0:
             raise ValueError(f"reproj_threshold_px must be positive, got {self.reproj_threshold_px!r}")
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .image import integer_at_least
+
 # Probability that some drawn sample is all inliers when the early exit fires.
 CONFIDENCE = 0.99
 
@@ -256,20 +258,21 @@ def ransac_homography(
     """Estimate a homography mapping src points onto dst points.
 
     An inlier has forward reprojection error strictly below the threshold,
-    which must be positive. At most ``iterations`` (>= 1) minimal samples are
-    drawn; the loop stops earlier, after a whole chunk, once the best inlier
-    ratio says enough were drawn. The best minimal model by inlier count
-    (first found wins ties) is refit on all of its inliers; if the refit holds
-    at least 4 inliers it becomes the final model, otherwise the minimal fit
-    stands. It raises ``ValueError`` on bad arguments, and ``RansacError``
-    when no sampled model holds an inlier.
+    which must be positive; ``seed`` must be a non-negative integer. At most
+    ``iterations`` (an integer >= 1) minimal samples are drawn; the loop
+    stops earlier, after a whole chunk, once the best inlier ratio says
+    enough were drawn. The best minimal model by inlier count (first found
+    wins ties) is refit on all of its inliers; if the refit holds at least 4
+    inliers it becomes the final model, otherwise the minimal fit stands.
+    It raises ``ValueError`` on bad arguments, and ``RansacError`` when no
+    sampled model holds an inlier.
     """
     src = np.asarray(src_pts, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst_pts, dtype=np.float64).reshape(-1, 2)
     if len(src) != len(dst):
         raise ValueError("correspondence lists differ in length")
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    iterations = integer_at_least("iterations", iterations, 1)
+    seed = integer_at_least("seed", seed, 0)
     if not reproj_threshold > 0:
         raise ValueError(f"reproj_threshold must be positive, got {reproj_threshold}")
     n = len(src)

@@ -113,7 +113,8 @@ class GeoidGrid:
                 if endian is None:
                     raise GeodesyError(f"{path.name}: geoid grid endian {doc['endian']!r}")
                 blob = (path.parent / doc["data"]).read_bytes()
-                values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
+                with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below as non-finite
+                    values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
                 values = values.reshape(nrows, ncols)
             return cls(
                 origin_lat=float(doc["origin_lat"]),
@@ -128,7 +129,7 @@ class GeoidGrid:
         nrows, ncols = self.values.shape
         fy = (lat - self.origin_lat) / self.spacing_deg
         fx = (lon - self.origin_lon) / self.spacing_deg
-        if fy < 0 or fy > nrows - 1 or fx < 0 or fx > ncols - 1:
+        if not (0 <= fy <= nrows - 1 and 0 <= fx <= ncols - 1):  # NaN fails too
             raise OutsideCoverageError(
                 f"point ({lat}, {lon}) outside geoid grid coverage"
             )
@@ -197,6 +198,8 @@ class DemTileSet:
     def tile_for(self, lat: float, lon: float) -> DemTile:
         # Tiles share their edge rows/columns, so a query exactly on a tile
         # boundary is also covered by the tile south/west of it.
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise OutsideCoverageError(f"point ({lat}, {lon}) outside any DEM tile")
         klat, klon = math.floor(lat), math.floor(lon)
         lats = (klat, klat - 1) if lat == klat else (klat,)
         lons = (klon, klon - 1) if lon == klon else (klon,)

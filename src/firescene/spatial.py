@@ -14,15 +14,16 @@ Williams 1977). Every pair's distance is
 ``hypot((xa - xb) * gsd, (ya - yb) * gsd)`` over pixel centroids, so every
 decision is the same float comparison as over all pairs. Clusters are the
 graph components (``hotspots.components``) of the pairs within the merge
-distance. The extent is the largest distance between convex-hull vertices,
-where the farthest pair lies (Shamos 1978); only within a hair of a
-threshold is it taken over all pairs, in row chunks. Before the hull's
-monotone chain, one vectorised pass drops every centroid certainly and
-strictly inside the octagon of the extreme centroids in the directions
-+-x, +-(x+y), +-y and +-(y-x) (Akl & Toussaint, "A fast convex hull
-algorithm", IPL 1978), so the chain's Python loop sees about the frame's
-outline, not every hotspot. Time and memory grow with n times the number of
-hotspots within a threshold of each, not n^2.
+distance. The extent is the all-pairs maximum, bit for bit, over the
+centroids one triangle-inequality cut leaves. The farthest of the extreme
+centroids in the directions +-x, +-y, +-(x+y) and +-(y-x) is a real pair at
+d0; a centroid whose distance to the bounding-box centre, plus the largest
+such distance, stays under d0 * (1 - 1e-9) cannot end the farthest pair, as
+the margin dwarfs the rounding. At a non-finite d0, or one below 2^-900
+where underflow could outweigh the margin, every centroid takes part. A
+ring keeps all its centroids, so there the extent stays quadratic; elsewhere
+time and memory grow with n times the number of hotspots within a threshold
+of each, not n^2.
 """
 
 from __future__ import annotations
@@ -126,91 +127,33 @@ def _farthest(points_px: np.ndarray, gsd: float) -> float:
     return max(float(_distances(points_px[k : k + rows], points_px, gsd).max()) for k in range(0, n, rows))
 
 
-# Shewchuk's error bound for a 2-D orientation determinant evaluated in float64.
-_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+# Directions +-x, +-y, +-(x+y) and +-(y-x), as the columns of one projection.
+_DIRECTIONS = np.array([[1, 0, 1, -1, -1, 0, -1, 1], [0, 1, 1, 1, 0, -1, -1, -1]], dtype=np.float64)
+
+# Below this lower bound, underflow could outweigh the cut's relative rounding margin.
+_TINY = 2.0**-900
 
 
-# Directions of the Akl-Toussaint octagon, counter-clockwise: +x, +(x+y), +y, +(y-x) and their opposites.
-_OCTAGON = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=np.float64)
-_NEXT = np.roll(np.arange(len(_OCTAGON)), -1)
+def _extent(points_px: np.ndarray, gsd: float) -> float:
+    """Largest centroid ground distance over all pairs, bit for bit ``_farthest(points_px, gsd)``.
 
-
-def _outside_octagon(points_px: np.ndarray) -> np.ndarray:
-    """Indices of the points not certainly and strictly inside the octagon
-    of the extreme points in the ``_OCTAGON`` directions.
-
-    Those extremes are points of the set, met in that order around it. A
-    point strictly left of every edge between consecutive distinct ones lies
-    within their hull without being one of them, so it is no hull vertex
-    (Akl & Toussaint 1978). Orientations are the chain's, and count only
-    outside ``_ORIENT_ERR``'s bound; a NaN or an overflow never does.
+    The extreme points in the ``_DIRECTIONS`` give ``d0``, the distance of a
+    real pair. With ``dc`` each point's distance to the bounding-box centre
+    (``_distances``' arithmetic) and ``R`` the largest of them, a point with
+    ``dc + R < d0 * (1 - 1e-9)`` lies nearer than ``d0`` to every other point
+    (triangle inequality); the margin dwarfs the few ulps of rounding in
+    either side, so its computed distances stay strictly below the computed
+    ``d0``, and the farthest pair is taken over the points left. A NaN keeps
+    its point. If ``d0`` is not finite, or below ``_TINY``, every point takes
+    part.
     """
-    if len(points_px) < 3:
-        return np.arange(len(points_px))
     with np.errstate(over="ignore", invalid="ignore"):
-        ext = np.argmax(points_px @ _OCTAGON.T, axis=0)
-        corners = ext[ext != ext[_NEXT]]  # the last of each run of equal extremes
-        if len(corners) < 3:
-            return np.arange(len(points_px))
-        x, y = points_px.T
-        o = points_px[corners]
-        ex, ey = (np.concatenate((o[1:], o[:1])) - o).T
-        # ``chain``'s left and right for each edge (o, o + e) and point k, as (corners, n) arrays.
-        left = y - o[:, 1:]
-        left *= ex[:, None]
-        right = x - o[:, :1]
-        right *= ey[:, None]
-        det = left - right
-        bound = np.abs(left, out=left)
-        bound += np.abs(right, out=right)
-        bound *= _ORIENT_ERR
-        inside = np.logical_and.reduce(det > bound)
-    return np.flatnonzero(~inside)
-
-
-def _hull(points_px: np.ndarray) -> np.ndarray:
-    """Indices of the points on the convex hull, by Andrew's monotone chain
-    over the points outside the octagon (``_outside_octagon``).
-
-    A point leaves a chain only when it certainly makes a right turn, with
-    the orientation outside its rounding-error bound, so every strict
-    vertex stays; collinear and nearly collinear points stay as well, and so
-    does every point with a non-finite coordinate.
-    """
-    idx = _outside_octagon(points_px)
-    order = idx[np.lexsort((points_px[idx, 1], points_px[idx, 0]))]
-    xs, ys = points_px[order].T.tolist()
-
-    def chain(seq: range) -> list[int]:
-        out: list[int] = []
-        for k in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                left = (xs[a] - xs[o]) * (ys[k] - ys[o])
-                right = (ys[a] - ys[o]) * (xs[k] - xs[o])
-                if not left - right < -_ORIENT_ERR * (abs(left) + abs(right)):  # NaN: not certain
-                    break
-                out.pop()
-            out.append(k)
-        return out
-
-    n = len(order)
-    return order[chain(range(n)) + chain(range(n - 1, -1, -1))]
-
-
-def _extent(points_px: np.ndarray, gsd: float, thresholds: tuple[float, ...]) -> float:
-    """Largest centroid ground distance, exact wherever a threshold can tell.
-
-    The farthest pair lies on the convex hull, so the maximum over hull
-    vertices equals the maximum over all pairs up to the rounding of the
-    distances. Within a relative 1e-9 of a threshold, where that rounding
-    could flip a comparison, the maximum is taken over all pairs.
-    """
-    hull = points_px[np.unique(_hull(points_px))]
-    d_max = _farthest(hull, gsd)
-    if any(abs(d_max - t) <= 1e-9 * t for t in thresholds):
-        return _farthest(points_px, gsd)
-    return d_max
+        d0 = _farthest(points_px[np.argmax(points_px @ _DIRECTIONS, axis=0)], gsd)
+        if not _TINY <= d0 < math.inf:  # NaN fails too
+            return _farthest(points_px, gsd)
+        centre = (points_px.min(axis=0) + points_px.max(axis=0)) / 2
+        dc = _distances(points_px, centre[None], gsd)[:, 0]
+        return _farthest(points_px[~(dc + dc.max() < d0 * (1.0 - 1e-9))], gsd)
 
 
 def _cell_keys(points_px: np.ndarray, radius_px: float) -> tuple[np.ndarray, int]:
@@ -371,7 +314,7 @@ def classify_distribution(
 
     a_tot = sum(hotspots.area_m2.tolist())
     r_eq = math.sqrt(a_tot / math.pi)
-    d_max = _extent(hotspots.centroid_px, gsd, (params.d_lin_m, params.alpha * r_eq))
+    d_max = _extent(hotspots.centroid_px, gsd)
     if n >= 2 and d_max > params.d_lin_m:
         if n == 2 or linearity_score(hotspots, gsd) >= params.tau_lin:
             return SpatialDistributionLabel.LINEAR

@@ -216,6 +216,12 @@ class TestDetect:
             with pytest.raises(ValueError):
                 detect(img, max_features=max_features)
 
+    @pytest.mark.parametrize("max_features", [100.5, 100.0, "100", None])
+    def test_non_integer_max_features_rejected(self, max_features):
+        # 100.5 used to fail in the slice with a TypeError.
+        with pytest.raises(ValueError, match="max_features"):
+            detect(noise_image(64, 64, 3), max_features=max_features)
+
 
 def _columns(table):
     return [getattr(table, name) for name in ("x", "y", "response", "angle")]
@@ -1354,6 +1360,9 @@ class TestBatchedRansacOracle:
         [
             {"iterations": 0},
             {"iterations": -5},
+            {"iterations": 2.5},
+            {"iterations": 100.0},
+            {"seed": 1.5},
             {"reproj_threshold": 0.0},
             {"reproj_threshold": -1.0},
             {"reproj_threshold": float("nan")},
@@ -1631,6 +1640,17 @@ class TestMatchConfig:
     def test_ransac_iterations_below_one_rejected(self, value):
         with pytest.raises(ValueError, match="ransac_iterations"):
             MatchConfig(ransac_iterations=value)
+
+    @pytest.mark.parametrize("name", ["max_features", "fast_threshold", "ransac_iterations", "seed", "min_inliers"])
+    @pytest.mark.parametrize("value", [2.5, 100.0, "20", None])
+    def test_non_integer_count_rejected(self, name, value):
+        # 2.5 used to pass here and fail in numpy or a slice, or, as min_inliers, not at all.
+        with pytest.raises(ValueError, match=name):
+            MatchConfig(**{name: value})
+
+    def test_integer_types_accepted(self):
+        config = MatchConfig(max_features=np.int64(100), fast_threshold=np.uint8(20), seed=np.int32(3), min_inliers=True)
+        assert (config.max_features, config.fast_threshold, config.seed) == (100, 20, 3)
 
     def test_negative_seed_rejected(self):
         # RANSAC's generator refuses it, but only once a pair reached RANSAC.

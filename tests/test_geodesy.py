@@ -50,6 +50,11 @@ _GRID_DOC = {
 _SIDECAR_DOC = {k: v for k, v in _GRID_DOC.items() if k != "values"} | {"endian": "little"}
 
 
+# Points with a NaN or infinite coordinate, next to one covered by both ``flat_world`` lookups.
+_NON_FINITE_POINTS = [(math.nan, -118.5), (34.5, math.nan), (math.inf, -118.5), (-math.inf, -118.5),
+                      (34.5, math.inf), (34.5, -math.inf)]
+
+
 def _flat_tile_bytes(n: int, elevation: int) -> bytes:
     return np.full((n, n), elevation, dtype=">i2").tobytes()
 
@@ -185,6 +190,21 @@ class TestGeoidUndulation:
         with pytest.raises(OutsideCoverageError):
             geoid_undulation(g, 36.0, -119.0)
 
+    @pytest.mark.parametrize("lat, lon", _NON_FINITE_POINTS)
+    def test_non_finite_point_outside_coverage(self, flat_world, lat, lon):
+        geoid, _ = flat_world
+        assert geoid_undulation(geoid, 34.5, -118.5) == -30.0
+        with pytest.raises(OutsideCoverageError):
+            geoid_undulation(geoid, lat, lon)
+
+    def test_signalling_nan_in_sidecar_is_a_malformed_grid(self, tmp_path):
+        # The suite turns the float32 cast's warning into an error of its own.
+        (tmp_path / "geoid.bin").write_bytes(np.array([0x7F800001, 0, 0, 0], dtype="<u4").tobytes())
+        p = tmp_path / "geoid.json"
+        p.write_text(json.dumps({**_SIDECAR_DOC, "data": "geoid.bin"}))
+        with pytest.raises(GeodesyError, match="must be finite"):
+            GeoidGrid.from_json(p)
+
     def test_from_json_inline_and_binary(self, tmp_path):
         p = tmp_path / "geoid.json"
         p.write_text(json.dumps(_GRID_DOC))
@@ -302,6 +322,13 @@ class TestDemElevation:
         dem = DemTileSet(tmp_path)
         with pytest.raises(DemVoidError, match="DEM void"):
             dem_elevation(dem, 34.5, -118.5)
+
+    @pytest.mark.parametrize("lat, lon", _NON_FINITE_POINTS)
+    def test_non_finite_point_outside_coverage(self, flat_world, lat, lon):
+        _, dem = flat_world
+        assert dem_elevation(dem, 34.5, -118.5) == 120.0
+        with pytest.raises(OutsideCoverageError):
+            dem_elevation(dem, lat, lon)
 
     def test_missing_tile(self, flat_world):
         _, dem = flat_world

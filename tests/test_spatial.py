@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from firescene.spatial import (
     robust_cv,
     single_linkage_clusters,
 )
-from firescene.spatial import _extent, _farthest, _hull, _outside_octagon
+from firescene import spatial
+from firescene.spatial import _extent, _farthest
 
 
 def centroid_distance(a, b, gsd):
@@ -551,26 +551,6 @@ class TestDistanceMatrixOracle:
         assert peak <= 4096 * len(spots)  # the n x n matrices would take 1.6 GB
 
 
-def _strict_vertices(points):
-    """Oracle: the strict convex-hull vertices of finite (x, y) pairs, as ``Fraction`` pairs, by
-    the monotone chain in exact arithmetic, which also pops every collinear point."""
-    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
-    if len(pts) <= 2:
-        return set(pts)
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0]) <= 0
-            ):
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return set(chain(pts) + chain(reversed(pts)))
-
-
 def _ember_grid(seed, gsd, area=2.0):
     """50 x 40 centroids on a 12 px grid with +-1 px jitter, as in the ember frames."""
     rng = np.random.default_rng(seed)
@@ -581,12 +561,12 @@ def _ember_grid(seed, gsd, area=2.0):
                                   for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel())))
 
 
-# Coordinates whose orientation products stay normal floats, so that the error bound holds.
-_HULL_FLOATS = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+# Any float in range, zero and subnormals included, so that tiny extents reach ``_extent``'s guard.
+_COORDS = st.floats(-1e6, 1e6)
 
 
 @st.composite
-def _hull_layouts(draw):
+def _layouts(draw):
     """1-60 points: on an integer or half-integer grid, from a few shared values (duplicates
     and collinear runs), on a line computed in floats (nearly collinear), or drawn freely."""
     n = draw(st.integers(1, 60))
@@ -596,16 +576,16 @@ def _hull_layouts(draw):
         coords = [(draw(st.integers(-span, span)), draw(st.integers(-span, span))) for _ in range(n)]
         return np.array(coords, dtype=np.float64) / (2.0 if kind == "half" else 1.0)
     if kind == "few":
-        values = draw(st.lists(_HULL_FLOATS, min_size=1, max_size=3))
+        values = draw(st.lists(_COORDS, min_size=1, max_size=3))
         return np.array([(draw(st.sampled_from(values)), draw(st.sampled_from(values))) for _ in range(n)])
     if kind == "line":
-        x0, y0, dx, dy = (draw(_HULL_FLOATS) for _ in range(4))
+        x0, y0, dx, dy = (draw(_COORDS) for _ in range(4))
         ts = [draw(st.floats(-10.0, 10.0)) for _ in range(n)]
         return np.array([(x0 + t * dx, y0 + t * dy) for t in ts])
-    return np.array([(draw(_HULL_FLOATS), draw(_HULL_FLOATS)) for _ in range(n)])
+    return np.array([(draw(_COORDS), draw(_COORDS)) for _ in range(n)])
 
 
-_HULL_EXAMPLES = {
+_LAYOUTS = {
     "integer-grid": np.array([(x, y) for x in range(7) for y in range(5)], dtype=np.float64),
     "half-integer-grid": np.array([(x / 2, y / 2) for x in range(-5, 6) for y in range(-3, 4)]),
     "collinear-horizontal": np.array([(x, 4.0) for x in (3.0, -1.0, 7.5, 0.0, 2.0)]),
@@ -615,8 +595,7 @@ _HULL_EXAMPLES = {
     "one-point-repeated": np.array([(2.5, -1.0)] * 6),
     "one-point": np.array([(3.0, 4.0)]),
     "two-points": np.array([(0.0, 0.0), (3.0, 4.0)]),
-    # Six points of a slope-1 line computed in floats: the rounded orientation of one of its
-    # strict vertices against an octagon edge comes out positive.
+    # Six points of a slope-1 line computed in floats, so only nearly collinear.
     "rounded-diagonal-line": np.array([
         (-916.2134555716466, -295.04578097612665), (1602.1014393508021, 2223.269113946322),
         (-893.1682115375893, -272.00053694206946), (-1098.934801443577, -477.7671268480571),
@@ -624,50 +603,61 @@ _HULL_EXAMPLES = {
     ]),
     "ring-and-centre": np.array([(math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)) for k in range(16)]
                                 + [(0.0, 0.0), (0.25, -0.1)]),
+    "subnormal": np.array([(x * 1e-310, y * 1e-310) for x in range(-3, 4) for y in range(3)]),
+    "near-max": np.array([(x * 1e308, y * 1e308) for x in (-1.7, -0.5, 0.0, 1.2, 1.7) for y in (-1.7, 0.3, 1.7)]),
 }
 
+# Unit pixels, a crowded frame's, negative, ones that send the extent toward underflow or overflow,
+# and the smallest subnormal, at which every rounded distance is a few ulps.
+_GSDS = (1.0, 0.552, -2.0, 1e-300, 1e300, 5e-324)
 
-class TestHull:
-    """``_hull`` keeps every strict vertex; the octagon filter drops only interior points."""
+
+class TestExtent:
+    """``_extent`` returns ``_farthest`` over all pairs bit for bit, and warns of nothing."""
 
     @staticmethod
-    def _assert_keeps_strict_vertices(points):
-        finite = np.isfinite(points).all(axis=1)
-        want = _strict_vertices(points[finite].tolist())
-        hull = _hull(points)
-        assert hull.dtype.kind == "i" and ((0 <= hull) & (hull < len(points))).all()
-        assert set(np.flatnonzero(~finite).tolist()) <= set(hull.tolist())
-        assert want <= {(Fraction(x), Fraction(y)) for x, y in points[hull[finite[hull]]].tolist()}
-        candidates = _outside_octagon(points[finite])
-        assert want <= {(Fraction(x), Fraction(y)) for x, y in points[finite][candidates].tolist()}
+    def _assert_all_pairs(points):
+        for gsd in _GSDS:
+            with np.errstate(over="ignore", invalid="ignore"):  # the oracle's own non-finite arithmetic
+                want = _farthest(points, gsd)
+            got = _extent(points, gsd)  # the suite turns a warning into an error
+            assert got == want or (math.isnan(got) and math.isnan(want)), (gsd, got, want)
 
-    @given(_hull_layouts())
+    @given(_layouts())
     @settings(max_examples=300, deadline=None)
-    def test_keeps_every_strict_vertex(self, points):
-        self._assert_keeps_strict_vertices(points)
+    def test_matches_all_pairs(self, points):
+        self._assert_all_pairs(points)
 
-    @pytest.mark.parametrize("name", sorted(_HULL_EXAMPLES))
-    def test_keeps_every_strict_vertex_of_layout(self, name):
-        self._assert_keeps_strict_vertices(_HULL_EXAMPLES[name])
+    @pytest.mark.parametrize("name", sorted(_LAYOUTS))
+    def test_matches_all_pairs_on_layout(self, name):
+        self._assert_all_pairs(_LAYOUTS[name])
+
+    def test_matches_all_pairs_on_a_ring(self):
+        # Each point's distance to the centre plus the largest one is about the diameter, so none is cut.
+        angle = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+        self._assert_all_pairs(np.stack([np.cos(angle), np.sin(angle)], axis=1) * 250.0 + 300.0)
 
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
                                      (math.nan, math.inf)])
-    def test_non_finite_points_are_kept(self, bad):
-        grid = _HULL_EXAMPLES["integer-grid"]
+    def test_matches_all_pairs_with_non_finite_points(self, bad):
+        grid = _LAYOUTS["integer-grid"]
         for at in (0, 17, len(grid)):
-            points = np.insert(grid, at, [bad, bad], axis=0)
-            self._assert_keeps_strict_vertices(points)
-            assert {at, at + 1} <= set(_hull(points).tolist())
+            self._assert_all_pairs(np.insert(grid, at, [bad, bad], axis=0))
 
     def test_all_points_non_finite(self):
-        points = np.array([(math.nan, 0.0), (math.inf, math.inf)])
-        assert set(_hull(points).tolist()) == {0, 1}
+        self._assert_all_pairs(np.array([(math.nan, 0.0), (math.inf, math.inf)]))
 
-    def test_octagon_leaves_the_outline_of_a_crowded_field(self):
+    def test_cut_leaves_few_points_of_a_crowded_field(self, monkeypatch):
         points = _ember_grid(0, 1.0).centroid_px
-        candidates = _outside_octagon(points)
-        assert len(candidates) < len(points) // 10
-        assert _strict_vertices(points.tolist()) <= set(map(tuple, points[candidates].tolist()))
+        sizes = []
+
+        def farthest(pts, gsd):
+            sizes.append(len(pts))
+            return _farthest(pts, gsd)
+
+        monkeypatch.setattr(spatial, "_farthest", farthest)
+        assert spatial._extent(points, 1.0) == _farthest(points, 1.0)
+        assert sizes[-1] < len(points) // 10  # the final all-pairs pass
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("gsd", [0.552, 10.0 / 12.0, 1.0])
@@ -676,9 +666,9 @@ class TestHull:
         points = spots.centroid_px
         d_all = _farthest(points, gsd)
         r_eq = math.sqrt(sum(spots.area_m2.tolist()) / math.pi)
-        assert _extent(points, gsd, (p.d_lin_m, p.alpha * r_eq)) == d_all
+        assert _extent(points, gsd) == d_all
         # The smallest alpha with alpha * r_eq at or above the all-pairs extent, then one ulp
-        # under it: the label turns between them, within the hull's rounding.
+        # under it: the label turns between them.
         alpha = d_all / r_eq
         while alpha * r_eq < d_all:
             alpha = math.nextafter(alpha, math.inf)
