@@ -9,10 +9,14 @@ not depend on what the fits find: row i holds integers below n, n - 1, n - 2
 and n - 3, and each picks among the indices the earlier ones left (the
 sequential skip rule). The samples are fitted and scored one chunk at a time,
 the chunk sized by models x correspondences to bound the scratch memory.
-Within a chunk, samples with three collinear points in either image are
-dropped, and the rest are solved as one stack of 8x8 systems in
-Hartley-normalized coordinates with h[2, 2] = 1; a fit the solve does not give
-goes to ``_dlt``, the stacked 9x9 SVD that also refits the winner.
+A minimal fit is the closed form Q_dst adj(Q_src), Q_p the map of the unit
+square onto the points p (Heckbert 1989, section 2.2.3); samples with three
+collinear points in either image, and non-finite models, are dropped. The
+refit is the least-squares fit with h[2, 2] = 1 in Hartley-normalized
+coordinates (Hartley & Zisserman 2004, sections 4.1 and 4.4). Every float is
+computed by elementwise ufuncs and np.add.reduce, never by BLAS or LAPACK,
+whose rounding depends on the CPU's kernel, so the bytes are the same on
+every CPU.
 
 After each chunk the loop stops once the samples drawn reach
 N = log(1 - CONFIDENCE) / log(1 - w^4), w the best inlier ratio so far
@@ -33,8 +37,12 @@ from .image import integer_at_least
 # Probability that some drawn sample is all inliers when the early exit fires.
 CONFIDENCE = 0.99
 
-# Models x correspondences scored at once; about 40 bytes of scratch each.
+# Models x correspondences fitted and scored per chunk, between early-exit tests.
 _CHUNK_MODEL_POINTS = 1 << 16
+
+# Models x correspondences whose reprojection errors are computed at once, about
+# 40 bytes of scratch each: small enough to stay in a core's L2 cache.
+_BLOCK_MODEL_POINTS = 1 << 14
 
 # The four point triples of a minimal sample, as (first, second, third) columns.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
@@ -45,7 +53,7 @@ class RansacError(Exception):
 
 
 class DegenerateSamplesError(RansacError):
-    """No sampled minimal set gave a model: each was collinear, non-finite or rank deficient."""
+    """No sampled minimal set gave a model: each had three collinear points in an image or a non-finite fit."""
 
 
 @dataclass(frozen=True)
@@ -66,126 +74,42 @@ def _draw(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return idx
 
 
-def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hartley normalization of (k, m, 2) point sets.
-
-    Returns the (k, 3, 3) similarities sending each set's centroid to 0 and
-    mean norm to sqrt(2), their inverses (built directly, never by LAPACK),
-    and the (k, m, 2) points they move.
-    """
-    k = len(pts)
-    centroid = pts.mean(axis=1)
-    moved = pts - centroid[:, None, :]
-    dist = np.sqrt((moved * moved).sum(axis=2)).mean(axis=1)
-    with np.errstate(divide="ignore"):
-        scale = np.where(dist > 0, np.sqrt(2.0) / dist, 1.0)
-    moved *= scale[:, None, None]
-    t = np.zeros((k, 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = scale
-    t[:, 0:2, 2] = -scale[:, None] * centroid
-    t[:, 2, 2] = 1.0
-    inv = np.zeros((k, 3, 3))
-    inv[:, 0, 0] = inv[:, 1, 1] = 1.0 / scale
-    inv[:, 0:2, 2] = centroid
-    inv[:, 2, 2] = 1.0
-    return t, inv, moved
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z components of the cross products of (..., 2) vectors."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _denormalize(h_norm: np.ndarray, t_src: np.ndarray, inv_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-space homographies scaled to h[2, 2] = 1, and the (k,) bool of those whose h[2, 2] does not vanish."""
-    h = inv_dst @ h_norm @ t_src
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return h / h[:, 2:3, 2:3], np.abs(h[:, 2, 2]) >= 1e-12
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a b of (..., 3, 3) stacks, each entry summed as (a0 * b0 + a1 * b1) + a2 * b2."""
+    return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :] + a[..., :, 2:3] * b[..., 2:3, :]
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized direct linear transforms of k stacked systems of m >= 4 points.
-
-    ``src`` and ``dst`` are (k, m, 2). Returns (k, 3, 3) homographies scaled
-    to h[2, 2] = 1 and the (k,) bool of the systems that give one; the other
-    rows are NaN. A system gives none when it has a non-finite entry (LAPACK
-    raises on NaN, and on infinities may return NaN or hang, so such systems
-    never reach it), when its null space has dimension above 1, or when
-    h[2, 2] vanishes.
-    """
-    k, m = src.shape[:2]
-    t_src, _, s = _normalize(src)
-    _, inv_dst, d = _normalize(dst)
-
-    # A minimal sample gives an 8x9 system, whose null vector is the 9th right
-    # singular vector, absent from the reduced factorization; a zero row adds it
-    # (and its zero singular value) while keeping the SVD O(N) for large refits.
-    a = np.zeros((k, max(2 * m, 9), 9))
-    a[:, 0 : 2 * m : 2, 0:2] = s
-    a[:, 0 : 2 * m : 2, 2] = 1.0
-    a[:, 0 : 2 * m : 2, 6:8] = -s * d[..., 0:1]
-    a[:, 0 : 2 * m : 2, 8] = -d[..., 0]
-    a[:, 1 : 2 * m : 2, 3:5] = s
-    a[:, 1 : 2 * m : 2, 5] = 1.0
-    a[:, 1 : 2 * m : 2, 6:8] = -s * d[..., 1:2]
-    a[:, 1 : 2 * m : 2, 8] = -d[..., 1]
-
-    h = np.full((k, 3, 3), np.nan)
-    fitted = np.isfinite(a).all(axis=(1, 2))
-    if fitted.any():
-        _, sv, vt = np.linalg.svd(a[fitted], full_matrices=False)
-        h_fit, ok = _denormalize(vt[:, -1].reshape(-1, 3, 3), t_src[fitted], inv_dst[fitted])
-        ok &= sv[:, -2] > 1e-12 * sv[:, 0]
-        h[fitted] = h_fit
-        fitted[fitted] = ok
-    h[~fitted] = np.nan
-    return h, fitted
-
-
-def _solve(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal fits of (k, 4, 2) samples as 8x8 systems in normalized coordinates, h[2, 2] = 1.
-
-    Returns (k, 3, 3) homographies scaled to h[2, 2] = 1 and the (k,) bool of
-    the fits that hold. A fit does not hold when its system is non-finite
-    (screened out before LAPACK) or singular, when it misses one of its own
-    normalized points by more than 1e-9 in a coordinate, or when h[2, 2]
-    vanishes in pixel space.
-    """
-    k = len(src)
-    t_src, _, s = _normalize(src)
-    _, inv_dst, d = _normalize(dst)
-    x, y, u, v = s[..., 0], s[..., 1], d[..., 0], d[..., 1]
-    a = np.zeros((k, 4, 2, 8))
-    a[:, :, 0, 0], a[:, :, 0, 1], a[:, :, 0, 2] = x, y, 1.0
-    a[:, :, 1, 3], a[:, :, 1, 4], a[:, :, 1, 5] = x, y, 1.0
-    a[:, :, 0, 6], a[:, :, 0, 7] = -x * u, -y * u
-    a[:, :, 1, 6], a[:, :, 1, 7] = -x * v, -y * v
-    a = a.reshape(k, 8, 8)
-    b = d.reshape(k, 8, 1)
-
-    solved = np.isfinite(a).all(axis=(1, 2))  # u and v enter a too
-    h8 = np.full((k, 8), np.nan)
-    try:
-        h8[solved] = np.linalg.solve(a[solved], b[solved])[..., 0]
-    except np.linalg.LinAlgError:  # a singular system fails the whole stack
-        for i in np.flatnonzero(solved):
-            try:
-                h8[i] = np.linalg.solve(a[i : i + 1], b[i : i + 1])[0, :, 0]
-            except np.linalg.LinAlgError:
-                solved[i] = False
-    h_norm = np.concatenate([h8, np.ones((k, 1))], axis=1).reshape(k, 3, 3)
-
+def _unit_h22(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 3, 3) homographies scaled to h[2, 2] = 1, and the bool of those left finite (not so if h[2, 2] = 0)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = h_norm[:, 2:3, 0] * x + h_norm[:, 2:3, 1] * y + 1.0
-        miss_u = np.abs((h_norm[:, 0:1, 0] * x + h_norm[:, 0:1, 1] * y + h_norm[:, 0:1, 2]) / w - u)
-        miss_v = np.abs((h_norm[:, 1:2, 0] * x + h_norm[:, 1:2, 1] * y + h_norm[:, 1:2, 2]) / w - v)
-        solved &= ((miss_u <= 1e-9) & (miss_v <= 1e-9)).all(axis=1)
-        h, ok = _denormalize(h_norm, t_src, inv_dst)
-    return h, solved & ok
+        h = h / h[..., 2:3, 2:3]
+    return h, np.isfinite(h).all(axis=(-2, -1))
 
 
-def _fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal fits of (k, 4, 2) samples: the 8x8 solve, and the SVD for the fits it does not hold."""
-    h, fitted = _solve(src, dst)
-    redo = np.flatnonzero(~fitted)
-    if len(redo):
-        h[redo], fitted[redo] = _dlt(src[redo], dst[redo])
-    return h, fitted
+def _square_to(p: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) maps, up to scale, of the unit square's corners (0, 0), (1, 0), (1, 1), (0, 1) onto the
+    (k, 4, 2) samples' points: Heckbert's closed form times its denominator, so that it divides nowhere.
+    """
+    p0, p1, p2, p3 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+    d1, d2, s = p1 - p2, p3 - p2, p0 - p1 + p2 - p3
+    den, g, h = _cross(d1, d2), _cross(s, d2), _cross(d1, s)
+    q = np.empty((len(p), 3, 3))
+    q[:, 0:2, 0] = (p1 - p0) * den[:, None] + g[:, None] * p1
+    q[:, 0:2, 1] = (p3 - p0) * den[:, None] + h[:, None] * p3
+    q[:, 0:2, 2] = p0 * den[:, None]
+    q[:, 2, 0], q[:, 2, 1], q[:, 2, 2] = g, h, den
+    return q
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """adj(m) of (k, 3, 3) stacks: column i is the cross product of rows i + 1 and i + 2 (mod 3)."""
+    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
 
 
 def _collinear(pts: np.ndarray) -> np.ndarray:
@@ -193,48 +117,121 @@ def _collinear(pts: np.ndarray) -> np.ndarray:
     span = np.abs(pts).max(axis=(1, 2)) + 1.0
     tol = 1e-9 * span * span
     first, second, third = _TRIPLES
-    v1 = pts[:, second] - pts[:, first]
-    v2 = pts[:, third] - pts[:, first]
-    cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    cross = _cross(pts[:, second] - pts[:, first], pts[:, third] - pts[:, first])
     return (np.abs(cross) <= tol[:, None]).any(axis=1)
 
 
-def _scoring_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(9, n) rows x, y, 1, -u*x, -u*y, -u, -v*x, -v*y, -v of points (x, y) -> (u, v).
+def _fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal fits of (k, 4, 2) samples: Q_dst adj(Q_src), Q_p the ``_square_to`` map of the points p.
 
-    With them one matrix product gives, for every model and point, w and the
-    reprojection residuals' numerators px - u*w and py - v*w (``_inliers``).
+    Returns (k, 3, 3) homographies scaled to h[2, 2] = 1 and the (k,) bool of
+    the fits that hold. A fit does not hold when three of its points in
+    either image are collinear, or when an entry is not finite.
     """
-    x, y = src.T
-    u, v = dst.T
-    ones = np.ones(len(src))
-    return np.stack([x, y, ones, -u * x, -u * y, -u, -v * x, -v * y, -v])
+    with np.errstate(invalid="ignore", over="ignore"):
+        h, finite = _unit_h22(_matmul(_square_to(dst), _adjugate(_square_to(src))))
+        return h, finite & ~(_collinear(src) | _collinear(dst))
 
 
-def _inliers(h: np.ndarray, rows: np.ndarray, threshold: float) -> np.ndarray:
+def _normalize(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The similarity sending the points' centroid to 0 and mean norm to sqrt(2), its inverse, and the moved (x, y)."""
+    cx, cy = x.mean(), y.mean()
+    x, y = x - cx, y - cy
+    dist = np.sqrt(x * x + y * y).mean()
+    scale = math.sqrt(2.0) / dist if dist > 0 else 1.0
+    t = np.array([[scale, 0.0, -scale * cx], [0.0, scale, -scale * cy], [0.0, 0.0, 1.0]])
+    inv = np.array([[1.0 / scale, 0.0, cx], [0.0, 1.0 / scale, cy], [0.0, 0.0, 1.0]])
+    return t, inv, np.stack([x * scale, y * scale])
+
+
+def _sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(i, j) sums over the points of a[i] * b[j], for (i, m) and (j, m) rows; one pairwise np.add.reduce each."""
+    return np.add.reduce(a[:, None, :] * b[None, :, :], axis=2)
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with a x = b, by Gaussian elimination with partial pivoting (first largest pivot).
+
+    None when a pivot is not above 1e-12 times the largest |entry| of a,
+    which includes a non-finite a.
+    """
+    n = len(b)
+    m = np.column_stack([a, b])
+    tol = 1e-12 * np.abs(a).max()
+    for k in range(n):
+        p = k + int(np.abs(m[k:, k]).argmax())
+        if not abs(m[p, k]) > tol:
+            return None
+        m[[k, p]] = m[[p, k]]
+        m[k + 1 :, k:] -= m[k + 1 :, k : k + 1] / m[k, k] * m[k, k:]
+    x = m[:, n].copy()
+    for k in reversed(range(n)):
+        x[k] /= m[k, k]
+        x[:k] -= m[:k, k] * x[k]
+    return x
+
+
+def _refit(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    """Least-squares homography with h[2, 2] = 1 of (m, 2) correspondences, m >= 4, or None.
+
+    The fit is taken in Hartley-normalized coordinates (Hartley & Zisserman
+    2004, sections 4.1 and 4.4): each correspondence (x, y) -> (u, v) gives
+    the rows (x, y, 1, 0, 0, 0, -x*u, -y*u | u) and (0, 0, 0, x, y, 1, -x*v,
+    -y*v | v), whose 8x8 normal equations ``_eliminate`` solves. The result
+    is in pixel space, scaled to h[2, 2] = 1. None when the normal equations
+    are singular or the pixel-space model is not finite.
+    """
+    t_src, _, (x, y) = _normalize(*src.T)
+    _, inv_dst, uv = _normalize(*dst.T)
+    p = np.stack([x, y, np.ones_like(x)])  # (x, y, 1) of each point
+    c = p[:2]
+    r = uv[0] * uv[0] + uv[1] * uv[1]
+    a = np.zeros((8, 8))
+    a[0:3, 0:3] = a[3:6, 3:6] = _sums(p, p)
+    a[0:3, 6:8] = -_sums(p, c * uv[0])
+    a[3:6, 6:8] = -_sums(p, c * uv[1])
+    a[6:8, 0:6] = a[0:6, 6:8].T
+    a[6:8, 6:8] = _sums(c, c * r)
+    b = np.concatenate([_sums(p, uv).T.reshape(6), -_sums(c, r[None])[:, 0]])
+    h8 = _eliminate(a, b)
+    if h8 is None:
+        return None
+    h, finite = _unit_h22(_matmul(_matmul(inv_dst, np.append(h8, 1.0).reshape(3, 3)), t_src))
+    return h if finite else None
+
+
+def _inliers(h: np.ndarray, src: np.ndarray, dst: np.ndarray, threshold: float) -> np.ndarray:
     """(k, n) bool: forward reprojection error of each of k models strictly below the threshold.
 
-    ``rows`` are the ``_scoring_rows`` of the n correspondences. The error is
-    sqrt(ex**2 + ey**2) with ex = (px - u*w) / w and ey = (py - v*w) / w. A
-    point that a model sends to infinity (|w| <= 1e-12) is an outlier.
+    A model h sends (x, y) to (px, py, w), each a sum (h0 * x + h1 * y) + h2
+    of a row of h. The error against (u, v) is sqrt(ex**2 + ey**2) with
+    ex = px / w - u and ey = py / w - v. A point that a model sends to
+    infinity (|w| <= 1e-12) is an outlier.
     """
-    k = len(h)
-    coef = np.zeros((3, k, 9))
-    coef[0, :, 0:3] = h[:, 0]
-    coef[0, :, 3:6] = h[:, 2]
-    coef[1, :, 0:3] = h[:, 1]
-    coef[1, :, 6:9] = h[:, 2]
-    coef[2, :, 0:3] = h[:, 2]
-    ex, ey, w = (coef.reshape(3 * k, 9) @ rows).reshape(3, k, -1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex /= w
-        ex *= ex
-        ey /= w
-        ey *= ey
-        ex += ey
-        np.sqrt(ex, out=ex)
-    np.abs(w, out=w)
-    return (w > 1e-12) & (ex < threshold)
+    x, y = np.ascontiguousarray(src.T)
+    u, v = np.ascontiguousarray(dst.T)
+    out = np.empty((len(h), len(x)), dtype=bool)
+    step = max(1, _BLOCK_MODEL_POINTS // len(x))
+
+    def project(block: np.ndarray, row: int) -> np.ndarray:
+        p = block[:, row, 0:1] * x
+        p += block[:, row, 1:2] * y
+        p += block[:, row, 2:3]
+        return p
+
+    for start in range(0, len(h), step):
+        block = h[start : start + step]
+        w, ex, ey = project(block, 2), project(block, 0), project(block, 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for e, target in ((ex, u), (ey, v)):
+                e /= w
+                e -= target
+                e *= e
+            ex += ey
+            np.sqrt(ex, out=ex)
+        np.abs(w, out=w)
+        np.logical_and(w > 1e-12, ex < threshold, out=out[start : start + step])
+    return out
 
 
 def _samples_needed(inliers: int, n: int) -> float:
@@ -280,7 +277,6 @@ def ransac_homography(
         raise RansacError(f"insufficient correspondences: {n} < 4")
 
     samples = _draw(np.random.Generator(np.random.PCG64(seed)), n, iterations)
-    rows = _scoring_rows(src, dst)
     chunk = max(1, _CHUNK_MODEL_POINTS // n)
     fitted_any = False
     best_mask: np.ndarray | None = None
@@ -288,13 +284,11 @@ def ransac_homography(
     best_h: np.ndarray | None = None
     for start in range(0, iterations, chunk):
         drawn = min(start + chunk, iterations)
-        s, d = src[samples[start:drawn]], dst[samples[start:drawn]]
-        keep = ~(_collinear(s) | _collinear(d))
-        models, fitted = _fit(s[keep], d[keep])
+        models, fitted = _fit(src[samples[start:drawn]], dst[samples[start:drawn]])
         models = models[fitted]
         if len(models):
             fitted_any = True
-            masks = _inliers(models, rows, reproj_threshold)
+            masks = _inliers(models, src, dst, reproj_threshold)
             counts = masks.sum(axis=1)
             j = int(counts.argmax())
             if counts[j] > best_count:
@@ -307,10 +301,10 @@ def ransac_homography(
         raise RansacError("no sampled model holds an inlier")
 
     if best_count >= 4:
-        refit, fitted = _dlt(src[best_mask][None], dst[best_mask][None])
-        if fitted[0]:
-            mask = _inliers(refit, rows, reproj_threshold)[0]
+        refit = _refit(src[best_mask], dst[best_mask])
+        if refit is not None:
+            mask = _inliers(refit[None], src, dst, reproj_threshold)[0]
             count = int(mask.sum())
             if count >= 4:
-                return RansacResult(refit[0], mask, count, drawn)
+                return RansacResult(refit, mask, count, drawn)
     return RansacResult(best_h, best_mask, best_count, drawn)

@@ -57,6 +57,8 @@ class FrameMeta:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon < 180.0:
             raise ValueError(f"longitude {self.lon} outside [-180, 180)")
+        if not math.isfinite(self.alt_ellipsoidal_m):
+            raise ValueError(f"ellipsoidal altitude {self.alt_ellipsoidal_m} is not finite")
         if not 0.0 < self.fov_diag_deg < 180.0:
             raise ValueError(f"diagonal FOV {self.fov_diag_deg} outside (0, 180)")
 

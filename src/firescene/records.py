@@ -111,15 +111,6 @@ class Table:
             return NotImplemented
         return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(vars(self).values(), vars(other).values()))
 
-    @classmethod
-    def from_rows(cls: type[_T], rows: Iterable[Any]) -> _T:
-        """A table of ``rows``; an int beyond int64 raises ``OverflowError``."""
-        rows = list(rows)
-        return cls(*(
-            np.array([getattr(r, field) for r in rows], dtype=dtype).reshape(len(rows), *shape)
-            for field, dtype, shape in _column_spec(cls)
-        ))
-
     def take(self: _T, index: Any) -> _T:
         """The rows at ``index``, in its order, as a new table."""
         return type(self)(*(column[index] for column in vars(self).values()))

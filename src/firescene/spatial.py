@@ -284,16 +284,18 @@ def linearity_score(hotspots: HotspotTable, gsd: float) -> float:
     if len(hotspots) < 2:
         raise ValueError("linearity needs at least 2 hotspots")
     pts = hotspots.centroid_px * gsd
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(pts)
-    lam = np.linalg.eigvalsh(cov)  # ascending
-    lam = np.maximum(lam, 0.0)
-    total = float(lam[0] + lam[1])
-    if total == 0.0:
+    dx, dy = (pts - pts.mean(axis=0)).T
+    sxx, sxy, syy = (float(np.add.reduce(d)) / len(pts) for d in (dx * dx, dx * dy, dy * dy))
+    # Closed-form eigenvalues of the covariance [[sxx, sxy], [sxy, syy]].
+    mid, half_gap = (sxx + syy) / 2.0, (sxx - syy) / 2.0
+    root = math.sqrt(half_gap * half_gap + sxy * sxy)
+    major, minor = mid + root, max(mid - root, 0.0)
+    if major == 0.0:
         raise ValueError("degenerate: all centroids coincident")
     # Flush float dust on the minor axis so collinear layouts score exactly 1.
-    minor = 0.0 if lam[0] <= 1e-12 * lam[1] else float(lam[0])
-    return float(lam[1]) / (float(lam[1]) + minor)
+    if minor <= 1e-12 * major:
+        minor = 0.0
+    return major / (major + minor)
 
 
 def classify_distribution(

@@ -4,10 +4,24 @@ corrupt files, used across test modules."""
 from __future__ import annotations
 
 import math
+from typing import Any, Iterable, TypeVar
 
+import numpy as np
 from hypothesis import strategies as st
 
 from firescene.hotspots import Hotspot
+from firescene.records import Table, _column_spec
+
+_T = TypeVar("_T", bound=Table)
+
+
+def table_from_rows(cls: type[_T], rows: Iterable[Any]) -> _T:
+    """A ``cls`` table of ``rows``; an int beyond int64 raises ``OverflowError``."""
+    rows = list(rows)
+    return cls(*(
+        np.array([getattr(r, field) for r in rows], dtype=dtype).reshape(len(rows), *shape)
+        for field, dtype, shape in _column_spec(cls)
+    ))
 
 
 def make_hotspot(

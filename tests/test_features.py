@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factories import make_hotspot
+from factories import make_hotspot, table_from_rows
 from imagefix import noise_image, rigid_points, synthetic_texture, warp_rigid
 from firescene.features import (
     GrayImage,
@@ -49,7 +49,7 @@ from firescene.features.detect import (
     _segment_test,
 )
 from firescene.features.matching import _BLOCK_ROWS
-from firescene.features.ransac import DegenerateSamplesError, RansacError, _dlt
+from firescene.features.ransac import DegenerateSamplesError, RansacError
 from firescene.hotspots import HotspotTable
 
 # The package exports the describe and detect functions under their modules' names.
@@ -245,7 +245,7 @@ def _rejected_columns(good):
 
 _VALID_TABLES = (
     KeypointTable(*np.zeros((4, 3))),
-    HotspotTable.from_rows(make_hotspot(k, 1.5 * k, 2.0, area_m2=4.0) for k in range(3)),
+    table_from_rows(HotspotTable, (make_hotspot(k, 1.5 * k, 2.0, area_m2=4.0) for k in range(3))),
 )
 # Field names differ between the tables, so "<field>-<case>" names each case.
 _REJECTED_COLUMNS = [
@@ -288,7 +288,7 @@ class TestKeypointTable:
         table = detect(synthetic_texture(128, 128, 9))
         special = KeypointTable(*np.array([[-0.0, 5e-324, math.inf, -math.pi], [0.0, 1.5, -2.5, math.pi]]).T.copy())
         for t in (table, special):
-            back = KeypointTable.from_rows(list(t))
+            back = table_from_rows(KeypointTable, list(t))
             assert [c.tobytes() for c in _columns(back)] == [c.tobytes() for c in _columns(t)]
             assert _bits(back) == _bits(t) == _bits([t[i] for i in range(len(t))])
             assert all(type(v) is float for kp in t for v in (kp.x, kp.y, kp.response, kp.angle))
@@ -706,7 +706,7 @@ def _border_coordinates(side):
 
 
 def _assert_describes_like_loop(image, keypoints):
-    table = KeypointTable.from_rows(keypoints)
+    table = table_from_rows(KeypointTable, keypoints)
     desc, kept = describe(image, table)
     want_desc, want_kept = _loop_describe(image, list(table))
     assert desc.dtype == np.uint8 and desc.shape == want_desc.shape
@@ -745,7 +745,7 @@ class TestDescribe:
 
     def test_border_keypoints_filtered_not_fatal(self):
         img = synthetic_texture(64, 64, 4)
-        fake = KeypointTable.from_rows([Keypoint(x=2.0, y=2.0, response=1.0, angle=0.0)])
+        fake = table_from_rows(KeypointTable, [Keypoint(x=2.0, y=2.0, response=1.0, angle=0.0)])
         desc, kept = describe(img, fake)
         assert len(desc) == 0 and len(kept) == 0
 
@@ -755,7 +755,7 @@ class TestDescribe:
         # negates every integer pattern offset), so the <= 64 bound is loose.
         img = synthetic_texture(256, 256, 5)
         rot = GrayImage.from_array(np.ascontiguousarray(np.rot90(img.pixels, 2)))
-        kps = KeypointTable.from_rows(list(detect(img))[:100])
+        kps = table_from_rows(KeypointTable, list(detect(img))[:100])
         desc, kept = describe(img, kps)
         h, w = img.pixels.shape
         rotated_kps = []
@@ -763,7 +763,7 @@ class TestDescribe:
             rx, ry = w - 1 - kp.x, h - 1 - kp.y
             ang = _intensity_centroid_angle(rot.pixels, int(ry), int(rx))
             rotated_kps.append(Keypoint(x=rx, y=ry, response=kp.response, angle=ang))
-        rdesc, rkept = describe(rot, KeypointTable.from_rows(rotated_kps))
+        rdesc, rkept = describe(rot, table_from_rows(KeypointTable, rotated_kps))
         assert len(rdesc) == len(desc)
         dists = [hamming_distance(desc[i], rdesc[i]) for i in range(len(desc))]
         assert max(dists) <= 64
@@ -798,7 +798,7 @@ class TestDescribe:
         fields = {"x": 32.0, "y": 32.0, "response": 1.0, "angle": 0.5, field: value}
         kps = [Keypoint(x=20.0, y=20.0, response=1.0, angle=0.0), Keypoint(**fields)]
         with pytest.raises(ValueError):
-            describe(img, KeypointTable.from_rows(kps))
+            describe(img, table_from_rows(KeypointTable, kps))
 
     def test_peak_memory_at_the_feature_cap(self):
         # Indices are gathered _DESCRIBE_CHUNK keypoints at a time into one
@@ -1027,8 +1027,8 @@ class TestRansac:
     def test_minimal_fit_reproduces_correspondences(self):
         src = np.array([(10.0, 20.0), (400.0, 35.0), (380.0, 450.0), (25.0, 300.0)])
         dst = _similarity(src, 12.0, 1.3, (40.0, -25.0))
-        h, fitted = _dlt(src[None], dst[None])
-        assert h.shape == (1, 3, 3) and fitted.tolist() == [True]
+        h, fitted = ransac._fit(src[None], dst[None])
+        assert h.shape == (1, 3, 3) and fitted.tolist() == [True] and h[0, 2, 2] == 1.0
         proj = np.hstack([src, np.ones((4, 1))]) @ h[0].T
         errs = np.hypot(proj[:, 0] / proj[:, 2] - dst[:, 0], proj[:, 1] / proj[:, 2] - dst[:, 1])
         assert errs.max() < 1e-9
@@ -1036,8 +1036,8 @@ class TestRansac:
     def test_minimal_fit_three_collinear_rejected(self):
         src = np.array([(0.0, 0.0), (100.0, 100.0), (250.0, 250.0), (30.0, 400.0)])
         dst = _similarity(src, 5.0, 1.0, (3.0, 4.0))
-        h, fitted = _dlt(src[None], dst[None])
-        assert fitted.tolist() == [False] and np.isnan(h).all()
+        _, fitted = ransac._fit(np.stack([src, dst]), np.stack([dst, src]))
+        assert fitted.tolist() == [False, False]
 
     def test_refit_on_thousands_of_exact_correspondences(self):
         rng = np.random.default_rng(8)
@@ -1077,69 +1077,107 @@ class TestRansac:
         assert res.homography[2, 2] == pytest.approx(1.0)
 
 
+def _loop_product(a, b):
+    """a b of 3x3 nested lists, each entry summed as (a0 * b0 + a1 * b1) + a2 * b2."""
+    return [[a[r][0] * b[0][c] + a[r][1] * b[1][c] + a[r][2] * b[2][c] for c in range(3)] for r in range(3)]
+
+
+def _loop_unit_h22(h):
+    """h scaled to h[2][2] = 1 as an array, or None unless every entry is finite."""
+    if h[2][2] == 0.0:  # Python floats raise on a division by zero
+        return None
+    h = np.array([[e / h[2][2] for e in row] for row in h])
+    return h if np.isfinite(h).all() else None
+
+
+def _loop_square_to(p):
+    """Heckbert's map of the unit square's corners onto 4 points, times its denominator, in Python floats."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p.tolist()
+    sx, sy = x0 - x1 + x2 - x3, y0 - y1 + y2 - y3
+    dx1, dy1, dx2, dy2 = x1 - x2, y1 - y2, x3 - x2, y3 - y2
+    den, g, h = dx1 * dy2 - dy1 * dx2, sx * dy2 - sy * dx2, dx1 * sy - dy1 * sx
+    return [
+        [(x1 - x0) * den + g * x1, (x3 - x0) * den + h * x3, x0 * den],
+        [(y1 - y0) * den + g * y1, (y3 - y0) * den + h * y3, y0 * den],
+        [g, h, den],
+    ]
+
+
+def _loop_adjugate(m):
+    """adj(m) of a 3x3 nested list, cofactor by cofactor."""
+    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3] for j in range(3)] for i in range(3)]
+    return [[cof[j][i] for j in range(3)] for i in range(3)]
+
+
+def _loop_fit(src, dst):
+    """One closed-form minimal fit of 4 points, Q_dst adj(Q_src), in Python floats, or None."""
+    if _loop_any_three_collinear(src) or _loop_any_three_collinear(dst):
+        return None
+    return _loop_unit_h22(_loop_product(_loop_square_to(dst), _loop_adjugate(_loop_square_to(src))))
+
+
 def _loop_normalize(pts):
-    """Hartley normalization of (m, 2) points: the similarity, its inverse and the moved points."""
-    centroid = pts.mean(axis=0)
-    moved = pts - centroid
-    dist = np.sqrt((moved * moved).sum(axis=1)).mean()
-    scale = np.sqrt(2.0) / dist if dist > 0 else 1.0
-    t = np.array([[scale, 0.0, -scale * centroid[0]], [0.0, scale, -scale * centroid[1]], [0.0, 0.0, 1.0]])
-    inv = np.array([[1.0 / scale, 0.0, centroid[0]], [0.0, 1.0 / scale, centroid[1]], [0.0, 0.0, 1.0]])
-    return t, inv, moved * scale
+    """Hartley normalization of (m, 2) points: the similarity, its inverse and the moved x and y."""
+    x, y = pts[:, 0], pts[:, 1]
+    cx, cy = x.mean(), y.mean()
+    x, y = x - cx, y - cy
+    dist = np.sqrt(x * x + y * y).mean()
+    scale = math.sqrt(2.0) / dist if dist > 0 else 1.0
+    t = [[scale, 0.0, -scale * cx], [0.0, scale, -scale * cy], [0.0, 0.0, 1.0]]
+    inv = [[1.0 / scale, 0.0, cx], [0.0, 1.0 / scale, cy], [0.0, 0.0, 1.0]]
+    return t, inv, x * scale, y * scale
 
 
-def _loop_dlt(src, dst):
-    """One normalized DLT fit on (m, 2) points by SVD, or None."""
-    t_src, _, s = _loop_normalize(src)
-    _, inv_dst, d = _loop_normalize(dst)
-    a = np.zeros((2 * len(src), 9))
-    a[0::2, 0:2] = s
-    a[0::2, 2] = 1.0
-    a[0::2, 6:8] = -s * d[:, 0:1]
-    a[0::2, 8] = -d[:, 0]
-    a[1::2, 3:5] = s
-    a[1::2, 5] = 1.0
-    a[1::2, 6:8] = -s * d[:, 1:2]
-    a[1::2, 8] = -d[:, 1]
-    if len(a) < 9:
-        a = np.vstack([a, np.zeros((9 - len(a), 9))])
+def _loop_eliminate(a, b):
+    """Gaussian elimination with partial pivoting on nested lists of Python floats, or None."""
+    n = len(b)
     if not np.isfinite(a).all():
         return None
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    if sv[-2] <= 1e-12 * sv[0]:
-        return None
-    h = inv_dst @ vt[-1].reshape(3, 3) @ t_src
-    if abs(h[2, 2]) < 1e-12:
-        return None
-    return h / h[2, 2]
-
-
-def _loop_solve(src, dst):
-    """One minimal fit on 4 points as an 8x8 system with h[2, 2] = 1, or None where the SVD must take over."""
-    t_src, _, s = _loop_normalize(src)
-    _, inv_dst, d = _loop_normalize(dst)
-    a, b = np.zeros((8, 8)), np.zeros(8)
-    for i, ((x, y), (u, v)) in enumerate(zip(s, d)):
-        a[2 * i] = [x, y, 1.0, 0.0, 0.0, 0.0, -x * u, -y * u]
-        a[2 * i + 1] = [0.0, 0.0, 0.0, x, y, 1.0, -x * v, -y * v]
-        b[2 * i : 2 * i + 2] = u, v
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return None
-    try:
-        h8 = np.linalg.solve(a[None], b[None, :, None])[0, :, 0]
-    except np.linalg.LinAlgError:
-        return None
-    hn = np.append(h8, 1.0).reshape(3, 3)
-    for (x, y), (u, v) in zip(s, d):
-        w = hn[2, 0] * x + hn[2, 1] * y + 1.0
-        miss_u = abs((hn[0, 0] * x + hn[0, 1] * y + hn[0, 2]) / w - u)
-        miss_v = abs((hn[1, 0] * x + hn[1, 1] * y + hn[1, 2]) / w - v)
-        if not (miss_u <= 1e-9 and miss_v <= 1e-9):
+    tol = 1e-12 * max(abs(e) for row in a for e in row)
+    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))  # the first largest
+        if not abs(m[p][k]) > tol:
             return None
-    h = inv_dst @ hn @ t_src
-    if abs(h[2, 2]) < 1e-12:
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n + 1):
+                m[i][j] = m[i][j] - f * m[k][j]
+    x = [row[n] for row in m]
+    for k in reversed(range(n)):
+        x[k] = x[k] / m[k][k]
+        for i in range(k):
+            x[i] = x[i] - m[i][k] * x[k]
+    return x
+
+
+def _loop_refit(src, dst):
+    """The h[2, 2] = 1 least-squares refit, one normal-equation entry at a time, or None."""
+    t_src, _, x, y = _loop_normalize(src)
+    _, inv_dst, u, v = _loop_normalize(dst)
+    p, r = [x, y, np.ones(len(x))], u * u + v * v
+
+    def total(terms):
+        return float(np.add.reduce(terms))
+
+    a = [[0.0] * 8 for _ in range(8)]
+    for i in range(3):
+        for j in range(3):
+            a[i][j] = a[i + 3][j + 3] = total(p[i] * p[j])
+        for j in range(2):
+            a[i][6 + j] = a[6 + j][i] = -total(p[i] * (p[j] * u))
+            a[i + 3][6 + j] = a[6 + j][i + 3] = -total(p[i] * (p[j] * v))
+    for i in range(2):
+        for j in range(2):
+            a[6 + i][6 + j] = total(p[i] * (p[j] * r))
+    b = [total(pi * u) for pi in p] + [total(pi * v) for pi in p] + [-total(p[i] * r) for i in range(2)]
+    h8 = _loop_eliminate(a, b)
+    if h8 is None:
         return None
-    return h / h[2, 2]
+    hn = [h8[0:3], h8[3:6], [h8[6], h8[7], 1.0]]
+    return _loop_unit_h22(_loop_product(_loop_product(inv_dst, hn), t_src))
 
 
 def _loop_any_three_collinear(pts):
@@ -1154,17 +1192,17 @@ def _loop_any_three_collinear(pts):
     return False
 
 
-def _loop_inliers(h, src, dst, threshold):
-    """Forward reprojection error below the threshold, as (px - u*w) / w and (py - v*w) / w."""
+def _loop_errors(h, src, dst):
+    """Forward reprojection errors of one model, with ex = px / w - u and ey = py / w - v, and the w."""
     x, y, u, v = src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]
-    rows = np.stack([x, y, np.ones(len(x)), -u * x, -u * y, -u, -v * x, -v * y, -v])
-    coef = np.zeros((3, 9))
-    coef[0, 0:3], coef[0, 3:6] = h[0], h[2]
-    coef[1, 0:3], coef[1, 6:9] = h[1], h[2]
-    coef[2, 0:3] = h[2]
-    ex, ey, w = coef @ rows
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        errors = np.sqrt((ex / w) ** 2 + (ey / w) ** 2)
+        px, py, w = (h[r, 0] * x + h[r, 1] * y + h[r, 2] for r in range(3))
+        ex, ey = px / w - u, py / w - v
+        return np.sqrt(ex * ex + ey * ey), w
+
+
+def _loop_inliers(h, src, dst, threshold):
+    errors, w = _loop_errors(h, src, dst)
     return (np.abs(w) > 1e-12) & (errors < threshold)
 
 
@@ -1195,22 +1233,20 @@ def loop_ransac(src, dst, *, reproj_threshold=20.0, iterations=2000, seed=0):
     chunk = max(1, ransac._CHUNK_MODEL_POINTS // n)
     best_mask, best_count, best_h, produced_model = None, 0, None, False
     for drawn, idx in enumerate(samples, start=1):
-        if not (_loop_any_three_collinear(src[idx]) or _loop_any_three_collinear(dst[idx])):
-            h = _loop_solve(src[idx], dst[idx])
-            if h is None:
-                h = _loop_dlt(src[idx], dst[idx])
-            if h is not None:
-                produced_model = True
-                mask = _loop_inliers(h, src, dst, reproj_threshold)
-                if int(mask.sum()) > best_count:
-                    best_count, best_mask, best_h = int(mask.sum()), mask, h
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = _loop_fit(src[idx], dst[idx])
+        if h is not None:
+            produced_model = True
+            mask = _loop_inliers(h, src, dst, reproj_threshold)
+            if int(mask.sum()) > best_count:
+                best_count, best_mask, best_h = int(mask.sum()), mask, h
         if (drawn % chunk == 0 or drawn == iterations) and drawn >= _loop_samples_needed(best_count, n):
             break
     if not produced_model:
         raise DegenerateSamplesError("all sampled minimal sets were degenerate")
     if best_h is None:
         raise RansacError("no sampled model holds an inlier")
-    refit = _loop_dlt(src[best_mask], dst[best_mask]) if best_count >= 4 else None
+    refit = _loop_refit(src[best_mask], dst[best_mask]) if best_count >= 4 else None
     if refit is not None:
         mask = _loop_inliers(refit, src, dst, reproj_threshold)
         if int(mask.sum()) >= 4:
@@ -1273,21 +1309,50 @@ class TestBatchedRansacOracle:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
     @pytest.mark.parametrize("m", [4, 5, 60])
-    def test_stacked_dlt_matches_per_sample_fit(self, m):
+    def test_refit_matches_per_sample_loop(self, m):
         rng = np.random.default_rng(m)
         src = rng.uniform(0, 640, size=(300, m, 2))
         dst = _similarity(src.reshape(-1, 2), 9.0, 1.1, (5.0, -3.0)).reshape(src.shape)
         dst += rng.normal(0.0, 3.0, size=dst.shape)
-        src[10:20, 2] = src[10:20, 1]  # rank-deficient
+        src[10:20, 2] = src[10:20, 1]  # rank-deficient at m = 4
         src[20:30, :3, 1] = 50.0  # three collinear points
         src[30:40, 0, 0] = np.nan
         dst[40:50, 1, 1] = np.inf
-        fits = list(map(_loop_dlt, src, dst))
-        assert 150 < sum(fit is not None for fit in fits) < 300
-        h, fitted = _dlt(src, dst)
-        assert fitted.tolist() == [fit is not None for fit in fits]
+        src[50:60, 1:] = src[50:60, :1]  # all points coincide
+        src[60:70, :, 1] = 50.0  # all points on one line
+        fits = [_loop_refit(s, d) for s, d in zip(src, dst)]
+        singular = [30 <= i < 70 or (m == 4 and 10 <= i < 20) for i in range(300)]
+        assert [fit is None for fit in fits] == singular
+        for s, d, fit in zip(src, dst, fits):
+            got = ransac._refit(s, d)
+            assert (got is None) == (fit is None)
+            if fit is not None:
+                assert got.tobytes() == fit.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
+    def test_minimal_fits_match_per_sample_loop(self):
+        rng = np.random.default_rng(17)
+        src = rng.uniform(0, 640, size=(300, 4, 2))
+        dst = _similarity(src.reshape(-1, 2), 7.0, 1.05, (4.0, -9.0)).reshape(src.shape)
+        dst[8:] += rng.normal(0.0, 3.0, size=dst[8:].shape)  # noisy matches: general homographies
+        # Sample 1 is a square whose map sends its centroid to infinity, so
+        # h[2, 2] = 0 in the square's own normalized coordinates; the
+        # closed form, in pixel coordinates, still fits it.
+        src[1] = [(4.0, 4.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0)]
+        dst[1] = [(2.0, 8.0), (4.0, 6.0), (4.0, 8.0), (2.0, 6.0)]
+        src[3, 2, 0] = np.nan
+        dst[4, 1, 1] = np.inf
+        src[5, 2] = src[5, 1]  # a repeated point
+        dst[6, :3, 1] = 50.0  # three collinear points
+        src[7, 0] = 1e200  # products overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            fits = [_loop_fit(s, d) for s, d in zip(src, dst)]
+        h, fitted = ransac._fit(src, dst)
+        assert fitted.tolist()[:8] == [True, True, True, False, False, False, False, False]
+        assert fitted.tolist() == [fit is not None for fit in fits] and fitted[8:].all()
         assert h[fitted].tobytes() == np.array([fit for fit in fits if fit is not None]).tobytes()
-        assert np.isnan(h[~fitted]).all()
+        hp = np.hstack([src[1], np.ones((4, 1))]) @ h[1].T
+        assert np.abs(hp[:, :2] / hp[:, 2:] - dst[1]).max() < 1e-9
 
     def test_duplicated_points_give_collinear_samples(self):
         base = np.array([(10.0, 20.0), (400.0, 35.0), (380.0, 450.0), (25.0, 300.0), (200.0, 210.0)])
@@ -1341,7 +1406,7 @@ class TestBatchedRansacOracle:
         # consensus is forced here by scoring every model with no inlier.
         rng = np.random.default_rng(14)
         src = rng.uniform(0, 640, size=(30, 2))
-        monkeypatch.setattr(ransac, "_inliers", lambda h, rows, threshold: np.zeros((len(h), 30), dtype=bool))
+        monkeypatch.setattr(ransac, "_inliers", lambda h, src, dst, threshold: np.zeros((len(h), 30), dtype=bool))
         with pytest.raises(RansacError, match="no sampled model holds an inlier") as info:
             ransac_homography(src, src + 5, iterations=20)
         assert info.type is RansacError
@@ -1410,62 +1475,20 @@ class TestBatchedRansacOracle:
         c = ransac._draw(np.random.Generator(np.random.PCG64(6)), 50, 100)
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
-    def test_solve_and_svd_agree_on_their_own_points(self):
-        rng = np.random.default_rng(16)
-        src = rng.uniform(0, 640, size=(500, 4, 2))
-        dst = _similarity(src.reshape(-1, 2), 11.0, 0.9, (25.0, 6.0)).reshape(src.shape)
-        dst += rng.normal(0.0, 3.0, size=dst.shape)  # noisy matches: general homographies
-        keep = ~(ransac._collinear(src) | ransac._collinear(dst))
-        src, dst = src[keep], dst[keep]
-        h_solve, solved = ransac._solve(src, dst)
-        h_svd, fitted = _dlt(src, dst)
-        both = solved & fitted
-        assert both.sum() > 0.95 * len(src)
-
-        def project(h, pts):
-            proj = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2) @ h.transpose(0, 2, 1)
-            return proj[..., :2] / proj[..., 2:]
-
-        a, b = project(h_solve[both], src[both]), project(h_svd[both], src[both])
-        assert np.abs(a - b).max() < 1e-9
-        assert np.abs(a - dst[both]).max() < 1e-9
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite coordinates on purpose
-    def test_singular_and_non_finite_samples_fall_back_to_svd(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        src = rng.uniform(0, 640, size=(8, 4, 2))
-        dst = _similarity(src.reshape(-1, 2), 7.0, 1.05, (4.0, -9.0)).reshape(src.shape)
-        # Sample 1 is a square whose map sends its centroid to infinity, so
-        # h[2, 2] = 0 in normalized coordinates. Its normalized entries are
-        # small integers, so the 8x8 system is exactly singular and fails the
-        # whole stacked solve; the SVD still fits it.
-        src[1] = [(4.0, 4.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0)]
-        dst[1] = [(2.0, 8.0), (4.0, 6.0), (4.0, 8.0), (2.0, 6.0)]
-        src[3, 2, 0] = np.nan
-        dst[4, 1, 1] = np.inf
-        lapack_inputs = []
-
-        def recording(fn):
-            def call(a, *args, **kwargs):
-                lapack_inputs.append(np.asarray(a).copy())
-                return fn(a, *args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
-        monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
-        _, solved = ransac._solve(src, dst)
-        h_fit, fitted = ransac._fit(src, dst)
-        assert lapack_inputs and all(np.isfinite(a).all() for a in lapack_inputs)
-        assert solved.tolist() == [True, False, True, False, False, True, True, True]
-        assert fitted.tolist() == [True, True, True, False, False, True, True, True]
-        for i in np.flatnonzero(fitted):
-            want = _loop_solve(src[i], dst[i])
-            want = _loop_dlt(src[i], dst[i]) if want is None else want
-            assert h_fit[i].tobytes() == want.tobytes()
-        assert _loop_solve(src[1], dst[1]) is None
-        hp = np.hstack([src[1], np.ones((4, 1))]) @ h_fit[1].T
-        assert np.abs(hp[:, :2] / hp[:, 2:] - dst[1]).max() < 1e-9
+    def test_inlier_threshold_is_strict_on_the_documented_error(self):
+        # A threshold equal to a point's error, to the last bit, leaves it out;
+        # the next float up takes it in. So the error's arithmetic is pinned.
+        rng = np.random.default_rng(20)
+        src = rng.uniform(0, 640, size=(50, 2))
+        dst = _similarity(src, 6.0, 1.02, (9.0, -4.0)) + rng.normal(0.0, 5.0, size=(50, 2))
+        idx = ransac._draw(np.random.Generator(np.random.PCG64(20)), 50, 40)
+        h, fitted = ransac._fit(src[idx], dst[idx])
+        for model in h[fitted]:
+            errors, _ = _loop_errors(model, src, dst)
+            for j, err in enumerate(errors.tolist()):
+                at, above = (ransac._inliers(model[None], src[j : j + 1], dst[j : j + 1], t)[0, 0]
+                             for t in (err, math.nextafter(err, math.inf)))
+                assert not at and above
 
     def test_iterations_stop_after_the_first_chunk_on_all_inliers(self):
         rng = np.random.default_rng(18)

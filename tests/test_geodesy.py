@@ -77,6 +77,12 @@ class TestFrameMeta:
         with pytest.raises(ValueError):
             FrameMeta(lat=0.0, lon=0.0, alt_ellipsoidal_m=0.0, fov_diag_deg=180.0)
 
+    @pytest.mark.parametrize("alt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_altitude_rejected(self, alt):
+        # Accepted, it made agl return NaN or an infinity.
+        with pytest.raises(ValueError, match="altitude"):
+            FrameMeta(lat=34.5, lon=-118.5, alt_ellipsoidal_m=alt)
+
     def test_defaults(self):
         m = FrameMeta(lat=34.2, lon=-118.5, alt_ellipsoidal_m=250.0)
         assert m.fov_diag_deg == 61.0

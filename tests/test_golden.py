@@ -9,14 +9,22 @@ pair from ``imagefix`` is run through ``match_images`` and its
 as the ``float.hex`` of their ``(x, y, response, angle)``, in order.
 
 A refactor keeps every digest. A deliberate change of output renews the
-affected digests and says why in CHANGES.md; print the new ones with
-``python tests/test_golden.py``.
+affected digests and says why in CHANGES.md; print the new ones, and the
+funnels, with ``python tests/test_golden.py``.
+
+The match digests must hold whatever kernels numpy and OpenBLAS pick for the
+CPU: ``test_match_results_identical_across_cpu_kernels`` reruns the pairs with
+other kernels forced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,9 +219,17 @@ def frame_digests(name: str) -> tuple[str, str, str]:
     )
 
 
+def pair_json(name: str) -> str:
+    return json.dumps(match_images(*PAIRS[name]()).as_dict(), sort_keys=True)
+
+
 def pair_digest(name: str) -> str:
-    a, b = PAIRS[name]()
-    return _sha(json.dumps(match_images(a, b).as_dict(), sort_keys=True))
+    return _sha(pair_json(name))
+
+
+def pair_funnel(name: str) -> tuple[int, int, bool]:
+    res = match_images(*PAIRS[name]())
+    return res.survivors, res.inliers, res.near_duplicate
 
 
 def keypoint_digest(name: str) -> str:
@@ -326,9 +342,9 @@ GOLDEN_FRAMES = {
 }
 
 GOLDEN_PAIRS = {
-    "rotated": "b6f43ffeb3ffcbfc92ab5ebdc2754d7bedd9195d914b7dceb82efbc2f503250b",
-    "shifted": "6d683f3d1f5a3dabe63450cf1a629f470497ca18161c3623357a808837146ce6",
-    "unrelated": "0d24aa873eb56fc4b644b6a7d2116537cd2a00bfceeeeab6575675cc5a6bc046",
+    "rotated": "ed2e1754788a0096eea95e2923f98bec2ace48f3dd4a89988e501f8afb22180f",
+    "shifted": "45dd6da26c092ceeb2b52a43c3202553f6efc00bc53c0b86841de582d123e122",
+    "unrelated": "b41684bbe85f54aa31a241354c07850d84bdabff47a34586fea40e88882e0aee",
     "noise": "eaf31a42aee84145177574d9e36548a2fa09b96bf115307a32ff930e0a1f5ce1",
 }
 
@@ -362,8 +378,45 @@ def test_match_result_unchanged(name):
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_match_funnel_unchanged(name):
-    res = match_images(*PAIRS[name]())
-    assert (res.survivors, res.inliers, res.near_duplicate) == GOLDEN_FUNNELS[name]
+    assert pair_funnel(name) == GOLDEN_FUNNELS[name]
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return {flag for line in f if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+_PRINT_PAIRS = "import test_golden as g\nfor n in sorted(g.PAIRS): print(g.pair_json(n))"
+
+
+@pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas",
+                    reason="the kernels forced here are scipy-openblas's")
+def test_match_results_identical_across_cpu_kernels():
+    # OpenBLAS picks its kernel from the CPU (this build is DYNAMIC_ARCH), and
+    # numpy its SIMD loops; neither may change a byte of a match result.
+    kernels = {
+        "default": {},
+        "OpenBLAS Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        "numpy X86_V2 baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    }
+    if {"avx2", "fma"} <= _cpu_flags():  # the Haswell kernel needs both
+        kernels["OpenBLAS Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env |= {"PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]), "OPENBLAS_NUM_THREADS": "1"}
+    runs = {name: subprocess.Popen([sys.executable, "-c", _PRINT_PAIRS], env=env | extra, text=True,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for name, extra in kernels.items()}
+    outputs = {}
+    for name, run in runs.items():
+        out, err = run.communicate(timeout=600)
+        assert run.returncode == 0, f"{name}: {err}"
+        outputs[name] = out
+    assert len(outputs["default"].splitlines()) == len(PAIRS)
+    assert [name for name, out in outputs.items() if out != outputs["default"]] == []
 
 
 @pytest.mark.parametrize("name", sorted(DETECT_IMAGES))
@@ -422,6 +475,9 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_PAIRS = {")
     for n in PAIRS:
         print(f'    "{n}": "{pair_digest(n)}",')
+    print("}\n\nGOLDEN_FUNNELS = {")
+    for n in PAIRS:
+        print(f'    "{n}": {pair_funnel(n)},')
     print("}\n\nGOLDEN_KEYPOINTS = {")
     for n in DETECT_IMAGES:
         print(f'    "{n}": "{keypoint_digest(n)}",')

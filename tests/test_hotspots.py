@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factories import table_from_rows
 from firescene.hotspots import (
     Hotspot,
     HotspotParams,
@@ -25,7 +26,7 @@ from firescene.hotspots import (
 from firescene.raster import ThermalRaster
 
 
-NO_SPOTS = HotspotTable.from_rows([])
+NO_SPOTS = table_from_rows(HotspotTable, [])
 
 
 def _raster(arr) -> ThermalRaster:
@@ -265,7 +266,7 @@ def _oracle_hotspots(arr: np.ndarray, agl: float, params: HotspotParams) -> Hots
                 peak_px=(px, py),
             )
         )
-    return HotspotTable.from_rows(expected)
+    return table_from_rows(HotspotTable, expected)
 
 
 def _bfs_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -483,16 +484,16 @@ def _geometry_rows(draw) -> list[dict]:
 class TestHotspotTable:
     def test_rows_columns_and_length(self):
         rows = [Hotspot(**_row_fields(k, 5 + k, math.pi * r * r, r)) for k, r in enumerate((0.5, 2.0, 3.0))]
-        table = HotspotTable.from_rows(rows)
+        table = table_from_rows(HotspotTable, rows)
         assert len(table) == 3 and bool(table) and not NO_SPOTS and len(NO_SPOTS) == 0
         assert list(table) == rows and table[1] == rows[1] and table[-1] == rows[2]
         assert table.pixel_count.tolist() == [5, 6, 7] and table.centroid_px.tolist() == [[1.5, 2.5]] * 3
-        assert HotspotTable.from_rows(table) == table
+        assert table_from_rows(HotspotTable, table) == table
         with pytest.raises(IndexError):
             table[3]
 
     def test_columns_of_different_lengths_raise(self):
-        columns = {name: column[:1] for name, column in vars(HotspotTable.from_rows(
+        columns = {name: column[:1] for name, column in vars(table_from_rows(HotspotTable,
             [Hotspot(**_row_fields(k, 5, math.pi, 1.0)) for k in range(2)])).items()}
         columns["peak_px"] = np.concatenate([columns["peak_px"], [[0, 0]]])
         with pytest.raises(ValueError, match="columns differ in length"):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factories import table_from_rows
 from firescene import geodesy
 from firescene.hotspots import REGION_NO_HOTSPOTS, HotspotTable, gsd, locate_pixel
 from firescene.labeler import (
@@ -64,7 +65,7 @@ def collinear_scene():
 class TestAnalyzeFrame:
     def test_cold_frame(self):
         a = analyze_frame(_raster(np.full((32, 32), 20.0)), agl_m=60.0, frame_id="cold")
-        assert a.hotspots == HotspotTable.from_rows([])
+        assert a.hotspots == table_from_rows(HotspotTable, [])
         assert a.sdl == SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
         assert a.p200 == 0.0
         assert a.hottest_region == "No hotspots"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factories import corrupted, make_hotspot
+from factories import corrupted, make_hotspot, table_from_rows
 from firescene.features import MatchResult
 from firescene.hotspots import Hotspot, HotspotTable
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
@@ -478,10 +478,10 @@ class TestWriter:
             | st.lists(_hotspots(), min_size=1, max_size=1)
             | st.lists(_pooled_hotspots(), min_size=1, max_size=12)
         )
-        table = HotspotTable.from_rows(rows)
+        table = table_from_rows(HotspotTable, rows)
         doc, want = table, [h.as_dict() for h in rows]
         # As text: a NaN leaf is a new float object, unequal to the row's. Tables compare NaN equal.
-        assert _stdlib_json(table.row_dicts()) == _stdlib_json(want) and HotspotTable.from_rows(rows) == table
+        assert _stdlib_json(table.row_dicts()) == _stdlib_json(want) and table_from_rows(HotspotTable, rows) == table
         for _ in range(data.draw(st.integers(0, 3))):
             key = data.draw(_TEXT)
             wrap = data.draw(st.sampled_from([
@@ -495,7 +495,7 @@ class TestWriter:
     def test_pooled_table_keeps_distinct_nan_payloads(self):
         rows = [replace(make_hotspot(i, 1.0, 2.0), centroid_px=(nan, -0.0 if i % 2 else 0.0))
                 for i, nan in enumerate(_NANS)]
-        table = HotspotTable.from_rows(rows)
+        table = table_from_rows(HotspotTable, rows)
         assert len(set(table.centroid_px[:, 0].view(np.uint64).tolist())) == len(_NANS)
         assert _dumps({"t": table}) == _stdlib_json({"t": [h.as_dict() for h in rows]})
 
@@ -514,10 +514,10 @@ class TestWriter:
         assert {b: written[b] for b in hotspot_floats} == {b: 1 + others[b] for b in hotspot_floats}
 
     def test_empty_and_one_row_tables(self):
-        assert _dumps(HotspotTable.from_rows([])) == "[]"
-        assert _dumps({"t": HotspotTable.from_rows([])}) == '{\n  "t": []\n}'
+        assert _dumps(table_from_rows(HotspotTable, [])) == "[]"
+        assert _dumps({"t": table_from_rows(HotspotTable, [])}) == '{\n  "t": []\n}'
         one = make_hotspot(7, 1.0, 2.0)
-        assert _dumps([HotspotTable.from_rows([one])]) == _stdlib_json([[one.as_dict()]])
+        assert _dumps([table_from_rows(HotspotTable, [one])]) == _stdlib_json([[one.as_dict()]])
 
     def test_crowded_analysis_round_trip_builds_no_hotspot(self, monkeypatch):
         """Analysing, writing and reading back a 2000-hotspot frame builds no ``Hotspot``."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factories import disk_area, make_hotspot
+from factories import disk_area, make_hotspot, table_from_rows
 from firescene.hotspots import HotspotTable
 from firescene.spatial import (
     ClusterSet,
@@ -37,13 +37,13 @@ def centroid_distance(a, b, gsd):
 
 def spots_at(points_m, gsd=1.0, area=2.0, peaks=None):
     peaks = peaks or [300.0] * len(points_m)
-    return HotspotTable.from_rows(
+    return table_from_rows(HotspotTable, (
         make_hotspot(i, x / gsd, y / gsd, area_m2=area, peak_c=p, gsd=gsd)
         for i, ((x, y), p) in enumerate(zip(points_m, peaks))
-    )
+    ))
 
 
-NO_SPOTS = HotspotTable.from_rows([])
+NO_SPOTS = table_from_rows(HotspotTable, [])
 
 
 class TestCentroidDistance:
@@ -82,11 +82,11 @@ class TestSingleLinkage:
             make_hotspot(0, 0.0, 0.0, area_m2=3.0),
             make_hotspot(1, 100.0, 0.0, area_m2=3.0),  # equal area: lowest id wins
         ]
-        cs = single_linkage_clusters(HotspotTable.from_rows(spots), 1.0)
+        cs = single_linkage_clusters(table_from_rows(HotspotTable, spots), 1.0)
         assert cs.main_index == 0
 
         spots[1] = make_hotspot(1, 100.0, 0.0, area_m2=5.0)
-        cs = single_linkage_clusters(HotspotTable.from_rows(spots), 1.0)
+        cs = single_linkage_clusters(table_from_rows(HotspotTable, spots), 1.0)
         assert cs.main_index == 1
 
     @given(st.integers(0, 2**32 - 1))
@@ -99,7 +99,7 @@ class TestSingleLinkage:
         base = single_linkage_clusters(spots, 1.0)
 
         perm = rng.permutation(n)
-        shuffled = HotspotTable.from_rows(spots[i] for i in perm)
+        shuffled = table_from_rows(HotspotTable, (spots[i] for i in perm))
         cs = single_linkage_clusters(shuffled, 1.0)
         # Map member positions back through the permutation and compare partitions.
         mapped = sorted(tuple(sorted(perm[i] for i in c)) for c in cs.clusters)
@@ -362,7 +362,7 @@ def _integer_layouts(draw):
             points.append((draw(coord), draw(coord)))
     areas = [draw(st.sampled_from([0.5, 2.0, 7.0, 30.0])) for _ in points]
     rows = [make_hotspot(i, x, y, area_m2=a, gsd=gsd) for i, ((x, y), a) in enumerate(zip(points, areas))]
-    return gsd, HotspotTable.from_rows(rows)
+    return gsd, table_from_rows(HotspotTable, rows)
 
 
 def _brute_clusters(spots, gsd, p):
@@ -458,7 +458,7 @@ class TestDistanceMatrixOracle:
     @example((1.0, spots_at([(13, 7), (7, 15), (50, 50)])))  # the other diagonal
     @example((1.0, spots_at([(5, 0), (15, 0), (45, 0)])))  # exactly 10 m, across a cell edge
     # Exactly 10 m apart, yet two cells apart on a grid exactly d_merge / gsd wide, without the margin.
-    @example((1 / 3, HotspotTable.from_rows(
+    @example((1 / 3, table_from_rows(HotspotTable,
         [make_hotspot(0, 29.999999999999996, 0.0, gsd=1 / 3), make_hotspot(1, 60.0, 0.0, gsd=1 / 3)])))
     @example((-1.0, spots_at([(0, 0), (6, 8), (40, 0), (45, 0)], gsd=-1.0)))  # negative gsd: |gsd| scales
     @example((1.0, spots_at([(0, 0), (_below(10.0), 0), (45, 0)])))  # one ulp inside d_merge
@@ -496,8 +496,8 @@ class TestDistanceMatrixOracle:
         xs = 20 + 12 * gx + rng.integers(-1, 2, gx.shape)
         ys = 16 + 12 * gy + rng.integers(-1, 2, gy.shape)
         areas = rng.uniform(0.5, 30.0, gx.size)
-        spots = HotspotTable.from_rows(make_hotspot(i, float(x), float(y), area_m2=float(a), gsd=gsd)
-                                       for i, (x, y, a) in enumerate(zip(xs.ravel(), ys.ravel(), areas)))
+        spots = table_from_rows(HotspotTable, (make_hotspot(i, float(x), float(y), area_m2=float(a), gsd=gsd)
+                                               for i, (x, y, a) in enumerate(zip(xs.ravel(), ys.ravel(), areas))))
         p = SpatialParams()
         clusters, main, isolated, label = _dense_classifiers(spots, gsd, p)
         cs = single_linkage_clusters(spots, gsd, p)
@@ -512,7 +512,7 @@ class TestDistanceMatrixOracle:
         n, gsd, p = 2000, 0.5, SpatialParams()
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1300, size=(n, 2))  # about 1.5 hotspots within d_merge of each
-        spots = HotspotTable.from_rows(make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(pts.tolist()))
+        spots = table_from_rows(HotspotTable, (make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(pts.tolist())))
         pairs = spatial_tree.cKDTree(pts).query_pairs(p.d_merge_m / gsd, output_type="ndarray")
         graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
         _, kd_ids = csgraph.connected_components(graph, directed=False)
@@ -534,7 +534,7 @@ class TestDistanceMatrixOracle:
         side = 600.0 * math.sqrt(n / 1500)
         rng = np.random.default_rng(5)
         field = rng.uniform(0, side, size=(n, 2)).tolist() + [(x, side + 75.0) for x in range(0, int(side), 60)]
-        spots = HotspotTable.from_rows(make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(field))
+        spots = table_from_rows(HotspotTable, (make_hotspot(i, x, y, gsd=gsd) for i, (x, y) in enumerate(field)))
         cs = single_linkage_clusters(spots, gsd)
         run = {
             "linkage": lambda: single_linkage_clusters(spots, gsd),
@@ -557,8 +557,8 @@ def _ember_grid(seed, gsd, area=2.0):
     gy, gx = np.mgrid[0:40, 0:50]
     xs = 20 + 12 * gx + rng.integers(-1, 2, gx.shape)
     ys = 16 + 12 * gy + rng.integers(-1, 2, gy.shape)
-    return HotspotTable.from_rows(make_hotspot(i, float(x), float(y), area_m2=area, gsd=gsd)
-                                  for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel())))
+    return table_from_rows(HotspotTable, (make_hotspot(i, float(x), float(y), area_m2=area, gsd=gsd)
+                                          for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel()))))
 
 
 # Any float in range, zero and subnormals included, so that tiny extents reach ``_extent``'s guard.
