@@ -2,8 +2,8 @@
 
 The chain is: EXIF GPS gives the ellipsoidal altitude h, a geoid undulation
 grid converts it to orthometric height (h - N), and an SRTM elevation tile
-supplies the local ground elevation, so AGL = (h - N) - ground. AGL is then
-binned into the flight-altitude answer categories.
+supplies the local ground elevation, so AGL = (h - N) - ground. ``labeler``
+bins AGL into the flight-altitude answer categories.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .questions import bin_option
 from .raster import RasterFormatError
 from .tiff import INTEGER_TYPES, TYPE_ASCII, TYPE_RATIONAL, IfdEntry, read_header, read_ifd
 
@@ -254,24 +253,6 @@ def agl(meta: FrameMeta, geoid: GeoidGrid, dem: DemTileSet) -> float:
     return (meta.alt_ellipsoidal_m - n) - ground
 
 
-@dataclass(frozen=True)
-class AltitudeBin:
-    """Flight-altitude category plus a flag for physically suspect input."""
-
-    label: str
-    suspect: bool = False
-
-
-def altitude_bin(agl_m: float) -> AltitudeBin:
-    """Bin AGL into the FP2 categories, half-open at ``questions.BIN_EDGES["FP2"]``.
-
-    Negative AGL maps to the lowest bin with ``suspect`` set.
-    """
-    if not math.isfinite(agl_m):
-        raise ValueError(f"AGL must be finite, got {agl_m}")
-    return AltitudeBin(bin_option("FP2", agl_m), suspect=agl_m < 0)
-
-
 # --- EXIF GPS extraction ----------------------------------------------------
 
 _GPS_IFD_POINTER = 0x8825
@@ -300,11 +281,14 @@ def _rationals(gps: dict[int, IfdEntry], tag: int) -> list[float]:
     return [num / den for num, den in pairs]
 
 
-def _dms_to_degrees(dms: list[float], ref: str) -> float:
+def _dms_to_degrees(dms: list[float], ref: str, refs: tuple[str, str]) -> float:
+    """Signed degrees; ``refs`` holds the axis's positive, then negative, reference."""
     if len(dms) != 3:
         raise ExifError(f"expected 3 DMS rationals, got {len(dms)}")
+    if ref not in refs:
+        raise ExifError(f"GPS reference {ref!r} is neither {refs[0]!r} nor {refs[1]!r}")
     deg = dms[0] + dms[1] / 60.0 + dms[2] / 3600.0
-    return -deg if ref in ("S", "W") else deg
+    return -deg if ref == refs[1] else deg
 
 
 def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG) -> FrameMeta:
@@ -314,7 +298,9 @@ def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_D
     Camera FOV comes from the keyword default since the GPS IFD does not
     carry it. Raises only ExifError for content it cannot use: no JPEG, no
     Exif or GPS block, a malformed or truncated IFD, a missing or mistyped
-    GPS tag, a zero denominator, or a position FrameMeta rejects.
+    GPS tag, a zero denominator, a latitude reference other than "N" or "S"
+    or a longitude reference other than "E" or "W", or a position FrameMeta
+    rejects.
     """
     buf = Path(jpeg).read_bytes()
     if buf[:2] != b"\xff\xd8":
@@ -351,8 +337,8 @@ def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_D
     except RasterFormatError as exc:
         raise ExifError(f"malformed Exif block: {exc}") from exc
 
-    lat = _dms_to_degrees(_rationals(gps, _GPS_LAT), _gps_values(gps, _GPS_LAT_REF, TYPE_ASCII))
-    lon = _dms_to_degrees(_rationals(gps, _GPS_LON), _gps_values(gps, _GPS_LON_REF, TYPE_ASCII))
+    lat = _dms_to_degrees(_rationals(gps, _GPS_LAT), _gps_values(gps, _GPS_LAT_REF, TYPE_ASCII), ("N", "S"))
+    lon = _dms_to_degrees(_rationals(gps, _GPS_LON), _gps_values(gps, _GPS_LON_REF, TYPE_ASCII), ("E", "W"))
     alt = _rationals(gps, _GPS_ALT)[0]
     if _GPS_ALT_REF in gps and gps[_GPS_ALT_REF].values[:1] == [1]:
         alt = -alt

@@ -5,15 +5,16 @@ threshold (200 C by default) whose ground-projected equivalent radius and
 pixel count both clear the validity minimums. Pixel counts convert to ground
 area through the field-of-view based ground sampling distance.
 
-Components come from one run-labeling pass over the whole mask (``_label``);
-sizes, centroids, peaks and the filters are then computed for all components
-at once. A hotspot's peak is its hottest pixel, the first in row-major order
-among ties: a scatter maximum over the kept components' pixels gives each
-peak temperature, and a scatter minimum of the flat index over the pixels
-that reach it gives the pixel, so the cost follows the kept pixels, with no
-sort. The kept components form a ``HotspotTable`` of those arrays, with
-no per-hotspot step; a ``Hotspot`` is one row of it, built only when a
-caller indexes the table.
+Components come from one run-labeling pass over the whole mask (``_label``),
+their ids from a running count of the roots, with no sort; sizes, centroids,
+peaks and the filters are then computed for all components at once. A
+hotspot's peak is its hottest pixel, the first in row-major order among ties:
+a scatter maximum over the kept components' pixels gives each peak
+temperature, and a scatter minimum of the flat index over the pixels that
+reach it gives the pixel, so the cost follows the kept pixels, with no sort.
+The kept components form a ``HotspotTable`` of those arrays, with no
+per-hotspot step; a ``Hotspot`` is one row of it, built only when a caller
+indexes the table.
 """
 
 from __future__ import annotations
@@ -141,21 +142,27 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     # Runs lo[i]:hi[i] of the previous row end at or after start and start at or before end.
     lo = np.searchsorted(end, start - (width + 1), side="left")
     hi = np.searchsorted(start, end - (width + 1), side="right")
-    touches = hi - lo
     # One edge (a, b) per touching pair: run a and previous-row run b.
-    a = np.repeat(np.arange(len(start)), touches)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(touches) - touches - lo, touches)
+    a, b = _in_ranges(lo[:, None], hi[:, None])
     run_comp, n = components(len(start), a, b)
     return np.repeat(run_comp, end - start), n
+
+
+def _in_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row r, position p) for every p in ``lo[r, k]:hi[r, k]``, over all rows and columns."""
+    counts = (hi - lo).ravel()
+    rows = np.repeat(np.arange(len(lo)), (hi - lo).sum(axis=1))
+    # The k-th position overall sits k - (first k of its range) past its range's lo.
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo.ravel(), counts)
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Components of the undirected graph on nodes 0..n-1 with edges (a[i], b[i]).
 
-    Returns each node's component id, numbered in the order of each
-    component's smallest node, and the number of components. Edges merge by
-    hooking the larger root under the smaller, with full path compression
-    after each round, so every component's root is its smallest node.
+    Returns each node's component id, numbered by a running count of the
+    roots (no sort), and the number of components. Edges merge by hooking the
+    larger root under the smaller, with full path compression after each
+    round, so every root is its component's smallest node and ids follow it.
     """
     parent = np.arange(n)
     while True:
@@ -170,8 +177,8 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
             if np.array_equal(hop, parent):
                 break
             parent = hop
-    roots, ids = np.unique(parent, return_inverse=True)
-    return ids, len(roots)
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent], np.count_nonzero(roots)
 
 
 def connected_components(mask: np.ndarray) -> list[np.ndarray]:

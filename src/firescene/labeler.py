@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from . import hotspots as hs
 from . import spatial as sp
-from .geodesy import FrameMeta, altitude_bin
+from .geodesy import FrameMeta
 from .raster import RadiometricSummary, ThermalRaster, summarize
 from .questions import DETERMINISTIC_IDS, QUESTIONS, bin_option, choices, validate_option
 from .records import Record
@@ -27,6 +27,9 @@ PROVENANCE_EXTERNAL = "external"
 # Slots that PD1 = "No" forces to their null options.
 _HOTSPOT_FAMILY = ("PD7", "DS1", "DS3", "LD1", "CMR4")
 
+# FrameAnalysis fields that need a ground sampling distance: all set, or all None.
+_GSD_FIELDS = ("gsd_m", "hotspots", "clusters", "sdl", "hicl", "isolated", "hottest_region")
+
 
 def _check_schema_version(version: int) -> None:
     if not 1 <= version <= SCHEMA_VERSION:
@@ -38,7 +41,8 @@ class FrameAnalysis(Record):
     """Full deterministic output for one frame.
 
     GSD-dependent fields (``gsd_m`` to ``hottest_region``) keep their None
-    defaults, with a reason in ``errors``, when no usable AGL was supplied.
+    defaults, with a reason in ``errors``, when no usable AGL was supplied;
+    otherwise every one of them is set. A mix raises ``ValueError``.
     """
 
     frame_id: str
@@ -61,6 +65,8 @@ class FrameAnalysis(Record):
         _check_schema_version(self.schema_version)
         if self.p400 > self.p200:
             raise ValueError("p400 cannot exceed p200")
+        if len({getattr(self, name) is None for name in _GSD_FIELDS}) > 1:
+            raise ValueError(f"GSD-dependent fields {', '.join(_GSD_FIELDS)} must be all set or all None")
         for name, value, null in (
             ("SDL NoActiveHotspots", self.sdl, sp.SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS),
             ("HICL NoActiveHotspots", self.hicl, sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS),
@@ -191,6 +197,13 @@ def bin_p200(p: float) -> str:
     return _bin_percentage("DS8", p)
 
 
+def bin_agl(agl_m: float) -> str:
+    """FP2 bin of a finite AGL, lower-inclusive at the FP2 edges; a negative AGL falls in the lowest bin."""
+    if not math.isfinite(agl_m):
+        raise ValueError(f"AGL must be finite, got {agl_m}")
+    return bin_option("FP2", agl_m)
+
+
 def bin_peak_temp(analysis: FrameAnalysis) -> str:
     """CMR4 bin of the hottest hotspot peak, lower-inclusive at the CMR4 edges.
 
@@ -242,8 +255,7 @@ def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:
     if analysis.agl_m is None:
         missing("FP2", "AGL unavailable")
     else:
-        fp2 = altitude_bin(analysis.agl_m)
-        put("FP2", fp2.label, note="negative AGL, suspect" if fp2.suspect else None)
+        put("FP2", bin_agl(analysis.agl_m), note="negative AGL, suspect" if analysis.agl_m < 0 else None)
 
     _assert_forced_consistency(sheet)
     return sheet

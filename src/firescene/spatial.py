@@ -8,22 +8,24 @@ compactness test against the equivalent radius of the combined area) and the
 intensity consistency (robust coefficient of variation of per-hotspot peaks).
 
 No classifier builds the n x n matrix of centroid distances. Linkage and
-isolation test only the candidate pairs found on a grid of cells a hair
-wider than the threshold (fixed-radius near neighbours, Bentley, Stanat &
-Williams 1977). Every pair's distance is
-``hypot((xa - xb) * gsd, (ya - yb) * gsd)`` over pixel centroids, so every
-decision is the same float comparison as over all pairs. Clusters are the
-graph components (``hotspots.components``) of the pairs within the merge
-distance. The extent is the all-pairs maximum, bit for bit, over the
-centroids one triangle-inequality cut leaves. The farthest of the extreme
-centroids in the directions +-x, +-y, +-(x+y) and +-(y-x) is a real pair at
-d0; a centroid whose distance to the bounding-box centre, plus the largest
-such distance, stays under d0 * (1 - 1e-9) cannot end the farthest pair, as
-the margin dwarfs the rounding. At a non-finite d0, or one below 2^-900
-where underflow could outweigh the margin, every centroid takes part. A
+isolation test only the candidate pairs found on a grid of cells a hair wider
+than the threshold (fixed-radius near neighbours, Bentley, Stanat & Williams
+1977). Every pair's distance is ``hypot((xa - xb) * gsd, (ya - yb) * gsd)``
+over pixel centroids, so every decision is the same float comparison as over
+all pairs. Clusters are the graph components (``hotspots.components``) of the
+pairs within the merge distance; ``hotspots._in_ranges`` expands the
+candidates' key ranges into pairs. Areas are summed in index order
+(``np.bincount``, ``np.cumsum``), one addition at a time, so no Python
+version's ``sum`` changes a total. The extent is the all-pairs maximum, bit
+for bit, over the centroids one triangle-inequality cut leaves. The farthest
+of the extreme centroids in the directions +-x, +-y, +-(x+y) and +-(y-x) is a
+real pair at d0; a centroid whose distance to the bounding-box centre, plus
+the largest such distance, stays under d0 * (1 - 1e-9) cannot end the farthest
+pair, as the margin dwarfs the rounding. At a non-finite d0, or one below
+2^-900 where underflow could outweigh the margin, every centroid takes part. A
 ring keeps all its centroids, so there the extent stays quadratic; elsewhere
-time and memory grow with n times the number of hotspots within a threshold
-of each, not n^2.
+time and memory grow with n times the number of hotspots within a threshold of
+each, not n^2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hotspots import HotspotTable, components
+from .hotspots import HotspotTable, _in_ranges, components
 from .records import Record
 
 
@@ -177,14 +179,6 @@ def _cell_keys(points_px: np.ndarray, radius_px: float) -> tuple[np.ndarray, int
     return c[:, 1] * width + c[:, 0], width
 
 
-def _in_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row r, position p) for every p in ``lo[r, k]:hi[r, k]``, over all rows and columns."""
-    counts = (hi - lo).ravel()
-    rows = np.repeat(np.arange(len(lo)), (hi - lo).sum(axis=1))
-    # The k-th position overall sits k - (first k of its range) past its range's lo.
-    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo.ravel(), counts)
-
-
 def _pairs_within(points_px: np.ndarray, radius_px: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of points that may lie within ``radius_px`` of each other.
 
@@ -234,8 +228,7 @@ def single_linkage_clusters(
     ids, _ = components(n, i[near], j[near])
     order = np.argsort(ids, kind="stable")  # stable: each cluster's members stay ascending
     clusters = tuple(tuple(c.tolist()) for c in np.split(order, np.cumsum(np.bincount(ids))[:-1]))
-    area = hotspots.area_m2.tolist()
-    totals = tuple(sum(area[i] for i in c) for c in clusters)
+    totals = tuple(np.bincount(ids, weights=hotspots.area_m2).tolist())
     main = totals.index(max(totals))  # ties stay with the lowest id
     return ClusterSet(clusters=clusters, main_index=main, total_area_m2=totals)
 
@@ -314,7 +307,7 @@ def classify_distribution(
     if n == 0:
         return SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS
 
-    a_tot = sum(hotspots.area_m2.tolist())
+    a_tot = float(np.cumsum(hotspots.area_m2)[-1])
     r_eq = math.sqrt(a_tot / math.pi)
     d_max = _extent(hotspots.centroid_px, gsd)
     if n >= 2 and d_max > params.d_lin_m:

@@ -13,7 +13,6 @@ from exifutil import build_gps_jpeg
 from factories import corrupted
 from firescene.geodesy import (
     SRTM_VOID,
-    AltitudeBin,
     DemTile,
     DemTileSet,
     DemVoidError,
@@ -23,11 +22,11 @@ from firescene.geodesy import (
     GeoidGrid,
     OutsideCoverageError,
     agl,
-    altitude_bin,
     dem_elevation,
     geoid_undulation,
     parse_exif_gps,
 )
+from firescene.labeler import bin_agl
 
 
 def _grid(values, origin=(34.0, -119.0), spacing=0.5) -> GeoidGrid:
@@ -106,6 +105,18 @@ class TestExifGps:
         p = tmp_path / "f.jpg"
         p.write_bytes(build_gps_jpeg(lat_dms=(12.0, 0.0, 0.0), lat_ref="S"))
         assert parse_exif_gps(p).lat == pytest.approx(-12.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lat_ref": "W"}, {"lat_ref": ""}, {"lat_ref": "n"}, {"lon_ref": "S"}, {"lon_ref": ""}, {"lon_ref": "w"}],
+        ids=["lat-W", "lat-empty", "lat-lowercase", "lon-S", "lon-empty", "lon-lowercase"],
+    )
+    def test_reference_must_name_its_axis(self, tmp_path, kwargs):
+        # A ref of the other axis, an empty one or a lowercase one is not read as a hemisphere.
+        p = tmp_path / "f.jpg"
+        p.write_bytes(build_gps_jpeg(**kwargs))
+        with pytest.raises(ExifError, match="GPS reference"):
+            parse_exif_gps(p)
 
     def test_missing_gps_ifd(self, tmp_path):
         p = tmp_path / "f.jpg"
@@ -420,6 +431,8 @@ class TestAgl:
 
 
 class TestAltitudeBin:
+    """FP2 binning of an AGL, which ``labeler`` does from the AGL this module computes."""
+
     @pytest.mark.parametrize(
         "value,label",
         [
@@ -433,20 +446,21 @@ class TestAltitudeBin:
         ],
     )
     def test_bins(self, value, label):
-        assert altitude_bin(value) == AltitudeBin(label)
+        assert bin_agl(value) == label
 
     def test_negative_is_suspect(self):
-        assert altitude_bin(-5.0) == AltitudeBin("0–50 m", suspect=True)
+        # The lowest bin; answer_sheet's suspect note is checked by test_fp2_without_positive_agl.
+        assert bin_agl(-5.0) == "0–50 m"
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            altitude_bin(math.nan)
+            bin_agl(math.nan)
         with pytest.raises(ValueError):
-            altitude_bin(math.inf)
+            bin_agl(math.inf)
 
     @given(st.floats(0, 1000, allow_nan=False), st.floats(0, 1000, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, a, b):
         order = ["0–50 m", "50–100 m", "100–150 m", ">150 m"]
         lo, hi = min(a, b), max(a, b)
-        assert order.index(altitude_bin(lo).label) <= order.index(altitude_bin(hi).label)
+        assert order.index(bin_agl(lo)) <= order.index(bin_agl(hi))

@@ -19,8 +19,10 @@ other kernels forced.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -368,6 +370,29 @@ GOLDEN_KEYPOINTS = {
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_frame_outputs_unchanged(name):
+    assert frame_digests(name) == GOLDEN_FRAMES[name]
+
+
+_BUILTIN_SUM = sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 and later compute it over floats: Neumaier's compensated loop."""
+    items = list(iterable)
+    if not all(type(x) is float for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, comp = start, 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_frame_outputs_hold_under_compensated_sum(name, monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated; no output may depend on the version.
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert frame_digests(name) == GOLDEN_FRAMES[name]
 
 

@@ -115,6 +115,18 @@ class TestAnalyzeFrame:
         with pytest.raises(ValueError, match="p400"):
             FrameAnalysis.from_dict(d)
 
+    @pytest.mark.parametrize("name", ["gsd_m", "hotspots", "clusters", "sdl", "hicl", "isolated", "hottest_region"])
+    def test_gsd_fields_all_set_or_all_none(self, collinear_scene, name):
+        # One null among set GSD-dependent fields, or one value among nulls, is rejected.
+        r, agl = collinear_scene
+        full = analyze_frame(r, agl_m=agl).as_dict()
+        bare = analyze_frame(r).as_dict()
+        assert bare[name] is None and full[name] is not None
+        with pytest.raises(ValueError, match="all set or all None"):
+            FrameAnalysis.from_dict(full | {name: None})
+        with pytest.raises(ValueError, match="all set or all None"):
+            FrameAnalysis.from_dict(bare | {name: full[name]})
+
     def test_float_fields_hold_python_floats(self, tmp_path):
         """Every float leaf of an analysis built with a geoid/DEM AGL is a ``float``, not a numpy scalar."""
         (tmp_path / "N34W119.hgt").write_bytes(np.full((1201, 1201), 120, dtype=">i2").tobytes())
