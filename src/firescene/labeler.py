@@ -41,8 +41,10 @@ class FrameAnalysis(Record):
     """Full deterministic output for one frame.
 
     GSD-dependent fields (``gsd_m`` to ``hottest_region``) keep their None
-    defaults, with a reason in ``errors``, when no usable AGL was supplied;
-    otherwise every one of them is set. A mix raises ``ValueError``.
+    defaults, with a reason in ``errors``, when ``agl_m`` is None or not
+    positive; when it is positive, every one of them is set. A mix, set
+    fields beside any other ``agl_m``, unset ones beside a positive one, or
+    a non-finite ``agl_m`` raises ``ValueError``.
     """
 
     frame_id: str
@@ -65,8 +67,12 @@ class FrameAnalysis(Record):
         _check_schema_version(self.schema_version)
         if self.p400 > self.p200:
             raise ValueError("p400 cannot exceed p200")
+        if self.agl_m is not None and not math.isfinite(self.agl_m):
+            raise ValueError(f"AGL must be finite, got {self.agl_m}")
         if len({getattr(self, name) is None for name in _GSD_FIELDS}) > 1:
             raise ValueError(f"GSD-dependent fields {', '.join(_GSD_FIELDS)} must be all set or all None")
+        if (self.gsd_m is not None) != (self.agl_m is not None and self.agl_m > 0):
+            raise ValueError(f"GSD-dependent fields must be set exactly when AGL is positive, got AGL {self.agl_m}")
         for name, value, null in (
             ("SDL NoActiveHotspots", self.sdl, sp.SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS),
             ("HICL NoActiveHotspots", self.hicl, sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS),

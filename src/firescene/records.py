@@ -12,10 +12,10 @@ whenever an ``indent`` is given; ``_dumps`` has the C encoder write the leaves.
 A ``Table`` is the package's one column table: read-only numpy columns that
 stand for a list of row records. ``as_dict`` and the JSON documents hold it as
 that list of row dicts; ``to_json`` writes it from the columns, without
-building a row, and writes each distinct float bit pattern of a table once:
-equal bits always give equal text, so the bytes are those of one text per
-leaf. ``from_json`` reads the rows' values straight into the columns, without
-building a row either.
+building a row, and writes each distinct bit pattern of a column once, ints
+and floats alike: equal bits always give equal text, so the bytes are those
+of one text per leaf. ``from_json`` reads the rows' values straight into the
+columns, without building a row either.
 """
 
 from __future__ import annotations
@@ -228,35 +228,21 @@ def _table_texts(table: Table) -> tuple[str, ...]:
     """The JSON texts of a non-empty table's leaves, row by row, each row in
     its layout's order: the keys sorted, then each (n, k) column's k values.
 
-    The float leaves are written once per distinct bit pattern, so equal
+    Each column's leaves are written once per distinct bit pattern, so equal
     bits always give equal text (-0.0, each NaN payload and the infinities
-    included); the int leaves are written one by one. Both go through one
-    C-encoder call.
+    included), every column's in one C-encoder call.
     """
     n = len(table)
-    columns = vars(table)
-    float_names, int_names, float_at, int_at = _leaf_layout(type(table))
-    # The (n, 0) blocks keep each stack defined, and of its dtype, for a table without such columns.
-    floats = np.column_stack([np.empty((n, 0)), *(columns[name] for name in float_names)])
-    ints = np.column_stack([np.empty((n, 0), dtype=np.int64), *(columns[name] for name in int_names)])
-    bits, inverse = np.unique(floats.ravel().view(np.uint64), return_inverse=True)
-    texts = "".join(_LEAF_WRITER(bits.view(np.float64).tolist() + ints.ravel().tolist(), 0))[1:-1].split("\0")
-    at = np.empty((n, len(float_at) + len(int_at)), dtype=np.intp)  # each leaf's index into texts
-    at[:, float_at] = inverse.reshape(floats.shape)
-    at[:, int_at] = np.arange(len(bits), len(texts)).reshape(ints.shape)
-    return tuple(np.array(texts, dtype=object)[at].ravel().tolist())
-
-
-@functools.cache
-def _leaf_layout(cls: type) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-    """A table's float and int column names, sorted, and where their leaves sit in a row's layout."""
-    names, at, k = {"f": [], "i": []}, {"f": [], "i": []}, 0
-    for name, dtype, shape in sorted(_column_spec(cls)):
-        width = shape[0] if shape else 1
-        names[dtype.kind].append(name)
-        at[dtype.kind].extend(range(k, k + width))
-        k += width
-    return tuple(names["f"]), tuple(names["i"]), np.array(at["f"], dtype=np.intp), np.array(at["i"], dtype=np.intp)
+    distinct, at, k = [], [], 0  # per column, its distinct values and each leaf's index into the texts
+    for _, column in sorted(vars(table).items()):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        distinct.append(bits.view(column.dtype))
+        at.append(inverse.reshape(n, -1) + k)
+        k += len(bits)
+    # The Python leaves are made after the loop, and dropped once written: made between its
+    # numpy temporaries, they left a heap that raised the benchmark's peak RSS by 1-2 MB.
+    texts = "".join(_LEAF_WRITER([v for values in distinct for v in values.tolist()], 0))[1:-1].split("\0")
+    return tuple(np.array(texts, dtype=object)[np.concatenate(at, axis=1)].ravel().tolist())
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -126,6 +127,19 @@ class TestAnalyzeFrame:
             FrameAnalysis.from_dict(full | {name: None})
         with pytest.raises(ValueError, match="all set or all None"):
             FrameAnalysis.from_dict(bare | {name: full[name]})
+
+    @pytest.mark.parametrize(
+        "with_gsd, agl",
+        [(True, None), (True, -5.0), (True, 0.0), (True, math.nan), (True, math.inf),
+         (False, 40.0), (False, math.nan), (False, -math.inf)],
+    )
+    def test_gsd_fields_set_exactly_beside_a_positive_agl(self, collinear_scene, with_gsd, agl):
+        # analyze_frame never pairs set GSD-dependent fields with a None or non-positive
+        # AGL, nor unset ones with a positive AGL, and rejects a non-finite one.
+        r, positive = collinear_scene
+        doc = json.loads(analyze_frame(r, agl_m=positive if with_gsd else None).to_json())
+        with pytest.raises(ValueError, match="AGL"):
+            FrameAnalysis.from_json(json.dumps(doc | {"agl_m": agl}))
 
     def test_float_fields_hold_python_floats(self, tmp_path):
         """Every float leaf of an analysis built with a geoid/DEM AGL is a ``float``, not a numpy scalar."""

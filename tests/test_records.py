@@ -4,6 +4,7 @@ JSON writer against ``json.dumps``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import corrupted, make_hotspot, table_from_rows
-from firescene.features import MatchResult
+from firescene.features import Keypoint, KeypointTable, MatchResult
 from firescene.hotspots import Hotspot, HotspotTable
 from firescene.labeler import SCHEMA_VERSION, Answer, AnswerSheet, FrameAnalysis, analyze_frame, answer_sheet
 from firescene.questions import QUESTIONS, choices
@@ -512,6 +513,37 @@ class TestWriter:
         written = Counter(_bits(v) for v in seen if type(v) is float)
         assert 2000 < len(hotspot_floats) < 3000  # of 14,000 float leaves
         assert {b: written[b] for b in hotspot_floats} == {b: 1 + others[b] for b in hotspot_floats}
+
+    def test_crowded_analysis_writes_each_distinct_column_value_once(self, monkeypatch):
+        """The C encoder receives each distinct value of each hotspot column once, ints included."""
+        hotspots = analyze_frame(ThermalRaster.from_array(ember_field(0, alternating=False)), agl_m=300.0).hotspots
+        seen, write = [], records._LEAF_WRITER
+        monkeypatch.setattr(records, "_LEAF_WRITER", lambda leaves, depth: (seen.extend(leaves), write(leaves, depth))[1])
+        assert _dumps(hotspots) == _stdlib_json(hotspots.row_dicts())
+
+        def key(v):
+            return type(v), _bits(v) if type(v) is float else v
+
+        want = Counter()
+        for column in vars(hotspots).values():
+            want.update(set(map(key, column.ravel().tolist())))
+        assert Counter(map(key, seen)) == want
+        assert len(hotspots) == 2000 and set(hotspots.pixel_count.tolist()) == {25}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS), max_size=8)
+           | st.lists(st.tuples(_POOL_FLOATS, _POOL_FLOATS, _POOL_FLOATS, _POOL_FLOATS), min_size=1, max_size=12))
+    def test_float_only_table_matches_json_dumps_of_its_rows(self, values):
+        rows = [Keypoint(*v) for v in values]
+        table = table_from_rows(KeypointTable, rows)
+        want = [dataclasses.asdict(k) for k in rows]
+        assert _dumps(table) == _stdlib_json(want)
+        assert _dumps({"k": [table]}) == _stdlib_json({"k": [want]})
+
+    def test_empty_and_one_row_float_only_tables(self):
+        assert _dumps(table_from_rows(KeypointTable, [])) == "[]"
+        one = Keypoint(-0.0, math.nan, math.inf, -math.inf)
+        assert _dumps([table_from_rows(KeypointTable, [one])]) == _stdlib_json([[dataclasses.asdict(one)]])
 
     def test_empty_and_one_row_tables(self):
         assert _dumps(table_from_rows(HotspotTable, [])) == "[]"
