@@ -4,11 +4,11 @@ Minimal 4-point fits are scored by inlier count under a forward reprojection
 threshold; the best model is refit on its full inlier set. Sampling uses an
 explicitly seeded generator, so results are bit-reproducible run to run.
 
-Every minimal sample is drawn up front in one call, so the sample sequence does
-not depend on what the fits find: row i holds integers below n, n - 1, n - 2
-and n - 3, and each picks among the indices the earlier ones left (the
-sequential skip rule). The samples are fitted and scored one chunk at a time,
-the chunk sized by models x correspondences to bound the scratch memory.
+The minimal samples are drawn, fitted and scored one chunk at a time, the chunk
+sized by models x correspondences to bound the scratch memory. The draws continue
+one generator stream, so the samples depend neither on what the fits find nor on
+the chunk size: row i holds integers below n, n - 1, n - 2 and n - 3, and each
+picks among the indices the earlier ones left (the sequential skip rule).
 A minimal fit is the closed form Q_dst adj(Q_src), Q_p the map of the unit
 square onto the points p (Heckbert 1989, section 2.2.3); samples with three
 collinear points in either image, and non-finite models, are dropped. The
@@ -276,7 +276,7 @@ def ransac_homography(
     if n < 4:
         raise RansacError(f"insufficient correspondences: {n} < 4")
 
-    samples = _draw(np.random.Generator(np.random.PCG64(seed)), n, iterations)
+    rng = np.random.Generator(np.random.PCG64(seed))
     chunk = max(1, _CHUNK_MODEL_POINTS // n)
     fitted_any = False
     best_mask: np.ndarray | None = None
@@ -284,7 +284,8 @@ def ransac_homography(
     best_h: np.ndarray | None = None
     for start in range(0, iterations, chunk):
         drawn = min(start + chunk, iterations)
-        models, fitted = _fit(src[samples[start:drawn]], dst[samples[start:drawn]])
+        samples = _draw(rng, n, drawn - start)
+        models, fitted = _fit(src[samples], dst[samples])
         models = models[fitted]
         if len(models):
             fitted_any = True

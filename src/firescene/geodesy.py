@@ -20,7 +20,7 @@ import numpy as np
 from .raster import RasterFormatError
 from .tiff import INTEGER_TYPES, TYPE_ASCII, TYPE_RATIONAL, IfdEntry, read_header, read_ifd
 
-# DJI M30T thermal camera defaults used when EXIF carries no overrides.
+# DJI M30T thermal camera diagonal FOV; the Exif GPS block carries none.
 DEFAULT_FOV_DIAG_DEG = 61.0
 
 SRTM_VOID = -32768
@@ -95,9 +95,10 @@ class GeoidGrid:
 
     @classmethod
     def from_json(cls, path: str | Path) -> GeoidGrid:
-        """Load a grid from JSON; values inline or in a sidecar binary file.
+        """Load a grid from a JSON document that holds its ``values`` inline.
 
-        A malformed grid raises GeodesyError; a missing file raises OSError.
+        A malformed grid, one without ``values`` among them, raises
+        GeodesyError; a missing file raises OSError. No other file is read.
         """
         path = Path(path)
         try:
@@ -107,21 +108,11 @@ class GeoidGrid:
             nrows, ncols = int(doc["nrows"]), int(doc["ncols"])
             if nrows < 1 or ncols < 1:  # reshape would infer a -1 dimension
                 raise GeodesyError(f"{path.name}: geoid grid shape {nrows}x{ncols}")
-            if "values" in doc:
-                values = np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols)
-            else:
-                endian = {"little": "<", "big": ">"}.get(doc.get("endian", "little"))
-                if endian is None:
-                    raise GeodesyError(f"{path.name}: geoid grid endian {doc['endian']!r}")
-                blob = (path.parent / doc["data"]).read_bytes()
-                with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below as non-finite
-                    values = np.frombuffer(blob, dtype=endian + "f4").astype(np.float64)
-                values = values.reshape(nrows, ncols)
             return cls(
                 origin_lat=float(doc["origin_lat"]),
                 origin_lon=float(doc["origin_lon"]),
                 spacing_deg=float(doc["spacing_deg"]),
-                values=values,
+                values=np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GeodesyError(f"{path.name}: malformed geoid grid: {exc}") from exc
@@ -291,15 +282,16 @@ def _dms_to_degrees(dms: list[float], ref: str, refs: tuple[str, str]) -> float:
     return -deg if ref == refs[1] else deg
 
 
-def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_DEG) -> FrameMeta:
+def parse_exif_gps(jpeg: str | Path) -> FrameMeta:
     """Extract GPS position and altitude from a JPEG's Exif APP1 segment.
 
     Altitude sign follows GPSAltitudeRef (1 = below the reference surface).
-    Camera FOV comes from the keyword default since the GPS IFD does not
-    carry it. Raises only ExifError for content it cannot use: no JPEG, no
-    Exif or GPS block, a malformed or truncated IFD, a missing or mistyped
-    GPS tag, a zero denominator, a latitude reference other than "N" or "S"
-    or a longitude reference other than "E" or "W", or a position FrameMeta
+    The GPS IFD carries no camera FOV, so the FrameMeta holds the default;
+    for another camera, ``dataclasses.replace(meta, fov_diag_deg=...)``.
+    Raises only ExifError for content it cannot use: no JPEG, no Exif or
+    GPS block, a malformed or truncated IFD, a missing or mistyped GPS tag,
+    a zero denominator, a latitude reference other than "N" or "S" or a
+    longitude reference other than "E" or "W", or a position FrameMeta
     rejects.
     """
     buf = Path(jpeg).read_bytes()
@@ -343,6 +335,6 @@ def parse_exif_gps(jpeg: str | Path, *, fov_diag_deg: float = DEFAULT_FOV_DIAG_D
     if _GPS_ALT_REF in gps and gps[_GPS_ALT_REF].values[:1] == [1]:
         alt = -alt
     try:
-        return FrameMeta(lat=lat, lon=lon, alt_ellipsoidal_m=alt, fov_diag_deg=fov_diag_deg)
+        return FrameMeta(lat=lat, lon=lon, alt_ellipsoidal_m=alt)
     except ValueError as exc:
         raise ExifError(f"unusable GPS metadata: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import hotspots as hs
 from . import spatial as sp
 from .geodesy import FrameMeta
-from .raster import RadiometricSummary, ThermalRaster, summarize
+from .raster import TEMP_MAX_C, TEMP_MIN_C, RadiometricSummary, ThermalRaster, summarize
 from .questions import DETERMINISTIC_IDS, QUESTIONS, bin_option, choices, validate_option
 from .records import Record
 
@@ -43,8 +43,9 @@ class FrameAnalysis(Record):
     GSD-dependent fields (``gsd_m`` to ``hottest_region``) keep their None
     defaults, with a reason in ``errors``, when ``agl_m`` is None or not
     positive; when it is positive, every one of them is set. A mix, set
-    fields beside any other ``agl_m``, unset ones beside a positive one, or
-    a non-finite ``agl_m`` raises ``ValueError``.
+    fields beside any other ``agl_m``, unset ones beside a positive one, a
+    non-finite ``agl_m``, or a hotspot peak that no valid pixel could hold
+    (not in [TEMP_MIN_C, TEMP_MAX_C], NaN included) raises ``ValueError``.
     """
 
     frame_id: str
@@ -73,6 +74,10 @@ class FrameAnalysis(Record):
             raise ValueError(f"GSD-dependent fields {', '.join(_GSD_FIELDS)} must be all set or all None")
         if (self.gsd_m is not None) != (self.agl_m is not None and self.agl_m > 0):
             raise ValueError(f"GSD-dependent fields must be set exactly when AGL is positive, got AGL {self.agl_m}")
+        if self.hotspots is not None:
+            peaks = self.hotspots.peak_temp_c
+            if not ((peaks >= TEMP_MIN_C) & (peaks <= TEMP_MAX_C)).all():  # NaN fails too
+                raise ValueError(f"hotspot peaks must lie in [{TEMP_MIN_C}, {TEMP_MAX_C}] C")
         for name, value, null in (
             ("SDL NoActiveHotspots", self.sdl, sp.SpatialDistributionLabel.NO_ACTIVE_HOTSPOTS),
             ("HICL NoActiveHotspots", self.hicl, sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS),

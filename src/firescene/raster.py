@@ -2,7 +2,7 @@
 
 A thermal raster is a single-band grid where every pixel holds an absolute
 temperature in degrees Celsius. Pixels outside the physically plausible range
-or equal to a declared no-data value are flagged invalid, never clamped.
+are flagged invalid, never clamped.
 The file reader, ``tiff.load_thermal_tiff``, decodes its samples through
 ``ThermalRaster.from_samples``.
 
@@ -57,8 +57,8 @@ class ThermalRaster:
     ``temps[y, x]`` (float64) is the temperature in Celsius at pixel
     ``(x, y)`` with ``x`` in ``[0, width)``, ``y`` in ``[0, height)`` and
     origin top-left.
-    ``valid_mask[y, x]`` is False for missing, non-finite, or out-of-range
-    pixels; invalid temps retain their raw value for diagnostics.
+    ``valid_mask[y, x]`` is False for non-finite or out-of-range pixels;
+    invalid temps retain their raw value for diagnostics.
 
     Both arrays are frozen on construction and ``temps`` must never be
     written afterwards: ``summary`` is computed from them once and cached.
@@ -84,48 +84,38 @@ class ThermalRaster:
         self.valid_mask.setflags(write=False)
 
     @classmethod
-    def from_array(cls, temps: np.ndarray, valid_mask: np.ndarray | None = None) -> ThermalRaster:
+    def from_array(cls, temps: np.ndarray) -> ThermalRaster:
         """Build a raster from a 2D Celsius array, masking implausible pixels.
 
         Non-finite values and values outside [TEMP_MIN_C, TEMP_MAX_C] are
-        marked invalid on top of any caller-supplied mask. The raster keeps
-        its own copy of ``temps``, so the caller's array stays writable and
-        later writes to it do not reach the raster.
+        marked invalid. The raster keeps its own copy of ``temps``, so the
+        caller's array stays writable and later writes to it do not reach
+        the raster.
         """
-        return cls._own(np.array(temps, dtype=np.float64, order="C"), valid_mask)
+        return cls._own(np.array(temps, dtype=np.float64, order="C"))
 
     @classmethod
-    def from_samples(
-        cls, raw: np.ndarray, nodata: float | None, scale: float | None, offset: float | None
-    ) -> ThermalRaster:
+    def from_samples(cls, raw: np.ndarray, scale: float | None, offset: float | None) -> ThermalRaster:
         """Decode a 2D array of raw sensor samples into a raster.
 
-        Samples equal to ``nodata`` are invalid; it is compared as a number,
-        so a value the sample type cannot hold matches no sample. A given
-        ``scale`` or ``offset`` maps samples to ``raw * scale + offset``.
+        A given ``scale`` or ``offset`` maps samples to ``raw * scale +
+        offset``; the Celsius values are then masked as ``from_array`` does.
         """
-        valid = np.ones(raw.shape, dtype=bool)
-        if nodata is not None:
-            valid &= raw != float(nodata)
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf results are masked invalid
             temps = raw.astype(np.float64)
             if scale is not None or offset is not None:
                 temps *= float(scale if scale is not None else 1.0)
                 temps += float(offset or 0.0)
-        return cls._own(temps, valid)
+        return cls._own(temps)
 
     @classmethod
-    def _own(cls, temps: np.ndarray, valid_mask: np.ndarray | None) -> ThermalRaster:
+    def _own(cls, temps: np.ndarray) -> ThermalRaster:
         """``from_array`` on a C-contiguous float64 array the raster may keep and freeze."""
         if temps.ndim != 2:
             raise ValueError(f"expected a 2D array, got shape {temps.shape}")
         height, width = temps.shape
-        plausible = np.isfinite(temps) & (temps >= TEMP_MIN_C) & (temps <= TEMP_MAX_C)
-        if valid_mask is None:
-            valid_mask = plausible
-        else:
-            valid_mask = np.asarray(valid_mask, dtype=bool) & plausible
-        return cls(width=width, height=height, temps=temps, valid_mask=np.ascontiguousarray(valid_mask))
+        valid_mask = np.isfinite(temps) & (temps >= TEMP_MIN_C) & (temps <= TEMP_MAX_C)
+        return cls(width=width, height=height, temps=temps, valid_mask=valid_mask)
 
     @property
     def valid_count(self) -> int:

@@ -13,7 +13,7 @@ strips are decoded in listed order and validated against the pixel count.
 Other tags are ignored, and entries of field types the reader does not
 decode are skipped. Deflate output is capped at the size the dimensions
 declare. ``read_ifd`` is also the Exif reader's bounds-checked IFD walk.
-Samples are decoded by ``ThermalRaster.from_samples``.
+Samples are decoded by ``ThermalRaster.from_samples``; no value marks no-data.
 """
 
 from __future__ import annotations
@@ -117,14 +117,12 @@ def load_thermal_tiff(
     *,
     scale: float | None = None,
     offset: float | None = None,
-    nodata: float | None = None,
 ) -> ThermalRaster:
     """Load a single-band radiometric thermal TIFF as a ThermalRaster.
 
     ``scale``/``offset`` map raw samples to Celsius (``raw * scale + offset``),
-    which is how unsigned 16-bit rasters encode temperature. ``nodata`` is
-    compared against the raw sample value before conversion; matching pixels
-    become invalid.
+    which is how unsigned 16-bit rasters encode temperature. Implausible
+    temperatures are invalid; no sample value is read as no-data.
     """
     buf = Path(path).read_bytes()
     order, ifd_off = read_header(buf)
@@ -229,4 +227,4 @@ def load_thermal_tiff(
 
     raw_samples = np.frombuffer(b"".join(chunks), dtype=sample_dtype).reshape(height, width)
     del chunk, chunks, file_view, buf  # the samples are decoded; free the file before widening them
-    return ThermalRaster.from_samples(raw_samples, nodata, scale, offset)
+    return ThermalRaster.from_samples(raw_samples, scale, offset)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,6 @@ _GRID_DOC = {
     "ncols": 2,
     "values": [1.0, 2.0, 3.0, 4.0],
 }
-_SIDECAR_DOC = {k: v for k, v in _GRID_DOC.items() if k != "values"} | {"endian": "little"}
 
 
 # Points with a NaN or infinite coordinate, next to one covered by both ``flat_world`` lookups.
@@ -147,12 +147,6 @@ class TestExifGps:
         with pytest.raises(ExifError, match="not a JPEG"):
             parse_exif_gps(p)
 
-    def test_camera_default_overrides(self, tmp_path):
-        p = tmp_path / "f.jpg"
-        p.write_bytes(build_gps_jpeg())
-        meta = parse_exif_gps(p, fov_diag_deg=82.9)
-        assert meta.fov_diag_deg == 82.9
-
     @pytest.mark.parametrize(
         "kwargs",
         [{"lat_dms": (95.0, 0.0, 0.0)}, {"lon_dms": (180.0, 0.0, 0.0), "lon_ref": "E"}],
@@ -214,42 +208,41 @@ class TestGeoidUndulation:
         with pytest.raises(OutsideCoverageError):
             geoid_undulation(geoid, lat, lon)
 
-    def test_signalling_nan_in_sidecar_is_a_malformed_grid(self, tmp_path):
-        # The suite turns the float32 cast's warning into an error of its own.
-        (tmp_path / "geoid.bin").write_bytes(np.array([0x7F800001, 0, 0, 0], dtype="<u4").tobytes())
-        p = tmp_path / "geoid.json"
-        p.write_text(json.dumps({**_SIDECAR_DOC, "data": "geoid.bin"}))
-        with pytest.raises(GeodesyError, match="must be finite"):
-            GeoidGrid.from_json(p)
-
-    def test_from_json_inline_and_binary(self, tmp_path):
+    def test_from_json_inline_values(self, tmp_path):
         p = tmp_path / "geoid.json"
         p.write_text(json.dumps(_GRID_DOC))
         g = GeoidGrid.from_json(p)
         assert geoid_undulation(g, 34.0, -118.75) == 2.0
+        assert geoid_undulation(g, 34.25, -119.0) == 3.0
 
-        blob = np.array([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()
-        (tmp_path / "geoid.bin").write_bytes(blob)
-        p2 = tmp_path / "geoid2.json"
-        p2.write_text(json.dumps({**_SIDECAR_DOC, "data": "geoid.bin"}))
-        g2 = GeoidGrid.from_json(p2)
-        assert geoid_undulation(g2, 34.25, -119.0) == 3.0
+    def test_from_json_reads_no_file_the_document_names(self, tmp_path):
+        # Without inline values the document is malformed, whatever file its keys
+        # name: the 8 MiB file next to it is never read.
+        (tmp_path / "geoid.bin").write_bytes(np.zeros(1 << 21, dtype="<f4").tobytes())
+        doc = {k: v for k, v in _GRID_DOC.items() if k != "values"}
+        p = tmp_path / "geoid.json"
+        p.write_text(json.dumps(doc | {"nrows": 1024, "ncols": 2048, "data": "geoid.bin", "endian": "little"}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GeodesyError, match="malformed geoid grid"):
+                GeoidGrid.from_json(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
-        "text, blob",
+        "text",
         [
-            ('{"origin_lat": 34.0, "nrows": 2, "nc', None),
-            ('{"origin_lat": 0, "origin_lon": 0, "nrows": 2, "ncols": 2, "values": [1, 2, 3, 4]}', None),
-            ("[1, 2, 3, 4]", None),
-            (json.dumps({**_GRID_DOC, "values": [1.0, 2.0, 3.0]}), None),
-            (json.dumps({**_GRID_DOC, "spacing_deg": 0.0}), None),
-            (json.dumps({**_GRID_DOC, "spacing_deg": math.nan}), None),
-            (json.dumps({**_GRID_DOC, "origin_lat": math.nan}), None),
-            (json.dumps({**_GRID_DOC, "nrows": -1}), None),
-            (json.dumps({**_SIDECAR_DOC, "data": "g.bin"}), b"\0" * 10),
-            (json.dumps({**_GRID_DOC, "values": [1.0, math.nan, 3.0, 4.0]}), None),
-            (json.dumps({**_SIDECAR_DOC, "data": "g.bin"}), np.array([1, 2, np.inf, 4], "<f4").tobytes()),
-            (json.dumps({**_SIDECAR_DOC, "endian": "middle", "data": "g.bin"}), b"\0" * 16),
+            '{"origin_lat": 34.0, "nrows": 2, "nc',
+            '{"origin_lat": 0, "origin_lon": 0, "nrows": 2, "ncols": 2, "values": [1, 2, 3, 4]}',
+            "[1, 2, 3, 4]",
+            json.dumps({**_GRID_DOC, "values": [1.0, 2.0, 3.0]}),
+            json.dumps({**_GRID_DOC, "spacing_deg": 0.0}),
+            json.dumps({**_GRID_DOC, "spacing_deg": math.nan}),
+            json.dumps({**_GRID_DOC, "origin_lat": math.nan}),
+            json.dumps({**_GRID_DOC, "nrows": -1}),
+            json.dumps({**_GRID_DOC, "values": [1.0, math.nan, 3.0, 4.0]}),
         ],
         ids=[
             "truncated",
@@ -260,50 +253,28 @@ class TestGeoidUndulation:
             "nan-spacing",
             "nan-origin",
             "negative-rows",
-            "short-sidecar",
             "nan-value",
-            "inf-sidecar-value",
-            "unknown-endian",
         ],
     )
-    def test_from_json_malformed_raises_geodesy_error(self, tmp_path, text, blob):
+    def test_from_json_malformed_raises_geodesy_error(self, tmp_path, text):
         p = tmp_path / "geoid.json"
         p.write_text(text)
-        if blob is not None:
-            (tmp_path / "g.bin").write_bytes(blob)
         with pytest.raises(GeodesyError, match="geoid grid"):
             GeoidGrid.from_json(p)
 
     def test_from_json_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             GeoidGrid.from_json(tmp_path / "absent.json")
-        p = tmp_path / "geoid.json"
-        p.write_text(json.dumps({**_SIDECAR_DOC, "data": "absent.bin"}))
-        with pytest.raises(FileNotFoundError):
-            GeoidGrid.from_json(p)
 
-    @pytest.mark.parametrize("target", ["inline", "sidecar-json", "sidecar-data"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_corrupt_grid_raises_only_geodesy_error(self, tmp_path_factory, target, data):
-        d = tmp_path_factory.getbasetemp()
-        p, blob_path = d / "fuzz-geoid.json", d / "fuzz-geoid.bin"
-        doc = _GRID_DOC if target == "inline" else {**_SIDECAR_DOC, "data": blob_path.name}
-        text = json.dumps(doc).encode()
-        blob = np.arange(4, dtype="<f4").tobytes()
-        if target == "sidecar-data":
-            blob = data.draw(corrupted(blob))
-        else:
-            text = data.draw(corrupted(text))
-        p.write_bytes(text)
-        blob_path.write_bytes(blob)
+    def test_corrupt_grid_raises_only_geodesy_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz-geoid.json"
+        p.write_bytes(data.draw(corrupted(json.dumps(_GRID_DOC).encode())))
         try:
             GeoidGrid.from_json(p)
         except GeodesyError:
             pass
-        except FileNotFoundError:
-            # A flipped byte in the data file's name names a file that is not there.
-            assert target == "sidecar-json"
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -141,6 +141,15 @@ class TestAnalyzeFrame:
         with pytest.raises(ValueError, match="AGL"):
             FrameAnalysis.from_json(json.dumps(doc | {"agl_m": agl}))
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf, 1e300, -273.15])
+    def test_hotspot_peaks_are_valid_temperatures(self, collinear_scene, peak):
+        # Every peak is a valid pixel. CMR4 would bin a NaN or 1e300 peak as ">500".
+        r, agl = collinear_scene
+        doc = analyze_frame(r, agl_m=agl).as_dict()
+        doc["hotspots"][1]["peak_temp_c"] = peak
+        with pytest.raises(ValueError, match="hotspot peaks"):
+            FrameAnalysis.from_dict(doc)
+
     def test_float_fields_hold_python_floats(self, tmp_path):
         """Every float leaf of an analysis built with a geoid/DEM AGL is a ``float``, not a numpy scalar."""
         (tmp_path / "N34W119.hgt").write_bytes(np.full((1201, 1201), 120, dtype=">i2").tobytes())

@@ -45,7 +45,7 @@ class TestThermalRaster:
         ids=["signalling-nan", "inf-times-zero", "overflow"],
     )
     def test_non_finite_samples_masked_without_warning(self, raw, scale, valid):
-        r = ThermalRaster.from_samples(raw.reshape(1, 2), None, scale, None)
+        r = ThermalRaster.from_samples(raw.reshape(1, 2), scale, None)
         assert r.valid_mask.tolist() == [[False, valid]]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
@@ -126,15 +126,14 @@ class TestSummarize:
     @example(shape=(1, 1), seed=0, valid="all")
     @settings(max_examples=150, deadline=None)
     def test_matches_the_numpy_formulas_bit_for_bit(self, shape, seed, valid):
-        nodata = 123.0
         rng = np.random.default_rng(seed)
         raw = rng.uniform(-100.0, 2000.0, shape) * rng.choice([1e-3, 1.0], shape)
         n = raw.size
         bad = rng.random(n) < {"all": 0.0, "mixed": rng.random(), "one": 1.0}[valid]
         bad[rng.integers(n)] = False
-        invalid = [np.nan, np.inf, -np.inf, -150.0, 2500.0, nodata]
+        invalid = [np.nan, np.inf, -np.inf, -150.0, 2500.0]
         raw.flat[bad] = rng.choice(invalid, int(bad.sum()))
-        r = ThermalRaster.from_samples(raw, nodata, None, None)
+        r = ThermalRaster.from_samples(raw, None, None)
         vals = r.temps[r.valid_mask]
         assert vals.size == n - int(bad.sum())
         want = (

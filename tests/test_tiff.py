@@ -49,22 +49,6 @@ def test_uint16_scale_offset(tmp_path):
     assert r.temps[0, 0] == pytest.approx(200.01, abs=1e-9)
 
 
-def test_nodata_matched_on_raw_value(tmp_path):
-    path = tmp_path / "nd.tif"
-    write_tiff(path, np.array([[0, 7000], [7100, 7200]], dtype=np.uint16))
-    r = load_thermal_tiff(path, scale=0.01, offset=-40.0, nodata=0)
-    assert r.valid_mask.tolist() == [[False, True], [True, True]]
-
-
-@pytest.mark.parametrize("nodata", [-9999.0, 70000.0, 0.5, 150.5])
-def test_nodata_the_samples_cannot_hold_matches_none(tmp_path, nodata):
-    path = tmp_path / "nd.tif"
-    write_tiff(path, np.array([[0, 150]], dtype=np.uint16))
-    r = load_thermal_tiff(path, nodata=nodata)
-    assert r.valid_mask.tolist() == [[True, True]]
-    assert load_thermal_tiff(path, nodata=150.0).valid_mask.tolist() == [[True, False]]
-
-
 def test_load_keeps_the_decoded_temperatures_without_a_copy(tmp_path):
     path = tmp_path / "f.tif"
     write_tiff(path, np.random.default_rng(0).uniform(0.0, 500.0, (512, 640)).astype(np.float32))
@@ -82,24 +66,26 @@ def test_load_keeps_the_decoded_temperatures_without_a_copy(tmp_path):
 
 @pytest.mark.parametrize("endian", ["little", "big"])
 @pytest.mark.parametrize(
-    "dtype,nodata,scale,offset",
+    "dtype,sentinel,scale,offset",
     [("uint16", 0, 0.04, -273.15), ("float32", -9999.0, None, None)],
 )
-def test_tiff_decodes_samples_as_numpy(tmp_path, endian, dtype, nodata, scale, offset):
+def test_tiff_decodes_samples_as_numpy(tmp_path, endian, dtype, sentinel, scale, offset):
+    # ``sentinel`` is a common no-data sample; the reader takes no no-data value,
+    # and the sentinel is invalid only because its temperature is implausible.
     rng = np.random.default_rng(5)
     if dtype == "uint16":
         samples = rng.integers(0, 2**16, size=(24, 32), dtype=np.uint16)
     else:
         samples = rng.uniform(-150.0, 2100.0, size=(24, 32)).astype(np.float32)
         samples[3, :4] = [np.nan, np.inf, -np.inf, -0.0]
-    samples[5, 5:9] = nodata
+    samples[5, 5:9] = sentinel
     write_tiff(tmp_path / "s.tif", samples, endian=endian)
 
-    r = load_thermal_tiff(tmp_path / "s.tif", scale=scale, offset=offset, nodata=nodata)
+    r = load_thermal_tiff(tmp_path / "s.tif", scale=scale, offset=offset)
     temps = samples.astype(np.float64)
     if scale is not None:
         temps = temps * scale + offset
-    valid = np.isfinite(temps) & (temps >= TEMP_MIN_C) & (temps <= TEMP_MAX_C) & (samples != nodata)
+    valid = np.isfinite(temps) & (temps >= TEMP_MIN_C) & (temps <= TEMP_MAX_C)
     assert not r.valid_mask[5, 5:9].any()
     assert r.temps.tobytes() == temps.tobytes()
     assert r.valid_mask.tobytes() == valid.tobytes()
