@@ -26,8 +26,9 @@ segment test packs a pixel's 16 circle comparisons into one word per
 polarity and looks the word up in a table of arcs. Sobel gradients and
 Harris window sums are int32 integers that cannot overflow
 (``_HARRIS_SUM_BOUND``), and only ``det - k * trace^2`` is taken in
-float64, from those exact sums. The centroid moments are integer sums far
-below 2^53, which a float64 matrix product computes exactly. Each angle is
+float64, from those exact sums. The centroid moments are integer sums whose
+partial sums stay below 2^24 (``_MOMENT_SUM_BOUND``), which a float32
+matrix product computes exactly, whatever its order. Each angle is
 ``math.atan2`` of the two moments: ``np.arctan2`` differs from it in the
 last bit on some keypoints.
 """
@@ -60,6 +61,22 @@ CIRCLE = (
 # squares or products is at most HARRIS_WINDOW^2 * 1020^2.
 _HARRIS_SUM_BOUND = HARRIS_WINDOW**2 * (4 * 255) ** 2
 assert _HARRIS_SUM_BOUND < 2**31, "Harris window sums must fit in int32"
+
+
+def _disc_weights() -> np.ndarray:
+    """(31 * 31, 2) moment weights (dx, dy) over a row-major patch, zero outside the disc."""
+    r = ORIENTATION_RADIUS
+    ys, xs = np.mgrid[-r : r + 1, -r : r + 1]
+    disc = (xs * xs + ys * ys) <= r * r
+    return np.stack([xs * disc, ys * disc], axis=-1).reshape(-1, 2).astype(np.float32)
+
+
+_DISC_WEIGHTS = _disc_weights()
+
+# A moment's terms are pixel * weight, at most 255 * |weight|, so any partial
+# sum of them, in any order, is an integer of at most this magnitude.
+_MOMENT_SUM_BOUND = 255 * int(np.abs(_DISC_WEIGHTS).sum(axis=0).max())
+assert _MOMENT_SUM_BOUND < 2**24, "disc moments must be exact in float32"
 
 _ORIENTATION_CHUNK = 512  # keypoints whose patches are gathered at once
 _BAND_ROWS = 64  # interior rows a band covers; its planes stay within a few hundred KiB
@@ -222,22 +239,12 @@ class _Bands:
         return ys[corner], xs[corner], score[corner]
 
 
-def _disc_weights() -> np.ndarray:
-    """(31 * 31, 2) moment weights (dx, dy) over a row-major patch, zero outside the disc."""
-    r = ORIENTATION_RADIUS
-    ys, xs = np.mgrid[-r : r + 1, -r : r + 1]
-    disc = (xs * xs + ys * ys) <= r * r
-    return np.stack([xs * disc, ys * disc], axis=-1).reshape(-1, 2).astype(np.float64)
-
-
-_DISC_WEIGHTS = _disc_weights()
-
-
 def _moments(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(n, 2) integer intensity moments (m10, m01) of the discs centered at (ys, xs).
 
-    A moment is a sum of integer products far below 2^53 in magnitude, so
-    the float64 matrix product is exact in any summation order.
+    Every partial sum of a moment is an integer below 2^24 in magnitude
+    (``_MOMENT_SUM_BOUND``), so the float32 matrix product is exact in any
+    summation order.
     """
     r = ORIENTATION_RADIUS
     windows = sliding_window_view(img, (2 * r + 1, 2 * r + 1))

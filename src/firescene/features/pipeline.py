@@ -1,7 +1,9 @@
 """End-to-end image matching: detect -> describe -> match -> verify.
 
 A pair of frames counts as near-duplicates when RANSAC confirms at least
-``min_inliers`` geometrically consistent matches.
+``min_inliers`` geometrically consistent matches. Frame a's features are
+taken on a helper thread while the caller takes frame b's, and ``match``
+scans its two halves of A the same way, so a pair runs on two cores.
 """
 
 from __future__ import annotations
@@ -11,14 +13,16 @@ from dataclasses import dataclass
 from ..records import Record
 from .brief_pattern import PATCH_RADIUS
 from .describe import describe
-from .detect import BORDER_MARGIN, detect
+from .detect import BORDER_MARGIN, KeypointTable, detect
 from .image import GrayImage, integer_at_least
 from .matching import match
 from .ransac import RansacError, ransac_homography
+from .threads import both
 
 import numpy as np
 
-# describe keeps every keypoint detect returns, so neither table is ever emptied.
+# describe keeps every keypoint detect returns, so a described table is empty only
+# when detect found nothing.
 assert BORDER_MARGIN >= PATCH_RADIUS
 
 
@@ -73,15 +77,18 @@ def match_images(a: GrayImage, b: GrayImage, config: MatchConfig | None = None) 
 
     ``detect`` gives each image's keypoints as a ``KeypointTable`` and
     ``describe`` its kept rows; RANSAC's ``src`` and ``dst`` index the kept
-    x and y columns by the matched pairs.
+    x and y columns by the matched pairs. Frame a's features are taken on a
+    helper thread while this one takes frame b's; if both raise, frame a's
+    error is raised, as when a is taken first.
     """
     config = config or MatchConfig()
-    kps_a = detect(a, config.max_features, config.fast_threshold)
-    kps_b = detect(b, config.max_features, config.fast_threshold)
-    if not kps_a or not kps_b:
+
+    def features(image: GrayImage) -> tuple[np.ndarray, KeypointTable]:
+        return describe(image, detect(image, config.max_features, config.fast_threshold))
+
+    (desc_a, kept_a), (desc_b, kept_b) = both(lambda: features(a), lambda: features(b))
+    if not kept_a or not kept_b:
         return _unverified()
-    desc_a, kept_a = describe(a, kps_a)
-    desc_b, kept_b = describe(b, kps_b)
 
     pairs, _ = match(desc_a, desc_b, config.ratio)
     putative = len(desc_a)

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from firescene.features import (
     match_images,
     ransac_homography,
 )
-from firescene.features import pipeline, ransac
+from firescene.features import matching, pipeline, ransac, threads
 from firescene.features.brief_pattern import N_PAIRS, PATCH_RADIUS
 from firescene.features.describe import ANGLE_BINS, DESCRIPTOR_BITS, _ROTATED
 from firescene.features.detect import (
@@ -38,12 +40,14 @@ from firescene.features.detect import (
     FAST_ARC,
     HARRIS_K,
     HARRIS_WINDOW,
+    MIN_IMAGE_SIDE,
     ORIENTATION_RADIUS,
     ImageTooSmallError,
     Keypoint,
     KeypointTable,
     _HALO,
     _HARRIS_SUM_BOUND,
+    _MOMENT_SUM_BOUND,
     _Bands,
     _moments,
     _segment_test,
@@ -579,6 +583,22 @@ class TestDetectOracle:
         for (y, x), angle in special.items():
             assert _intensity_centroid_angle(img, y, x).hex() == _loop_angle(img, y, x).hex() == angle.hex()
 
+    def test_moments_match_int64_oracle(self):
+        # All-255 discs, discs bright on one side only (the largest partial
+        # sums a moment reaches) and random patches, side by side.
+        r = ORIENTATION_RADIUS
+        side = 2 * r + 1
+        dy, dx = np.mgrid[-r : r + 1, -r : r + 1]
+        rng = np.random.default_rng(7)
+        patches = [np.full((side, side), 255), 255 * (dx > 0), 255 * (dx < 0), 255 * (dy > 0), 255 * (dy < 0)]
+        patches += list(rng.integers(0, 256, size=(40, side, side)))
+        img = np.concatenate(patches, axis=1).astype(np.uint8)
+        ys, xs = np.full(len(patches), r), r + side * np.arange(len(patches))
+        disc = (dx * dx + dy * dy) <= r * r
+        want = [[int((p * dx * disc).sum()), int((p * dy * disc).sum())] for p in patches]
+        assert want[1][0] == -want[2][0] == _MOMENT_SUM_BOUND // 2 == 255 * 4528 // 2
+        assert _moments(img, ys, xs).tolist() == want
+
     @given(_gray_arrays(33, 80), st.sampled_from(_THRESHOLDS), st.sampled_from([0, 1, 7, 8000]))
     @settings(max_examples=80, deadline=None)
     def test_detect_matches_oracle(self, arr, threshold, max_features):
@@ -912,6 +932,24 @@ class TestMatch:
         assert pairs.dtype == dists.dtype == np.int64 and pairs.shape == (len(dists), 2)
         assert np.array_equal(pairs, want_pairs) and np.array_equal(dists, want_dists)
 
+    @pytest.mark.parametrize("nb", [1, 3, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "na", [1, 2, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 4 * _BLOCK_ROWS + 3]
+    )
+    def test_matches_full_matrix_oracle_at_half_edges(self, na, nb):
+        # One A row leaves the helper's half empty; the others put the
+        # halves' own blocks on and off block edges.
+        alphabet = np.array([0x00, 0x01, 0x0F, 0xFF], dtype=np.uint8)
+        rng = np.random.default_rng(na * 100 + nb)
+        a, b = np.zeros((na, 32), dtype=np.uint8), np.zeros((nb, 32), dtype=np.uint8)
+        a[:, 5:7] = alphabet[rng.integers(0, 4, size=(na, 2))]
+        b[:, 5:7] = alphabet[rng.integers(0, 4, size=(nb, 2))]
+        a[:, 9], b[:, 9] = rng.integers(0, 256, size=na), rng.integers(0, 256, size=nb)
+        for ratio in (0.8, 10.0):
+            pairs, dists = match(a, b, ratio=ratio)
+            want_pairs, want_dists = _oracle_match(a, b, ratio)
+            assert np.array_equal(pairs, want_pairs) and np.array_equal(dists, want_dists)
+
     def test_peak_memory_on_8000_descriptors(self):
         # The full uint16 distance matrix alone is 122 MiB here; match peaked
         # near 140 MiB when it built it.
@@ -990,6 +1028,120 @@ class TestMatch:
         for ratio in (0.8, 10.0):
             pairs, dists = match(a, b, ratio=ratio)
             assert pairs.shape == (0, 2) and len(dists) == 0
+
+
+class TestThreads:
+    # The helper thread starts on the first call and stays, so each test
+    # counts threads only after a first call.
+
+    def test_both_runs_first_on_the_helper_and_returns_in_call_order(self):
+        helper, caller = threads.both(threading.current_thread, threading.current_thread)
+        assert caller is threading.current_thread() and helper is not caller and helper.daemon
+        assert threads.both(lambda: "a", threading.current_thread) == ("a", caller)
+        assert threads.both(threading.current_thread, int)[0] is helper and helper.is_alive()
+
+    @pytest.mark.parametrize("fails", ["first", "second", "both"])
+    def test_both_raises_the_first_error_in_call_order(self, fails):
+        def call(name):
+            def run():
+                if fails in (name, "both"):
+                    raise KeyError(name)
+                return name
+            return run
+
+        threads.both(int, int)
+        before = threading.active_count()
+        with pytest.raises(KeyError) as err:
+            threads.both(call("first"), call("second"))
+        assert err.value.args == ("second" if fails == "second" else "first",)
+        assert threads.both(lambda: 3, lambda: 4) == (3, 4)  # the helper serves the next call
+        assert threading.active_count() == before
+
+    def test_both_inside_the_helper_runs_in_turn(self):
+        # The helper cannot hand a call to itself; waiting on itself would never end.
+        def inner():
+            return threads.both(threading.current_thread, threading.current_thread)
+
+        (first, second), _ = threads.both(inner, int)
+        assert first is second is not threading.current_thread()
+
+    def test_concurrent_callers_match_like_serial_calls(self):
+        # One caller at a time holds the helper; the others run both their
+        # calls themselves. A short switch interval interleaves them often.
+        rng = np.random.default_rng(6)
+        descs = [rng.integers(0, 256, size=(2, 700, 32), dtype=np.uint8) for _ in range(4)]
+        want = [match(a, b)[0].tolist() for a, b in descs]
+        got = [[] for _ in descs]
+
+        def run(k):
+            for _ in range(5):
+                got[k].append(match(*descs[k])[0].tolist())
+
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(len(descs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [[w] * 5 for w in want]
+
+    def test_forked_child_starts_its_own_helper(self):
+        # The child has no helper thread; handing it a call would wait forever.
+        threads.both(int, int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            os._exit(0 if threads.both(lambda: 1, lambda: 2) == (1, 2) else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_match_leaves_no_thread_behind(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 256, size=(2, 300, 32), dtype=np.uint8)
+        match(a, b)
+        before = threading.active_count()
+        match(a, b)
+        assert threading.active_count() == before
+
+        def fail(*args):
+            raise MemoryError("no buffer")
+
+        monkeypatch.setattr(matching, "_blocks", fail)
+        with pytest.raises(MemoryError):
+            match(a, b)
+        assert threading.active_count() == before
+
+    def test_match_images_leaves_no_thread_behind(self):
+        texture = synthetic_texture(160, 128, 3)
+        small = GrayImage.from_array(np.zeros((MIN_IMAGE_SIDE - 1, 40), dtype=np.uint8))
+        match_images(texture, texture)
+        before = threading.active_count()
+        match_images(texture, texture)
+        assert threading.active_count() == before
+        for pair in ((small, texture), (texture, small)):
+            with pytest.raises(ImageTooSmallError):
+                match_images(*pair)
+            assert threading.active_count() == before
+
+    def test_both_frames_too_small_names_frame_a(self):
+        # The serial code detected frame a first, so its error is the one raised.
+        a = GrayImage.from_array(np.zeros((20, 30), dtype=np.uint8))
+        b = GrayImage.from_array(np.zeros((10, 12), dtype=np.uint8))
+        with pytest.raises(ImageTooSmallError, match="image 30x20 "):
+            match_images(a, b)
+        with pytest.raises(ImageTooSmallError, match="image 12x10 "):
+            match_images(b, a)
 
 
 def _similarity(points, angle_deg, scale, shift):
