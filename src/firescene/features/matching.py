@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .describe import DESCRIPTOR_BITS
-from .threads import both
+from ..threads import both
 
 _BLOCK_ROWS = 64  # at 2000 B rows, a block's XOR buffer (1 MB) stays in L2 cache
 _DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8

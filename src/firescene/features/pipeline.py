@@ -17,7 +17,7 @@ from .detect import BORDER_MARGIN, KeypointTable, detect
 from .image import GrayImage, integer_at_least
 from .matching import match
 from .ransac import RansacError, ransac_homography
-from .threads import both
+from ..threads import both
 
 import numpy as np
 

@@ -5,13 +5,16 @@ threshold (200 C by default) whose ground-projected equivalent radius and
 pixel count both clear the validity minimums. Pixel counts convert to ground
 area through the field-of-view based ground sampling distance.
 
-Components come from one run-labeling pass over the whole mask (``_label``),
-their ids from a running count of the roots, with no sort; sizes, centroids,
-peaks and the filters are then computed for all components at once. A
-hotspot's peak is its hottest pixel, the first in row-major order among ties:
-a scatter maximum over the kept components' pixels gives each peak
-temperature, and a scatter minimum of the flat index over the pixels that
-reach it gives the pixel, so the cost follows the kept pixels, with no sort.
+Components come from one run-labeling pass over the whole mask
+(``_label_runs``), their ids from a running count of the roots, with no sort.
+Extraction thresholds the frame straight into that pass's zero-padded buffer
+and takes each hot pixel's index from its run, so the mask is neither built
+apart nor scanned twice. Sizes, centroids, peaks and the filters are then
+computed for all components at once. A hotspot's peak is its hottest pixel,
+the first in row-major order among ties: a scatter maximum over the kept
+components' pixels gives each peak temperature, and a scatter minimum of the
+flat index over the pixels that reach it gives the pixel, so the cost
+follows the kept pixels, with no sort.
 The kept components form a ``HotspotTable`` of those arrays, with no
 per-hotspot step; a ``Hotspot`` is one row of it, built only when a caller
 indexes the table.
@@ -123,20 +126,43 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     Returns the component id of each foreground pixel, in ``np.flatnonzero``
     order, and the number of components. Ids follow the first-encounter
     row-major scan.
+    """
+    height, width = mask.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    _, comp, n = _label_runs(padded)
+    return comp, n
+
+
+def _hot_components(raster: ThermalRaster, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """``np.flatnonzero(hot_mask(raster, threshold))`` and ``_label`` of that mask.
+
+    The mask is thresholded straight into ``_label_runs``' padded buffer,
+    which is freed before the caller makes its per-pixel arrays.
+    """
+    padded = np.zeros((raster.height, raster.width + 2), dtype=np.int8)
+    hot = padded[:, 1:-1]
+    np.greater_equal(raster.temps, threshold, out=hot)
+    hot &= raster.valid_mask
+    return _label_runs(padded)
+
+
+def _label_runs(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_label`` of a 0/1 int8 mask padded with a zero column on each side,
+    with the flat index of each foreground pixel in the unpadded mask.
 
     Rows are cut into runs of consecutive foreground pixels. A run touches
     a run of the previous row when their column spans, each widened by one
     for the diagonal, overlap; on row-offset keys ``y * (W + 1) + x`` the
     touching runs form one index range that two searchsorted calls find.
     ``components`` merges the touching runs, so each component's id follows
-    its first run in scan order.
+    its first run in scan order. The pixels come from the runs' keys, in
+    row-major order, with no second scan of the mask.
     """
-    height, width = mask.shape
-    padded = np.zeros((height, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
+    width = padded.shape[1] - 2
     # Each padded row begins and ends at 0, so in flat order the nonzero
     # differences alternate: a run's start, then its end. A run covers the keys
-    # [start, end) of its row, where ``y * (W + 1) + x`` is the flat index.
+    # [start, end) of its row.
     flips = np.flatnonzero(np.diff(padded, axis=1))
     start, end = flips[0::2], flips[1::2]
     # Runs lo[i]:hi[i] of the previous row end at or after start and start at or before end.
@@ -145,7 +171,8 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     # One edge (a, b) per touching pair: run a and previous-row run b.
     a, b = _in_ranges(lo[:, None], hi[:, None])
     run_comp, n = components(len(start), a, b)
-    return np.repeat(run_comp, end - start), n
+    run, key = _in_ranges(start[:, None], end[:, None])
+    return key - key // (width + 1), run_comp[run], n
 
 
 def _in_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,9 +254,7 @@ def extract_hotspots(
     count filters, with per-hotspot geometry and peak temperature."""
     params = params or HotspotParams()
     g = gsd(agl_m, params.fov_diag_deg, raster.width)
-    mask = hot_mask(raster, params.temp_threshold_c)
-    comp, n_comp = _label(mask)
-    pixels = np.flatnonzero(mask)
+    pixels, comp, n_comp = _hot_components(raster, params.temp_threshold_c)
     ys, xs = np.divmod(pixels, raster.width)
     temps = raster.temps.ravel()[pixels]
 

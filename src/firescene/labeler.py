@@ -5,6 +5,13 @@ clustering -> distribution/intensity/isolation -> coverage -> hottest region),
 bins continuous quantities into the benchmark answer options, and fills the
 deterministic slots of an answer sheet. Everything is pure and reproducible:
 the same raster, metadata, and parameters always yield bit-identical output.
+
+A frame with a positive AGL is analyzed on two cores (``threads.both``): the
+raster summary on the helper thread, hotspot extraction and the spatial
+classifiers on the caller's. Both only read the frozen raster, and neither
+uses the other's result. Extraction thresholds straight into its labeling
+buffer and takes the hot pixels from the runs, so its peak memory stays small
+beside the summary's compacted copy of the valid temperatures.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .geodesy import FrameMeta
 from .raster import TEMP_MAX_C, TEMP_MIN_C, RadiometricSummary, ThermalRaster, summarize
 from .questions import DETERMINISTIC_IDS, QUESTIONS, bin_option, choices, validate_option
 from .records import Record
+from .threads import both
 
 SCHEMA_VERSION = 1
 
@@ -158,37 +166,29 @@ def analyze_frame(
         hotspot_params = replace(hotspot_params, fov_diag_deg=meta.fov_diag_deg)
     spatial_params = spatial_params or sp.SpatialParams()
 
-    summ = summarize(raster)
-    p200, p400 = summ.pct_above_200, summ.pct_above_400
+    def ground_fields() -> dict:
+        g = hs.gsd(agl_m, hotspot_params.fov_diag_deg, raster.width)
+        spots = hs.extract_hotspots(raster, agl_m, hotspot_params)
+        clusters = sp.single_linkage_clusters(spots, g, spatial_params)
+        return dict(
+            gsd_m=g,
+            hotspots=spots,
+            clusters=clusters,
+            sdl=sp.classify_distribution(spots, g, spatial_params),
+            hicl=sp.intensity_consistency(spots, spatial_params),
+            isolated=sp.isolated_heat_sources(clusters, spots, g, spatial_params),
+            hottest_region=hs.hottest_location(raster, spots, hotspot_params),
+        )
 
     if agl_m is None or agl_m <= 0:
         reason = "AGL unavailable" if agl_m is None else f"AGL {agl_m} not positive"
-        errors = {"hotspots": f"{reason}: ground-projected fields disabled"}
-        return FrameAnalysis(
-            frame_id=frame_id, summary=summ, p200=p200, p400=p400, agl_m=agl_m, errors=errors
-        )
-
-    g = hs.gsd(agl_m, hotspot_params.fov_diag_deg, raster.width)
-    spots = hs.extract_hotspots(raster, agl_m, hotspot_params)
-    clusters = sp.single_linkage_clusters(spots, g, spatial_params)
-    sdl = sp.classify_distribution(spots, g, spatial_params)
-    hicl = sp.intensity_consistency(spots, spatial_params)
-    isolated = sp.isolated_heat_sources(clusters, spots, g, spatial_params)
-    region = hs.hottest_location(raster, spots, hotspot_params)
-
+        summ, ground = summarize(raster), {"errors": {"hotspots": f"{reason}: ground-projected fields disabled"}}
+    else:
+        # The summary is the first call, so its EmptyRasterError wins as it did in order.
+        summ, ground = both(lambda: summarize(raster), ground_fields)
     return FrameAnalysis(
-        frame_id=frame_id,
-        summary=summ,
-        p200=p200,
-        p400=p400,
-        agl_m=agl_m,
-        gsd_m=g,
-        hotspots=spots,
-        clusters=clusters,
-        sdl=sdl,
-        hicl=hicl,
-        isolated=isolated,
-        hottest_region=region,
+        frame_id=frame_id, summary=summ, p200=summ.pct_above_200, p400=summ.pct_above_400,
+        agl_m=agl_m, **ground,
     )
 
 

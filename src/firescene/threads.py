@@ -1,11 +1,13 @@
 """Two calls at once: one on a helper thread, one on the caller's.
 
 numpy releases the GIL inside its array loops, so two calls that spend
-their time there run on two cores. The helper is one daemon thread, started
-on first use and kept. A thread started per call can still hold its malloc
-arena after ``Thread.join`` returns, so the next one may open another, and
-peak RSS rose by up to 5 MB. No executor is used: importing the standard
-library's costs 5-8 ms.
+their time there run on two cores. Matching takes one frame's features,
+and scans half of A's descriptors, on the helper; labeling summarizes the
+raster there while the caller extracts the hotspots. The helper is one
+daemon thread, started on first use and kept. A thread started per call
+can still hold its malloc arena after ``Thread.join`` returns, so the next
+one may open another, and peak RSS rose by up to 5 MB. No executor is
+used: importing the standard library's costs 5-8 ms.
 """
 
 from __future__ import annotations

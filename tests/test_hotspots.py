@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from firescene.hotspots import (
     Hotspot,
     HotspotParams,
     HotspotTable,
+    _hot_components,
     _label,
     components,
     connected_components,
@@ -24,6 +26,7 @@ from firescene.hotspots import (
     locate_pixel,
 )
 from firescene.raster import ThermalRaster
+from test_golden import typical
 
 
 NO_SPOTS = table_from_rows(HotspotTable, [])
@@ -199,6 +202,11 @@ class TestLabel:
         labels, count = ndimage.label(mask, np.ones((3, 3)))
         assert n == count
         assert np.array_equal(comp, labels[mask] - 1)  # boolean indexing is np.flatnonzero order
+        # Extraction's path: off the mask, every other pixel is hot but invalid.
+        raster = _raster(np.where(mask, 300.0, np.resize([20.0, 2500.0], mask.shape)))
+        pixels, run_comp, run_n = _hot_components(raster, 200.0)
+        assert np.array_equal(pixels, np.flatnonzero(hot_mask(raster, 200.0)))
+        assert run_n == n and np.array_equal(run_comp, comp)
 
     @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (6, 9)])
     def test_no_foreground_gives_no_components(self, shape):
@@ -222,6 +230,22 @@ class TestLabel:
         rng = np.random.default_rng(seed)
         arr = rng.choice([20.0, 210.0, 300.0, 450.0], size=(h, w), p=[0.5, 0.3, 0.1, 0.1])
         assert extract_hotspots(_raster(arr), agl, HotspotParams()) == _oracle_hotspots(arr, agl, HotspotParams())
+
+    def test_extract_memory(self):
+        # The padded labeling buffer and its row differences (0.31 MiB each) and
+        # the per-pixel arrays; a separate hot mask and its flatnonzero pass read 0.99 MiB.
+        temps = typical(0)
+        rng = np.random.default_rng(1)
+        temps.flat[rng.choice(temps.size, 40, replace=False)] = np.nan
+        r = _raster(temps)
+        tracemalloc.start()
+        try:
+            spots = extract_hotspots(r, 120.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spots
+        assert peak <= 0.75 * 2**20
 
     @pytest.mark.parametrize("agl", [12.0, 60.0], ids=["disks-kept", "speckle-kept"])
     def test_speckle_plateau_frame_matches_flood_fill_oracle(self, agl):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import table_from_rows
-from firescene import geodesy
+from firescene import geodesy, hotspots, threads
 from firescene.hotspots import REGION_NO_HOTSPOTS, HotspotTable, gsd, locate_pixel
 from firescene.labeler import (
     _DS3_WORDING,
@@ -35,10 +36,10 @@ from firescene.questions import (
     choices,
     validate_option,
 )
-from firescene.raster import ThermalRaster
+from firescene.raster import EmptyRasterError, ThermalRaster
 from firescene.spatial import IntensityConsistencyLabel, IsolationVerdict, SpatialDistributionLabel
 from firescene.tiff import load_thermal_tiff
-from test_golden import typical
+from test_golden import FRAMES, GOLDEN_FRAMES, frame_digests, typical
 from tiffutil import write_tiff
 
 
@@ -173,6 +174,66 @@ class TestAnalyzeFrame:
         floats = [v for v in leaves if isinstance(v, float)]
         assert len(floats) > 10
         assert {type(v) for v in floats} == {float}
+
+
+class TestTwoCoreAnalysis:
+    """``analyze_frame`` summarizes on the helper thread while it extracts on the caller's."""
+
+    def test_all_invalid_raster_raises_empty_raster_error(self):
+        r = _raster(np.full((8, 8), np.nan))
+        threads.both(int, int)
+        before = threading.active_count()
+        with pytest.raises(EmptyRasterError):
+            analyze_frame(r, agl_m=50.0)
+        assert threading.active_count() == before
+
+    def test_extraction_error_propagates_when_the_summary_succeeds(self, monkeypatch, collinear_scene):
+        r, agl = collinear_scene
+
+        def fail(*args):
+            raise MemoryError("no buffer")
+
+        monkeypatch.setattr(hotspots, "extract_hotspots", fail)
+        with pytest.raises(MemoryError, match="no buffer"):
+            analyze_frame(r, agl_m=agl)
+        # Both failing, the summary's error wins: it is the first call.
+        with pytest.raises(EmptyRasterError):
+            analyze_frame(_raster(np.full((8, 8), np.nan)), agl_m=agl)
+
+    @pytest.mark.parametrize("on_helper", [True, False], ids=["on-helper", "on-caller"])
+    def test_golden_bytes_inside_a_both_call(self, on_helper):
+        # Inside another call's ``both`` the helper is busy, so both steps run in turn.
+        def digests():
+            return {name: frame_digests(name) for name in FRAMES}
+
+        got = threads.both(digests, dict)[0] if on_helper else threads.both(dict, digests)[1]
+        assert got == GOLDEN_FRAMES
+
+    def test_golden_bytes_from_concurrent_callers(self):
+        # One caller at a time holds the helper; the others run both steps themselves.
+        got = [{} for _ in range(3)]
+
+        def run(k):
+            for name in FRAMES:
+                got[k][name] = frame_digests(name)
+
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [GOLDEN_FRAMES] * len(got)
+
+    def test_golden_frame_shares_the_analysis_summary(self):
+        r = ThermalRaster.from_array(typical(0))
+        analysis = analyze_frame(r, agl_m=60.0)
+        assert analysis.hotspots and rag_summary(r).summary is analysis.summary
 
 
 _FAULTS_PER_LABEL = """
