@@ -97,7 +97,7 @@ class GeoidGrid:
     def from_json(cls, path: str | Path) -> GeoidGrid:
         """Load a grid from a JSON document that holds its ``values`` inline.
 
-        A malformed grid, one without ``values`` among them, raises
+        A malformed grid (no ``values``, or nested too deeply to parse) raises
         GeodesyError; a missing file raises OSError. No other file is read.
         """
         path = Path(path)
@@ -114,7 +114,7 @@ class GeoidGrid:
                 spacing_deg=float(doc["spacing_deg"]),
                 values=np.asarray(doc["values"], dtype=np.float64).reshape(nrows, ncols),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise GeodesyError(f"{path.name}: malformed geoid grid: {exc}") from exc
 
     def _fractional_index(self, lat: float, lon: float) -> tuple[int, int, float, float]:

@@ -32,8 +32,9 @@ from .questions import choices
 from .raster import ThermalRaster
 from .records import Record, Table
 
-REGION_NO_HOTSPOTS = choices("LD1")[-1]
-REGION_CENTER = "Center"
+# The four quadrants by index 2 * bottom + right, then "Center", then "No hotspots".
+_REGIONS = choices("LD1")
+REGION_NO_HOTSPOTS = _REGIONS[-1]
 
 
 @dataclass(frozen=True)
@@ -120,26 +121,9 @@ def hot_mask(raster: ThermalRaster, threshold: float) -> np.ndarray:
     return raster.valid_mask & (raster.temps >= threshold)
 
 
-def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """8-connected labeling of a 2-D boolean mask, in numpy calls only.
-
-    Returns the component id of each foreground pixel, in ``np.flatnonzero``
-    order, and the number of components. Ids follow the first-encounter
-    row-major scan.
-    """
-    height, width = mask.shape
-    padded = np.zeros((height, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    _, comp, n = _label_runs(padded)
-    return comp, n
-
-
 def _hot_components(raster: ThermalRaster, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """``np.flatnonzero(hot_mask(raster, threshold))`` and ``_label`` of that mask.
-
-    The mask is thresholded straight into ``_label_runs``' padded buffer,
-    which is freed before the caller makes its per-pixel arrays.
-    """
+    """``_label_runs`` of ``hot_mask(raster, threshold)``, thresholded straight into
+    its padded buffer, which is freed before the caller makes its per-pixel arrays."""
     padded = np.zeros((raster.height, raster.width + 2), dtype=np.int8)
     hot = padded[:, 1:-1]
     np.greater_equal(raster.temps, threshold, out=hot)
@@ -148,8 +132,10 @@ def _hot_components(raster: ThermalRaster, threshold: float) -> tuple[np.ndarray
 
 
 def _label_runs(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_label`` of a 0/1 int8 mask padded with a zero column on each side,
-    with the flat index of each foreground pixel in the unpadded mask.
+    """8-connected labeling of a 0/1 int8 mask padded with a zero column on
+    each side: the flat index of each foreground pixel in the unpadded mask,
+    in ``np.flatnonzero`` order, its component id, and the number of
+    components. Ids follow the first-encounter row-major scan.
 
     Rows are cut into runs of consecutive foreground pixels. A run touches
     a run of the previous row when their column spans, each widened by one
@@ -214,19 +200,15 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     Returns one (N_i, 2) array of (y, x) pixel coordinates per component, in
     row-major order within each component. Component order (and therefore the
     component id, its list index at call sites that track rejects) follows the
-    first-encounter row-major scan.
-
-    Implemented as run labeling: rows are cut into runs of consecutive
-    foreground pixels, and runs touching (with at most a one-column diagonal
-    gap, for 8-connectivity) a run in the previous row merge into the same
-    component.
+    first-encounter row-major scan: ``_label_runs``' ids.
     """
-    mask = np.asarray(mask, dtype=bool)
-    comp, n = _label(mask)
+    height, width = np.shape(mask)
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = np.asarray(mask, dtype=bool)
+    pixels, comp, n = _label_runs(padded)
     if n == 0:
         return []
-    pixels = np.flatnonzero(mask)[np.argsort(comp, kind="stable")]
-    coords = np.stack(np.divmod(pixels, mask.shape[1]), axis=1)
+    coords = np.stack(np.divmod(pixels[np.argsort(comp, kind="stable")], width), axis=1)
     return np.split(coords, np.cumsum(np.bincount(comp))[:-1])
 
 
@@ -305,7 +287,5 @@ def hottest_location(raster: ThermalRaster, hotspots: HotspotTable, params: Hots
 def locate_pixel(x: int, y: int, width: int, height: int) -> str:
     """Classify a pixel into Center or a quadrant region label."""
     if width / 3.0 <= x < 2.0 * width / 3.0 and height / 3.0 <= y < 2.0 * height / 3.0:
-        return REGION_CENTER
-    vert = "Top" if y < height / 2.0 else "Bottom"
-    horiz = "left" if x < width / 2.0 else "right"
-    return f"{vert}-{horiz}"
+        return _REGIONS[4]
+    return _REGIONS[2 * (y >= height / 2.0) + (x >= width / 2.0)]

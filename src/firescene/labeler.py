@@ -11,7 +11,8 @@ raster summary on the helper thread, hotspot extraction and the spatial
 classifiers on the caller's. Both only read the frozen raster, and neither
 uses the other's result. Extraction thresholds straight into its labeling
 buffer and takes the hot pixels from the runs, so its peak memory stays small
-beside the summary's compacted copy of the valid temperatures.
+beside the summary's compacted copy of the valid temperatures. The prompt
+block, ``rag_summary``, is that summary itself, text template included.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class AnswerSheet(Record):
         return self.answers[qid].option
 
     def set_external(self, qid: str, option: str) -> None:
+        if qid not in QUESTIONS:
+            raise ValueError(f"unknown question id {qid!r}")
         if qid in DETERMINISTIC_IDS:
             raise ValueError(f"{qid} is a deterministic slot; only answer_sheet fills it")
         validate_option(qid, option)
@@ -281,28 +284,6 @@ def _assert_forced_consistency(sheet: AnswerSheet) -> None:
                 raise AssertionError(f"forced-consistency breach: PD1=No but {qid}={got!r}")
 
 
-@dataclass(frozen=True)
-class RagSummary:
-    """Radiometric prompt block: JSON fields plus the exact text template."""
-
-    summary: RadiometricSummary
-
-    def as_dict(self) -> dict[str, float]:
-        return self.summary.as_dict()
-
-    def as_text(self) -> str:
-        s = self.summary
-        return (
-            "Temperature Summary (°C):\n"
-            f"- Minimum Temp: {s.min_c:.1f}\n"
-            f"- Maximum Temp: {s.max_c:.1f}\n"
-            f"- Mean Temp: {s.mean_c:.1f}\n"
-            f"- Temperature Std Dev: {s.std_c:.1f}\n"
-            f"- Percentage of pixels above 200°C: {s.pct_above_200:.1f}\n"
-            f"- Percentage of pixels above 400°C: {s.pct_above_400:.1f}\n"
-        )
-
-
-def rag_summary(raster: ThermalRaster) -> RagSummary:
-    """Radiometric summary for retrieval-augmented prompting."""
-    return RagSummary(summary=summarize(raster))
+def rag_summary(raster: ThermalRaster) -> RadiometricSummary:
+    """Radiometric prompt block for retrieval-augmented prompting: the raster's summary."""
+    return summarize(raster)

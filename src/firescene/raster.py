@@ -7,7 +7,8 @@ The file reader, ``tiff.load_thermal_tiff``, decodes its samples through
 ``ThermalRaster.from_samples``.
 
 A raster's summary statistics are computed once, on first use, and cached on
-the raster: every ``summarize`` of one raster returns the same object.
+the raster: every ``summarize`` of one raster returns the same object, which
+is also the prompt block: its JSON fields (``as_dict``) and text (``as_text``).
 """
 
 from __future__ import annotations
@@ -163,6 +164,18 @@ class RadiometricSummary(Record):
     std_c: float
     pct_above_200: float
     pct_above_400: float
+
+    def as_text(self) -> str:
+        """The radiometric prompt block's exact text template."""
+        return (
+            "Temperature Summary (°C):\n"
+            f"- Minimum Temp: {self.min_c:.1f}\n"
+            f"- Maximum Temp: {self.max_c:.1f}\n"
+            f"- Mean Temp: {self.mean_c:.1f}\n"
+            f"- Temperature Std Dev: {self.std_c:.1f}\n"
+            f"- Percentage of pixels above 200°C: {self.pct_above_200:.1f}\n"
+            f"- Percentage of pixels above 400°C: {self.pct_above_400:.1f}\n"
+        )
 
 
 def coverage_fraction(raster: ThermalRaster, tau: float) -> float:

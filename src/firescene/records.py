@@ -16,6 +16,10 @@ building a row, and writes each distinct bit pattern of a column once, ints
 and floats alike: equal bits always give equal text, so the bytes are those
 of one text per leaf. ``from_json`` reads the rows' values straight into the
 columns, without building a row either.
+
+``from_dict`` reads only the field types the records use: records, tables,
+enums, ``X | None``, ``tuple[X, ...]``, fixed tuples, ``dict[str, X]`` and
+scalars.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ class Record:
     ``as_dict`` turns nested records into dicts, tables into lists of row
     dicts and enums into their values, and hands every other value over as it
     is; a record keeps its fields, and nothing else, in its instance
-    ``__dict__``. ``from_dict`` reads records, tables, enums, ``X | None``,
-    ``list[X]``, ``tuple[X, ...]``, fixed tuples, ``dict[str, X]`` and
-    scalars; a ``float`` field reads an ``int`` as a float. An absent key
-    takes its field default. An unknown key, a missing required key, a value
-    of the wrong type or out of range, or a broken ``__post_init__``
-    invariant raises ``ValueError``.
+    ``__dict__``. ``from_dict`` reads the field types the module docstring
+    lists; a ``float`` field reads an ``int`` as a float. An absent key takes
+    its field default. An unknown key, a missing required key, a value of the
+    wrong type or out of range, a broken ``__post_init__`` invariant, or a
+    document nested too deeply to parse raises ``ValueError``.
     """
 
     def as_dict(self) -> dict[str, Any]:
@@ -67,7 +70,11 @@ class Record:
 
     @classmethod
     def from_json(cls: type[_R], text: str | bytes) -> _R:
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(f"{cls.__name__} document nested too deeply") from exc
+        return cls.from_dict(doc)
 
 
 class Table:
@@ -276,8 +283,6 @@ def _encode(value: Any, rows: bool) -> Any:
         return value.row_dicts() if rows else value
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, (list, tuple)):
-        return type(value)(_encode(v, rows) for v in value)
     if isinstance(value, dict):
         return {k: _encode(v, rows) for k, v in value.items()}
     return value
@@ -289,9 +294,9 @@ def _decoder(tp: Any) -> _Decoder:
         (inner,) = (arg for arg in args if arg is not type(None))
         decode = _decoder(inner)
         return lambda v: None if v is None else decode(v)
-    if origin is list or (origin is tuple and args[-1] is Ellipsis):
+    if origin is tuple and args[-1] is Ellipsis:
         decode = _decoder(args[0])
-        return lambda v: origin(decode(x) for x in _checked(v, (list, tuple)))
+        return lambda v: tuple(decode(x) for x in _checked(v, (list, tuple)))
     if origin is tuple:  # fixed length; zip raises ValueError on any other
         decoders = [_decoder(arg) for arg in args]
         return lambda v: tuple(d(x) for d, x in zip(decoders, _checked(v, (list, tuple)), strict=True))

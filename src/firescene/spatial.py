@@ -10,22 +10,23 @@ intensity consistency (robust coefficient of variation of per-hotspot peaks).
 No classifier builds the n x n matrix of centroid distances. Linkage and
 isolation test only the candidate pairs found on a grid of cells a hair wider
 than the threshold (fixed-radius near neighbours, Bentley, Stanat & Williams
-1977). Every pair's distance is ``hypot((xa - xb) * gsd, (ya - yb) * gsd)``
-over pixel centroids, so every decision is the same float comparison as over
-all pairs. Clusters are the graph components (``hotspots.components``) of the
-pairs within the merge distance; ``hotspots._in_ranges`` expands the
-candidates' key ranges into pairs. Areas are summed in index order
-(``np.bincount``, ``np.cumsum``), one addition at a time, so no Python
-version's ``sum`` changes a total. The extent is the all-pairs maximum, bit
-for bit, over the centroids one triangle-inequality cut leaves. The farthest
-of the extreme centroids in the directions +-x, +-y, +-(x+y) and +-(y-x) is a
-real pair at d0; a centroid whose distance to the bounding-box centre, plus
-the largest such distance, stays under d0 * (1 - 1e-9) cannot end the farthest
-pair, as the margin dwarfs the rounding. At a non-finite d0, or one below
-2^-900 where underflow could outweigh the margin, every centroid takes part. A
-ring keeps all its centroids, so there the extent stays quadratic; elsewhere
-time and memory grow with n times the number of hotspots within a threshold of
-each, not n^2.
+1977). One routine, ``_pair_distances``, gives every pair's distance as
+``hypot((xa - xb) * gsd, (ya - yb) * gsd)`` over pixel centroids, for the
+candidate pairs and the extent's all-pairs rows alike, so every decision is
+the same float comparison as over all pairs. Clusters are the graph components
+(``hotspots.components``) of the pairs within the merge distance;
+``hotspots._in_ranges`` expands the candidates' key ranges into pairs. Areas
+are summed in index order (``np.bincount``, ``np.cumsum``), one addition at a
+time, so no Python version's ``sum`` changes a total. The extent is the
+all-pairs maximum, bit for bit, over the centroids one triangle-inequality cut
+leaves. The farthest of the extreme centroids in the directions +-x, +-y,
++-(x+y) and +-(y-x) is a real pair at d0; a centroid whose distance to the
+bounding-box centre, plus the largest such distance, stays under
+d0 * (1 - 1e-9) cannot end the farthest pair, as the margin dwarfs the
+rounding. At a non-finite d0, or one below 2^-900 where underflow could
+outweigh the margin, every centroid takes part. A ring keeps all its
+centroids, so there the extent stays quadratic; elsewhere time and memory grow
+with n times the number of hotspots within a threshold of each, not n^2.
 """
 
 from __future__ import annotations
@@ -96,23 +97,13 @@ class ClusterSet(Record):
     total_area_m2: tuple[float, ...]
 
 
-def _distances(pa: np.ndarray, pb: np.ndarray, gsd: float) -> np.ndarray:
-    """|pa| x |pb| matrix of centroid ground distances ``hypot((xa - xb) * gsd, (ya - yb) * gsd)``.
-
-    Built in place, so at most two |pa| x |pb| float64 arrays are alive at once.
-    """
-    dx = np.subtract.outer(pa[:, 0], pb[:, 0])
-    dx *= gsd
-    dy = np.subtract.outer(pa[:, 1], pb[:, 1])
-    dy *= gsd
-    return np.hypot(dx, dy, out=dx)
-
-
 def _pair_distances(points_px: np.ndarray, i: np.ndarray, j: np.ndarray, gsd: float) -> np.ndarray:
-    """Centroid ground distance of each pair (i[k], j[k]), in ``_distances``' arithmetic.
+    """Centroid ground distance ``hypot((xi - xj) * gsd, (yi - yj) * gsd)`` of
+    each pair of the index arrays ``i`` and ``j``, broadcast against each other.
 
-    ``(a - b) * gsd`` is exactly ``-((b - a) * gsd)``, so the orientation of a
-    pair does not change its distance.
+    Built in place, so at most two float64 arrays of the broadcast shape are
+    alive at once. ``(a - b) * gsd`` is exactly ``-((b - a) * gsd)``, so the
+    orientation of a pair does not change its distance.
     """
     x, y = points_px.T
     dx = x[i] - x[j]
@@ -124,9 +115,9 @@ def _pair_distances(points_px: np.ndarray, i: np.ndarray, j: np.ndarray, gsd: fl
 
 def _farthest(points_px: np.ndarray, gsd: float) -> float:
     """Largest centroid ground distance over all pairs, in row chunks of at most 2^18 distances."""
-    n = len(points_px)
-    rows = max(1, (1 << 18) // n)
-    return max(float(_distances(points_px[k : k + rows], points_px, gsd).max()) for k in range(0, n, rows))
+    every = np.arange(len(points_px))
+    rows = max(1, (1 << 18) // len(every))
+    return max(float(_pair_distances(points_px, every[k : k + rows, None], every, gsd).max()) for k in every[::rows])
 
 
 # Directions +-x, +-y, +-(x+y) and +-(y-x), as the columns of one projection.
@@ -141,9 +132,9 @@ def _extent(points_px: np.ndarray, gsd: float) -> float:
 
     The extreme points in the ``_DIRECTIONS`` give ``d0``, the distance of a
     real pair. With ``dc`` each point's distance to the bounding-box centre
-    (``_distances``' arithmetic) and ``R`` the largest of them, a point with
-    ``dc + R < d0 * (1 - 1e-9)`` lies nearer than ``d0`` to every other point
-    (triangle inequality); the margin dwarfs the few ulps of rounding in
+    (``_pair_distances``' arithmetic) and ``R`` the largest of them, a point
+    with ``dc + R < d0 * (1 - 1e-9)`` lies nearer than ``d0`` to every other
+    point (triangle inequality); the margin dwarfs the few ulps of rounding in
     either side, so its computed distances stay strictly below the computed
     ``d0``, and the farthest pair is taken over the points left. A NaN keeps
     its point. If ``d0`` is not finite, or below ``_TINY``, every point takes
@@ -154,7 +145,7 @@ def _extent(points_px: np.ndarray, gsd: float) -> float:
         if not _TINY <= d0 < math.inf:  # NaN fails too
             return _farthest(points_px, gsd)
         centre = (points_px.min(axis=0) + points_px.max(axis=0)) / 2
-        dc = _distances(points_px, centre[None], gsd)[:, 0]
+        dc = np.hypot(*((points_px - centre) * gsd).T)
         return _farthest(points_px[~(dc + dc.max() < d0 * (1.0 - 1e-9))], gsd)
 
 

@@ -243,6 +243,7 @@ class TestGeoidUndulation:
             json.dumps({**_GRID_DOC, "origin_lat": math.nan}),
             json.dumps({**_GRID_DOC, "nrows": -1}),
             json.dumps({**_GRID_DOC, "values": [1.0, math.nan, 3.0, 4.0]}),
+            "[" * 100_000,
         ],
         ids=[
             "truncated",
@@ -254,6 +255,7 @@ class TestGeoidUndulation:
             "nan-origin",
             "negative-rows",
             "nan-value",
+            "deeply-nested",
         ],
     )
     def test_from_json_malformed_raises_geodesy_error(self, tmp_path, text):
@@ -270,7 +272,8 @@ class TestGeoidUndulation:
     @given(data=st.data())
     def test_corrupt_grid_raises_only_geodesy_error(self, tmp_path_factory, data):
         p = tmp_path_factory.getbasetemp() / "fuzz-geoid.json"
-        p.write_bytes(data.draw(corrupted(json.dumps(_GRID_DOC).encode())))
+        nested = st.integers(1, 100_000).map(lambda depth: b'{"values": ' + b"[" * depth)
+        p.write_bytes(data.draw(st.one_of(corrupted(json.dumps(_GRID_DOC).encode()), nested)))
         try:
             GeoidGrid.from_json(p)
         except GeodesyError:

@@ -16,7 +16,7 @@ from firescene.hotspots import (
     HotspotParams,
     HotspotTable,
     _hot_components,
-    _label,
+    _label_runs,
     components,
     connected_components,
     extract_hotspots,
@@ -181,11 +181,22 @@ def _edge_masks(draw) -> np.ndarray:
     return mask
 
 
+def _label_padded(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """``_label_runs`` of ``mask`` padded with a zero column on each side: each
+    foreground pixel's component id, in ``np.flatnonzero`` order, and the count.
+    Checks that the pixels it returns are ``np.flatnonzero(mask)``."""
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    pixels, comp, n = _label_runs(padded)
+    assert np.array_equal(pixels, np.flatnonzero(mask))
+    return comp, n
+
+
 class TestLabel:
     @given(_edge_masks())
     @settings(max_examples=300, deadline=None)
     def test_matches_flood_fill_with_runs_on_the_edge_columns(self, mask):
-        comp, n = _label(mask)
+        comp, n = _label_padded(mask)
         oracle = flood_fill_components(mask)
         want = np.full(mask.shape, -1)
         for k, pixels in enumerate(oracle):
@@ -198,7 +209,7 @@ class TestLabel:
     def test_matches_scipy_scan_order_labels(self, name):
         ndimage = pytest.importorskip("scipy.ndimage")
         mask = _oracle_masks()[name]
-        comp, n = _label(mask)
+        comp, n = _label_padded(mask)
         labels, count = ndimage.label(mask, np.ones((3, 3)))
         assert n == count
         assert np.array_equal(comp, labels[mask] - 1)  # boolean indexing is np.flatnonzero order
@@ -210,7 +221,7 @@ class TestLabel:
 
     @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (6, 9)])
     def test_no_foreground_gives_no_components(self, shape):
-        comp, n = _label(np.zeros(shape, dtype=bool))
+        comp, n = _label_padded(np.zeros(shape, dtype=bool))
         assert n == 0 and comp.size == 0
         assert connected_components(np.zeros(shape, dtype=bool)) == []
 

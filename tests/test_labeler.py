@@ -233,7 +233,7 @@ class TestTwoCoreAnalysis:
     def test_golden_frame_shares_the_analysis_summary(self):
         r = ThermalRaster.from_array(typical(0))
         analysis = analyze_frame(r, agl_m=60.0)
-        assert analysis.hotspots and rag_summary(r).summary is analysis.summary
+        assert analysis.hotspots and rag_summary(r) is analysis.summary
 
 
 _FAULTS_PER_LABEL = """
@@ -429,6 +429,12 @@ class TestAnswerSheet:
         with pytest.raises(ValueError, match="canonical"):
             sheet.set_external("CL1", "on fire")
 
+    def test_external_answer_for_unknown_question_raises_value_error(self):
+        sheet = AnswerSheet(frame_id="f")
+        with pytest.raises(ValueError, match="unknown question id 'ZZ9'"):
+            sheet.set_external("ZZ9", "Yes")
+        assert sheet == AnswerSheet(frame_id="f")
+
     def test_external_answer_cannot_overwrite_deterministic_slot(self, collinear_scene):
         r, agl = collinear_scene
         sheet = answer_sheet(analyze_frame(r, agl_m=agl, frame_id="ext"))
@@ -524,7 +530,7 @@ class TestRagSummary:
 
     def test_shares_the_analysis_summary(self, collinear_scene):
         r, agl = collinear_scene
-        assert analyze_frame(r, agl_m=agl).summary is rag_summary(r).summary
+        assert rag_summary(r) is analyze_frame(r, agl_m=agl).summary
 
     @pytest.mark.parametrize("dropouts", [0, 40])
     def test_one_label_operation_memory(self, tmp_path, dropouts):

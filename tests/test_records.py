@@ -241,6 +241,11 @@ class TestMalformed:
         with pytest.raises(ValueError, match="malformed"):
             AnswerSheet.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("cls", [FrameAnalysis, AnswerSheet])
+    def test_deeply_nested_document_raises_value_error(self, cls):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            cls.from_json("[" * 100_000)
+
     def test_invariants_still_apply(self):
         d = RECORDS["analysis"]().as_dict()
         d["hotspots"] = []
