@@ -8,17 +8,18 @@ non-maximum suppression, exact ties to the row-major earlier pixel). It
 carries the intensity-centroid orientation of its 31x31 circular patch.
 
 The cheap test runs first. Sobel, the Harris window sums, the response and
-its 3x3 maximum run over bands of ``_BAND_ROWS`` interior rows, in buffers
-allocated once per call. A band reads ``_HALO`` rows and columns beyond its
-own (1 for the suppression ring, 3 for the 7x7 window, 1 for Sobel), which
-``BORDER_MARGIN`` holds, so nothing is padded; the ring is -inf only outside
-the interior. Only the band's local maxima, a few percent of its pixels,
-take the segment test, at their 16 circle pixels. Neither test reads the
-other's result, so this order keeps the same pixels, row-major in each band:
-the bands joined in order are the whole-image candidates, and one stable
-sort on the score ranks them. The band buffers are freed before the moments
-are taken, or the size of the moments' chunk temporary decides whether
-glibc returns the freed pages and faults them in again on every call.
+its 3x3 maximum run over bands of ``_BAND_ROWS`` interior rows, each band in
+fresh arrays of a few hundred KiB. Bands keep the arrays small: whole-image
+planes of 0.6-2.6 MB were mapped and unmapped on every call, faulting their
+pages in each time, while band-sized arrays come back from the heap. A band
+reads ``_HALO`` rows and columns beyond its own (1 for the suppression
+ring, 3 for the 7x7 window, 1 for Sobel), which ``BORDER_MARGIN`` holds,
+so nothing is padded; the ring is -inf only outside the interior. Only the
+band's local maxima, a few percent of its pixels, take the segment test,
+at their 16 circle pixels. Neither test reads the other's result, so this
+order keeps the same pixels, row-major in each band: the bands joined in
+order are the whole-image candidates, and one stable sort on the score
+ranks them.
 
 Each step is exact, so it equals bit for bit a float64 evaluation of the
 same formulas in any summation order, whatever the band height. The
@@ -138,105 +139,70 @@ def _segment_test(img: np.ndarray, ys: np.ndarray, xs: np.ndarray, threshold: in
     return _ARC[words].reshape(-1, 2).any(axis=1)
 
 
-class _Bands:
-    """The Harris response and its local maxima over row bands of one image's interior, with buffers every band reuses.
+def _gradients(img: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 Sobel (gx, gy) of ``img`` rows [y0, y1) and columns [x0, x1), widened by ``_HALO - 1`` pixels on each side.
 
-    The interior is the image less ``margin`` rows and columns on each
-    side. A band is interior rows [y0, y1), at most ``rows`` of them, and
-    spans the interior's full width; its kernels read the image up to
-    ``_HALO`` pixels beyond it, which ``margin`` must hold.
+    A central difference, then [1, 2, 1] smoothing across it. The image is
+    read ``_HALO`` pixels beyond the rows and columns.
     """
+    r = _HALO
+    src = img[y0 - r : y1 + r, x0 - r : x1 + r].astype(np.int32)
+    d = src[:, 2:] - src[:, :-2]
+    gx = (d[1:-1] << 1) + d[:-2] + d[2:]
+    s = (src[:, 1:-1] << 1) + src[:, :-2] + src[:, 2:]
+    return gx, s[2:] - s[:-2]
 
-    def __init__(self, img: np.ndarray, margin: int, rows: int) -> None:
-        h, w = img.shape
-        self.img, self.m, self.h = np.ascontiguousarray(img), margin, h  # _segment_test gathers from its ravel()
-        self.w = w - 2 * margin  # interior width
-        n, c, r = rows, self.w, _HALO  # band rows, band columns, halo
-        # Harris: the band with its halo in int32, Sobel, one window sum at a time, float64 sums.
-        self.src32 = np.empty((n + 2 * r, c + 2 * r), dtype=np.int32)
-        self.diff = np.empty((n + 2 * r, c + 2 * r - 2), dtype=np.int32)
-        self.gx, self.gy, self.prod = np.empty((3, n + 2 * r - 2, c + 2 * r - 2), dtype=np.int32)
-        self.rowsum = np.empty((n + 2, c + 2 * r - 2), dtype=np.int32)
-        self.sum32 = np.empty((n + 2, c + 2), dtype=np.int32)
-        self.sxx, self.syy, self.sxy, self.det = np.empty((4, n + 2, c + 2), dtype=np.float64)
-        # The 3x3 maximum, across the columns and then down the rows, and the pixels that reach it.
-        self.across, self.peak, self.top = np.empty((n + 2, c)), np.empty((n, c)), np.empty((n, c), dtype=bool)
 
-    def gradients(self, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
-        """int32 Sobel (gx, gy) of the band widened by ``_HALO - 1`` pixels on each side.
+def _window_sum(arr: np.ndarray) -> np.ndarray:
+    """int32 sums of ``arr`` over each HARRIS_WINDOW x HARRIS_WINDOW window inside it, by shifted adds."""
+    size = HARRIS_WINDOW
+    n, c = arr.shape[0] - size + 1, arr.shape[1] - size + 1
+    rows = arr[:n] + arr[1 : n + 1]
+    for k in range(2, size):
+        rows += arr[k : k + n]
+    out = rows[:, :c] + rows[:, 1 : c + 1]
+    for k in range(2, size):
+        out += rows[:, k : k + c]
+    return out
 
-        A central difference, then [1, 2, 1] smoothing across it.
-        """
-        n, c, m, r = y1 - y0, self.w, self.m, _HALO
-        src = self.src32[: n + 2 * r]
-        np.copyto(src, self.img[y0 - r : y1 + r, m - r : m + c + r])
-        d = self.diff[: n + 2 * r]
-        gx, gy = self.gx[: n + 2 * r - 2], self.gy[: n + 2 * r - 2]
-        np.subtract(src[:, 2:], src[:, :-2], out=d)
-        np.left_shift(d[1:-1], 1, out=gx)
-        gx += d[:-2]
-        gx += d[2:]
-        np.left_shift(src[:, 1:-1], 1, out=d)
-        d += src[:, :-2]
-        d += src[:, 2:]
-        np.subtract(d[2:], d[:-2], out=gy)
-        return gx, gy
 
-    def window_sum(self, arr: np.ndarray) -> np.ndarray:
-        """int32 sums of ``arr`` over each HARRIS_WINDOW x HARRIS_WINDOW window inside it, by shifted adds."""
-        size = HARRIS_WINDOW
-        n, c = arr.shape[0] - size + 1, arr.shape[1] - size + 1
-        rows = np.add(arr[:n], arr[1 : n + 1], out=self.rowsum[:n])
-        for k in range(2, size):
-            rows += arr[k : k + n]
-        out = np.add(rows[:, :c], rows[:, 1 : c + 1], out=self.sum32[:n])
-        for k in range(2, size):
-            out += rows[:, k : k + c]
-        return out
+def _response(img: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+    """float64 Harris response of ``img`` rows [y0, y1) and columns [x0, x1) with a 1-pixel ring around them."""
+    gx, gy = _gradients(img, y0, y1, x0, x1)
+    sxx, syy, sxy = (_window_sum(a * b).astype(np.float64) for a, b in ((gx, gx), (gy, gy), (gx, gy)))
+    trace = sxx + syy
+    return sxx * syy - sxy * sxy - HARRIS_K * trace * trace
 
-    def response(self, y0: int, y1: int) -> np.ndarray:
-        """float64 Harris response of the band with a 1-pixel ring: (y1 - y0 + 2, interior width + 2)."""
-        gx, gy = self.gradients(y0, y1)
-        n = y1 - y0 + 2
-        prod = self.prod[: len(gx)]
-        sxx, syy, sxy, det = self.sxx[:n], self.syy[:n], self.sxy[:n], self.det[:n]
-        for a, b, s in ((gx, gx, sxx), (gy, gy, syy), (gx, gy, sxy)):
-            np.copyto(s, self.window_sum(np.multiply(a, b, out=prod)))
-        np.multiply(sxx, syy, out=det)
-        det -= np.square(sxy, out=sxy)
-        trace = np.add(sxx, syy, out=sxx)
-        k_trace2 = np.multiply(HARRIS_K, trace, out=syy)
-        k_trace2 *= trace
-        det -= k_trace2  # det - HARRIS_K * trace * trace, rounded step by step as written
-        return det
 
-    def candidates(self, threshold: int, y0: int, y1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Image rows, columns and responses of the band's corners that survive the NMS, row-major.
+def _candidates(
+    img: np.ndarray, threshold: int, margin: int, y0: int, y1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Image rows, columns and responses of the corners of interior rows [y0, y1) that survive the NMS, row-major.
 
-        A pixel at its 3x3 maximum is at least its four later neighbours;
-        the gather keeps those above their four earlier ones, so exact ties
-        go to the row-major earlier pixel. Only those take the segment test.
-        """
-        n = y1 - y0
-        response = self.response(y0, y1)
-        response[:, 0] = response[:, -1] = -np.inf
-        if y0 == self.m:
-            response[0] = -np.inf
-        if y1 == self.h - self.m:
-            response[-1] = -np.inf
-        across = np.maximum(response[:, :-2], response[:, 1:-1], out=self.across[: n + 2])
-        np.maximum(across, response[:, 2:], out=across)
-        peak = np.maximum(across[:-2], across[1:-1], out=self.peak[:n])
-        np.maximum(peak, across[2:], out=peak)
-        ys, xs = np.nonzero(np.greater_equal(response[1:-1, 1:-1], peak, out=self.top[:n]))
-        stride = response.shape[1]
-        flat = response.ravel()
-        at = (ys + 1) * stride + (xs + 1)
-        score = flat[at]
-        keep = np.logical_and.reduce([score > flat[at - back] for back in (stride + 1, stride, stride - 1, 1)])
-        ys, xs, score = ys[keep] + y0, xs[keep] + self.m, score[keep]
-        corner = _segment_test(self.img, ys, xs, threshold)
-        return ys[corner], xs[corner], score[corner]
+    The interior is ``img`` less ``margin`` rows and columns on each side,
+    and the band spans its full width; ``margin`` must hold ``_HALO``. A
+    pixel at its 3x3 maximum is at least its four later neighbours; the
+    gather keeps those above their four earlier ones, so exact ties go to
+    the row-major earlier pixel. Only those take the segment test.
+    """
+    h, w = img.shape
+    response = _response(img, y0, y1, margin, w - margin)
+    response[:, 0] = response[:, -1] = -np.inf
+    if y0 == margin:
+        response[0] = -np.inf
+    if y1 == h - margin:
+        response[-1] = -np.inf
+    across = np.maximum(np.maximum(response[:, :-2], response[:, 1:-1]), response[:, 2:])
+    peak = np.maximum(np.maximum(across[:-2], across[1:-1]), across[2:])
+    ys, xs = np.nonzero(response[1:-1, 1:-1] >= peak)
+    stride = response.shape[1]
+    flat = response.ravel()
+    at = (ys + 1) * stride + (xs + 1)
+    score = flat[at]
+    keep = np.logical_and.reduce([score > flat[at - back] for back in (stride + 1, stride, stride - 1, 1)])
+    ys, xs, score = ys[keep] + y0, xs[keep] + margin, score[keep]
+    corner = _segment_test(img, ys, xs, threshold)
+    return ys[corner], xs[corner], score[corner]
 
 
 def _moments(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -274,15 +240,13 @@ def detect(image: GrayImage, max_features: int = 8000, threshold: int = FAST_THR
             f"image {image.width}x{image.height} below detection minimum "
             f"{MIN_IMAGE_SIDE}x{MIN_IMAGE_SIDE}"
         )
-    img = image.pixels
+    img = np.ascontiguousarray(image.pixels)  # _segment_test gathers from its ravel()
     m = BORDER_MARGIN
     if image.width <= 2 * m or image.height <= 2 * m or threshold > 255:
         return KeypointTable(*np.empty((4, 0)))
 
     top, bottom = m, image.height - m
-    bands = _Bands(img, m, min(_BAND_ROWS, bottom - top))
-    found = [bands.candidates(threshold, y0, min(y0 + _BAND_ROWS, bottom)) for y0 in range(top, bottom, _BAND_ROWS)]
-    del bands  # before _moments: see the module docstring
+    found = [_candidates(img, threshold, m, y0, min(y0 + _BAND_ROWS, bottom)) for y0 in range(top, bottom, _BAND_ROWS)]
     ys, xs, scores = (np.concatenate(part) for part in zip(*found))
 
     # The bands are row-major, so a stable sort on the score alone breaks ties by position.

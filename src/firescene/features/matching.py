@@ -2,18 +2,17 @@
 
 Descriptors are compared as four uint64 words with hardware popcount. A is
 walked in blocks of ``_BLOCK_ROWS`` rows; B's words are held transposed, so
-each word is one contiguous row. For each block, one XOR per word against
-every B row goes through a (block, Nb) uint64 buffer, its popcount through a
-uint8 buffer, and the sum into a (block, Nb) uint16 buffer; the three are
-allocated once per scan and reused by every block. A 256-bit distance is at
-most 256, well inside uint16. ``match`` reduces each block to its nearest and
-second-nearest distances while the block is still in cache, so the Na x Nb
-distance matrix is never built; ``hamming_matrix`` copies each block into
-its output.
+each word is one contiguous row. A block's distances are the popcount of its
+first word XORed against every B row, widened to uint16, plus the popcounts
+of the other three words, each a fresh (block, Nb) array. A 256-bit
+distance is at most 256, well inside uint16. ``match`` reduces each block to
+its nearest and second-nearest distances while the block is still in cache,
+so the Na x Nb distance matrix is never built; ``hamming_matrix`` copies
+each block into its output.
 
 ``match`` scans the two halves of A's rows at once, the first on a helper
-thread and the second on the caller's (``threads.both``). Each half has its
-own buffers and writes only its own rows of the results. A row's two
+thread and the second on the caller's (``threads.both``). Each half writes
+only its own rows of the results. A row's two
 nearest distances do not depend on any other row, so the bytes are those of
 one scan over all of A.
 """
@@ -27,7 +26,7 @@ import numpy as np
 from .describe import DESCRIPTOR_BITS
 from ..threads import both
 
-_BLOCK_ROWS = 64  # at 2000 B rows, a block's XOR buffer (1 MB) stays in L2 cache
+_BLOCK_ROWS = 64  # at 2000 B rows, a block's XOR array (1 MB) stays in L2 cache
 _DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
 
 
@@ -40,24 +39,15 @@ def _words(desc: np.ndarray) -> np.ndarray:
 
 
 def _blocks(a: np.ndarray, b_words: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, distances) for each block of A rows, distances a (block, Nb) uint16 array.
+    """Yield (rows, distances) for each block of A rows, distances a fresh (block, Nb) uint16 array.
 
-    ``a`` is a ``_words`` array and ``b_words`` B's transposed, (4, Nb). The
-    distance buffer is overwritten by the next block.
+    ``a`` is a ``_words`` array and ``b_words`` B's transposed, (4, Nb).
     """
-    shape = (min(_BLOCK_ROWS, len(a)), b_words.shape[1])
-    xor = np.empty(shape, dtype=np.uint64)
-    count = np.empty(shape, dtype=np.uint8)
-    dist = np.empty(shape, dtype=np.uint16)
     for start in range(0, len(a), _BLOCK_ROWS):
         rows = a[start : start + _BLOCK_ROWS]
-        x, c, d = xor[: len(rows)], count[: len(rows)], dist[: len(rows)]
-        for word, b_word in enumerate(b_words):
-            np.bitwise_xor(rows[:, word, None], b_word, out=x)
-            if word == 0:
-                np.bitwise_count(x, out=d)
-            else:
-                d += np.bitwise_count(x, out=c)
+        d = np.bitwise_count(rows[:, 0, None] ^ b_words[0]).astype(np.uint16)
+        for w in range(1, len(b_words)):
+            d += np.bitwise_count(rows[:, w, None] ^ b_words[w])
         yield slice(start, start + len(rows)), d
 
 

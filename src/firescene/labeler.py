@@ -53,8 +53,10 @@ class FrameAnalysis(Record):
     defaults, with a reason in ``errors``, when ``agl_m`` is None or not
     positive; when it is positive, every one of them is set. A mix, set
     fields beside any other ``agl_m``, unset ones beside a positive one, a
-    non-finite ``agl_m``, or a hotspot peak that no valid pixel could hold
-    (not in [TEMP_MIN_C, TEMP_MAX_C], NaN included) raises ``ValueError``.
+    non-finite ``agl_m``, a hotspot peak that no valid pixel could hold
+    (not in [TEMP_MIN_C, TEMP_MAX_C], NaN included), ``p200`` or ``p400``
+    other than the summary's percentage, or a ``hottest_region`` that is not
+    an LD1 option raises ``ValueError``.
     """
 
     frame_id: str
@@ -75,8 +77,10 @@ class FrameAnalysis(Record):
 
     def __post_init__(self) -> None:
         _check_schema_version(self.schema_version)
-        if self.p400 > self.p200:
-            raise ValueError("p400 cannot exceed p200")
+        if (self.p200, self.p400) != (self.summary.pct_above_200, self.summary.pct_above_400):
+            raise ValueError("p200 and p400 must equal the summary's pct_above_200 and pct_above_400")
+        if self.hottest_region is not None:
+            validate_option("LD1", self.hottest_region)
         if self.agl_m is not None and not math.isfinite(self.agl_m):
             raise ValueError(f"AGL must be finite, got {self.agl_m}")
         if len({getattr(self, name) is None for name in _GSD_FIELDS}) > 1:
@@ -229,11 +233,7 @@ def bin_peak_temp(analysis: FrameAnalysis) -> str:
     return bin_option("CMR4", analysis.hotspots.peak_temp_c.max().item())
 
 
-_DS3_WORDING = {
-    sp.IntensityConsistencyLabel.SIMILAR: "Similar intensity",
-    sp.IntensityConsistencyLabel.CLEARLY_DIFFERENT: "Different intensity",
-    sp.IntensityConsistencyLabel.NO_ACTIVE_HOTSPOTS: "No active hotspots",
-}
+_DS3_WORDING = dict(zip(sp.IntensityConsistencyLabel, choices("DS3")))
 
 
 def answer_sheet(analysis: FrameAnalysis) -> AnswerSheet:

@@ -155,7 +155,10 @@ class RadiometricSummary(Record):
     """Per-frame temperature statistics over valid pixels.
 
     ``std_c`` is the population standard deviation. Percentages use the
-    inclusive ``>= threshold`` convention and live in [0, 100].
+    inclusive ``>= threshold`` convention and live in [0, 100]. A
+    ``min_c`` above ``max_c``, a negative ``std_c``, or percentages outside
+    ``0 <= pct_above_400 <= pct_above_200 <= 100`` (NaN in any of them
+    included) raise ``ValueError``.
     """
 
     min_c: float
@@ -164,6 +167,14 @@ class RadiometricSummary(Record):
     std_c: float
     pct_above_200: float
     pct_above_400: float
+
+    def __post_init__(self) -> None:
+        if not self.min_c <= self.max_c:
+            raise ValueError(f"min_c {self.min_c} must not exceed max_c {self.max_c}")
+        if not self.std_c >= 0:
+            raise ValueError(f"std_c must be non-negative, got {self.std_c}")
+        if not 0 <= self.pct_above_400 <= self.pct_above_200 <= 100:
+            raise ValueError("percentages must satisfy 0 <= pct_above_400 <= pct_above_200 <= 100")
 
     def as_text(self) -> str:
         """The radiometric prompt block's exact text template."""

@@ -39,26 +39,24 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hotspots import HotspotTable, _in_ranges, components
+from .questions import choices
 from .records import Record
 
 
 class SpatialDistributionLabel(enum.Enum):
-    NO_ACTIVE_HOTSPOTS = "No active hotspots"
-    LINEAR = "Linear"
-    CONCENTRATED = "Concentrated"
-    SCATTERED = "Scattered"
+    SCATTERED, CONCENTRATED, LINEAR, NO_ACTIVE_HOTSPOTS = choices("DS1")
 
 
 class IntensityConsistencyLabel(enum.Enum):
-    NO_ACTIVE_HOTSPOTS = "No active hotspots"
+    """DS3's options in order; the analysis JSON spells "Different intensity" as "Clearly different"."""
+
     SIMILAR = "Similar intensity"
     CLEARLY_DIFFERENT = "Clearly different"
+    NO_ACTIVE_HOTSPOTS = "No active hotspots"
 
 
 class IsolationVerdict(enum.Enum):
-    YES = "Yes"
-    NO = "No"
-    NO_FIRE = "No fire"
+    YES, NO, NO_FIRE = choices("PD7")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ used: importing the standard library's costs 5-8 ms.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from collections.abc import Callable
 from typing import TypeVar
@@ -33,16 +34,13 @@ class _Helper:
     """A daemon thread that runs the calls handed to it, one at a time."""
 
     def __init__(self) -> None:
-        self.call: Callable[[], object] | None = None
-        self.outcome: tuple | None = None
-        self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        self.todo: queue.SimpleQueue[Callable[[], object]] = queue.SimpleQueue()
+        self.done: queue.SimpleQueue[tuple] = queue.SimpleQueue()
         threading.Thread(target=self._serve, name="firescene-helper", daemon=True).start()
 
     def _serve(self) -> None:
         while True:
-            self.todo.acquire()
-            self.outcome = _outcome(self.call)
-            self.done.release()
+            self.done.put(_outcome(self.todo.get()))
 
 
 _helper: _Helper | None = None
@@ -67,11 +65,9 @@ def both(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
         except BaseException:
             _busy.release()
             raise
-        helper.call = first
-        helper.todo.release()
+        helper.todo.put(first)
         mine = _outcome(second)
-        helper.done.acquire()
-        theirs, helper.call, helper.outcome = helper.outcome, None, None  # drop the call's arrays
+        theirs = helper.done.get()
         _busy.release()  # not if interrupted before: later calls then run here in turn
     (a, error_a), (b, error_b) = theirs, mine
     if error_a is not None:

@@ -117,6 +117,43 @@ class TestAnalyzeFrame:
         with pytest.raises(ValueError, match="p400"):
             FrameAnalysis.from_dict(d)
 
+    def test_percentages_must_be_the_summarys(self, collinear_scene):
+        # 50/40 beside a summary of 2.44/2.44 used to load.
+        r, agl = collinear_scene
+        d = analyze_frame(r, agl_m=agl).as_dict() | {"p200": 50.0, "p400": 40.0}
+        with pytest.raises(ValueError, match="summary's pct_above_200"):
+            FrameAnalysis.from_json(json.dumps(d))
+
+    def test_hottest_region_must_be_an_ld1_option(self, collinear_scene):
+        # Used to load, and only answer_sheet raised later.
+        r, agl = collinear_scene
+        d = analyze_frame(r, agl_m=agl).as_dict() | {"hottest_region": "Somewhere"}
+        with pytest.raises(ValueError, match="LD1"):
+            FrameAnalysis.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"min_c": 500.0}, "max_c"),
+            ({"max_c": math.nan}, "max_c"),
+            ({"std_c": -1.0}, "std_c"),
+            ({"std_c": math.nan}, "std_c"),
+            ({"pct_above_200": 250.0}, "percentages"),
+            ({"pct_above_200": 1.0, "pct_above_400": 2.0}, "percentages"),
+            ({"pct_above_400": -1.0}, "percentages"),
+            ({"pct_above_400": math.nan}, "percentages"),
+        ],
+        ids=["min-above-max", "nan-max", "negative-std", "nan-std", "p200-above-100", "p400-above-p200",
+             "negative-p400", "nan-p400"],
+    )
+    def test_summary_must_be_in_range(self, collinear_scene, change, message):
+        # A summary with pct_above_200 250 and std_c -1 used to load.
+        r, agl = collinear_scene
+        d = analyze_frame(r, agl_m=agl).as_dict()
+        d["summary"] |= change
+        with pytest.raises(ValueError, match=message):
+            FrameAnalysis.from_json(json.dumps(d))
+
     @pytest.mark.parametrize("name", ["gsd_m", "hotspots", "clusters", "sdl", "hicl", "isolated", "hottest_region"])
     def test_gsd_fields_all_set_or_all_none(self, collinear_scene, name):
         # One null among set GSD-dependent fields, or one value among nulls, is rejected.
